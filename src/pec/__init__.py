@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .baselines import SpectralEmbedding, hca, spectral_cluster, spectral_embedding
 from .clusterer import (
     ClusterAssignment,
+    ClusterConfig,
     IndexScores,
     kmeans,
     louvain,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clusterer import ClusterAssignment, kmeans
+from .clusterer import ClusterAssignment, ClusterConfig, kmeans
 
 __all__ = [
     "SpectralEmbedding",
@@ -66,7 +66,8 @@ def spectral_embedding(g, d: int) -> SpectralEmbedding:
     )
 
 
-def spectral_cluster(g, d: int, n: int, seed: int = 0, restarts: int = 10) -> ClusterAssignment:
+def spectral_cluster(g, d: int, n: int, seed: int = 0,
+                     restarts: int = ClusterConfig.restarts) -> ClusterAssignment:
     """k-means on row-normalized spectral coordinates.
 
     Rows of isolated nodes can be identically zero; they are left at the

@@ -13,17 +13,17 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .clusterer import kmeans, louvain, select_n
+from .clusterer import ClusterConfig, kmeans, louvain, select_n
 from .embedder import TrainConfig, load_embeddings, save_embeddings, train
 from .evaluator import (
-    DEFAULT_PARAMS,
+    EXPERIMENT_PARAMS,
     NoiseSpec,
     interaction_frequency_report,
     load_ground_truth,
@@ -46,7 +46,7 @@ from .srg import (
     InteractionMatrix,
 )
 from .synth import blobs, default_metro_spec, metro_network, planted_od
-from .util import derive_seed, sha256_file, write_json
+from .util import derive_seed, field_parser, knobs, sha256_file, write_json
 from .walker import WalkConfig, generate_walks, load_corpus, save_corpus
 
 __all__ = ["PipelineConfig", "PipelineError", "run_pipeline", "main"]
@@ -61,74 +61,122 @@ class PipelineError(RuntimeError):
         self.cause = cause
 
 
-@dataclass
-class PipelineConfig:
-    """Everything one end-to-end run needs; flags and config files both
-    populate this."""
+def _parse_noise_entry(entry: str) -> tuple[str, float]:
+    kind, _, level = entry.partition(":")
+    if kind not in ("gaussian", "poisson") or not level:
+        # argparse prints the message of this error type as it is
+        raise argparse.ArgumentTypeError(f"bad noise entry {entry!r}; expected kind:level")
+    return kind, float(level)
 
+
+# The PipelineConfig field that holds each stage's hyperparameters.
+_STAGES = {"walk": WalkConfig, "train": TrainConfig, "cluster": ClusterConfig}
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """Everything one end-to-end run needs.
+
+    The hyperparameters live in the stage configs ``walk``, ``train`` and
+    ``cluster``; the run replaces their seeds by stage seeds derived from
+    ``seed``.  Flags, config-file keys and the manifest echo flatten the
+    stage configs into these fields (see :func:`_settings`).  Field
+    metadata, here and in the stage configs: ``flag`` and ``key`` where
+    the flag or config key is not the field name, ``choices``, ``parse``
+    for one value, ``metavar``.
+    """
+
+    walk: WalkConfig = field(default_factory=WalkConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    cluster: ClusterConfig = field(default_factory=ClusterConfig)
     # input (exactly one)
-    features_path: str | None = None
-    od_path: str | None = None
-    edges_path: str | None = None
+    features_path: str | None = field(default=None, metadata={"flag": "--features"})
+    od_path: str | None = field(default=None, metadata={"flag": "--od"})
+    edges_path: str | None = field(default=None, metadata={"flag": "--edges"})
     # SRG-I options
-    similarity: str = "gaussian"
+    similarity: str = field(default="gaussian", metadata={"choices": ("gaussian", "cosine")})
     sigma: float = 1.0
-    sparsify: str = "none"
+    sparsify: str = field(default="none", metadata={"choices": ("none", "knn", "threshold")})
     k_nn: int | None = None
     tau: float | None = None
-    # walk options
-    p: float = 1.0
-    q: float = 1.0
-    walk_length: int = 10
-    num_walks: int = 10
-    # training options
-    dim: int = 16
-    window: int = 5
-    epochs: int = 5
-    initial_lr: float = 0.025
-    negatives: int = 5
-    batch_size: int = 64
-    # clustering options
-    n_clusters: int | None = None
-    cluster_mode: str = "fixed"  # fixed | auto-indices | auto-louvain
-    n_min: int = 2
-    n_max: int = 10
-    restarts: int = 10
     # evaluation options
-    truth_paths: tuple[str, ...] = ()
+    truth_paths: tuple[str, ...] = field(default=(), metadata={"flag": "--truth", "key": "truth"})
     repeats: int = 20
-    noise: tuple[tuple[str, float], ...] = ()
-    noise_mode: str = "scale-noise"
+    noise: tuple[tuple[str, float], ...] = field(
+        default=(), metadata={"parse": _parse_noise_entry, "metavar": "KIND:LEVEL"}
+    )
+    noise_mode: str = field(default="scale-noise", metadata={"choices": ("scale-noise", "clip-result")})
     # run options
     out_dir: str = "pec-run"
     seed: int = 0
     workers: int = 1
-    geojson: bool = False
+    geojson: bool = field(default=False, metadata={"parse": lambda s: s.lower() in ("1", "true", "yes")})
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         inputs = [self.features_path, self.od_path, self.edges_path]
         if sum(x is not None for x in inputs) != 1:
             raise ValueError("give exactly one input: features, od or edges")
         for path in inputs + list(self.truth_paths):
             if path is not None and not Path(path).exists():
                 raise ValueError(f"input file not found: {path}")
-        if self.cluster_mode == "fixed" and self.n_clusters is None:
-            raise ValueError("fixed clustering needs --n-clusters")
-        if self.cluster_mode not in ("fixed", "auto-indices", "auto-louvain"):
-            raise ValueError(f"unknown cluster mode {self.cluster_mode!r}")
+        if self.repeats < 1 or self.workers < 1:
+            raise ValueError("repeats and workers must be at least 1")
+
+
+def _fields(cls, names=None) -> list:
+    """(class, field) for the fields of ``cls``, or for those in ``names``."""
+    return [(cls, f) for f in fields(cls) if names is None or f.name in names]
+
+
+def _settings() -> list:
+    """(class, field) of every flat pipeline setting: PipelineConfig's own
+    fields, then each stage's hyperparameters."""
+    own = [name for name in PipelineConfig.__dataclass_fields__ if name not in _STAGES]
+    return _fields(PipelineConfig, own) + [(cls, f) for cls in _STAGES.values() for f in knobs(cls)]
+
+
+def _pipeline_config(settings: dict) -> PipelineConfig:
+    """PipelineConfig from flat settings keyed by field name."""
+    settings = dict(settings)
+    stages = {
+        name: cls(**{f.name: settings.pop(f.name) for f in knobs(cls) if f.name in settings})
+        for name, cls in _STAGES.items()
+    }
+    return PipelineConfig(**stages, **settings)
+
+
+def _echo(cfg: PipelineConfig) -> dict:
+    """Every flat setting of ``cfg`` by field name, tuples as lists."""
+    owners = {PipelineConfig: cfg, **{cls: getattr(cfg, name) for name, cls in _STAGES.items()}}
+    values = {f.name: getattr(owners[cls], f.name) for cls, f in _settings()}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
 def read_config_file(path) -> dict:
-    """Parse ``key = value`` lines; '#' starts a comment."""
-    out: dict[str, str] = {}
+    """Parse ``key = value`` lines ('#' starts a comment) into settings by
+    field name.  Keys are the flat setting names of :func:`_settings`;
+    list settings take comma-separated values."""
+    by_key = {f.metadata.get("key", f.name): (cls, f) for cls, f in _settings()}
+    out: dict = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        out[key.strip().replace("-", "_")] = value.strip()
+        key, _, raw = stripped.partition("=")
+        key, raw = key.strip().replace("-", "_"), raw.strip()
+        if key not in by_key:
+            raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
+        cls, f = by_key[key]
+        parse = field_parser(cls, f)
+        try:
+            out[f.name] = tuple(map(parse, raw.split(","))) if isinstance(f.default, tuple) else parse(raw)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"{path}: line {lineno}: {key}: {exc}") from None
+        choices = f.metadata.get("choices")
+        if choices and out[f.name] not in choices:
+            raise ValueError(f"{path}: line {lineno}: {key} must be one of {', '.join(choices)}")
     return out
 
 
@@ -157,6 +205,32 @@ def grid_geojson(node_ids, labels, cell_size: float = 500.0) -> dict:
     return {"type": "FeatureCollection", "features": features}
 
 
+def _load_input(cfg: PipelineConfig):
+    """The space relation graph of the run's input, and the OD matrix when
+    the input is one (else None)."""
+    if cfg.features_path is not None:
+        feats = load_feature_csv(cfg.features_path)
+        graph = build_srg_from_features(
+            feats,
+            similarity=cfg.similarity,
+            sigma=cfg.sigma,
+            sparsify=cfg.sparsify,
+            k_nn=cfg.k_nn,
+            tau=cfg.tau,
+        )
+        return graph, None
+    if cfg.od_path is not None:
+        od = load_od_csv(cfg.od_path)
+        return build_srg_from_interactions(od), od
+    return load_graph(cfg.edges_path), None
+
+
+def _selection(vectors, n_range, seed: int, restarts: int) -> dict:
+    """select_n's recommended count and each candidate's validity indices."""
+    recommended, table = select_n(vectors, n_range, seed=seed, restarts=restarts)
+    return {"recommended": recommended, "scores": {str(n): asdict(s) for n, s in table.items()}}
+
+
 # -- pipeline -------------------------------------------------------------------
 
 
@@ -164,10 +238,12 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     """Run graph -> walks -> embedding -> clustering -> evaluation.
 
     Writes artifacts plus ``manifest.json`` into ``cfg.out_dir`` and
-    returns the manifest.  Raises PipelineError naming the failed stage;
-    artifacts of completed stages are retained.
+    returns the manifest, which hashes the artifacts this run wrote.
+    Raises PipelineError naming the failed stage; artifacts of completed
+    stages are retained.
     """
-    cfg.validate()
+    if cfg.cluster.cluster_mode == "fixed" and cfg.cluster.n_clusters is None:
+        raise ValueError("fixed clustering needs --n-clusters")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stage_seeds = {
@@ -175,7 +251,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         for stage in ("walks", "embed", "cluster", "evaluate")
     }
     manifest: dict = {
-        "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(cfg).items()},
+        "config": _echo(cfg),
         "master_seed": cfg.seed,
         "stage_seeds": stage_seeds,
         "versions": {
@@ -185,88 +261,52 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             "python": sys.version.split()[0],
         },
         "inputs": {},
-        "outputs": {},
     }
     for path in (cfg.features_path, cfg.od_path, cfg.edges_path, *cfg.truth_paths):
         if path is not None:
             manifest["inputs"][str(path)] = sha256_file(path)
+    written: list[str] = []
 
-    od = None
+    def artifact(name: str) -> Path:
+        written.append(name)
+        return out / name
+
     stage = "graph"
     try:
-        if cfg.features_path is not None:
-            feats = load_feature_csv(cfg.features_path)
-            graph = build_srg_from_features(
-                feats,
-                similarity=cfg.similarity,
-                sigma=cfg.sigma,
-                sparsify=cfg.sparsify,
-                k_nn=cfg.k_nn,
-                tau=cfg.tau,
-            )
-        elif cfg.od_path is not None:
-            od = load_od_csv(cfg.od_path)
-            graph = build_srg_from_interactions(od)
-        else:
-            graph = load_graph(cfg.edges_path)
-        save_graph(graph, out / "graph.tsv")
+        graph, od = _load_input(cfg)
+        save_graph(graph, artifact("graph.tsv"))
 
         stage = "walks"
-        wcfg = WalkConfig(
-            p=cfg.p,
-            q=cfg.q,
-            walk_length=cfg.walk_length,
-            num_walks=cfg.num_walks,
-            seed=stage_seeds["walks"],
-        )
-        corpus = generate_walks(graph, wcfg, workers=cfg.workers)
-        save_corpus(corpus, out / "corpus.txt")
+        corpus = generate_walks(graph, replace(cfg.walk, seed=stage_seeds["walks"]), workers=cfg.workers)
+        save_corpus(corpus, artifact("corpus.txt"))
 
         stage = "embed"
-        tcfg = TrainConfig(
-            dim=cfg.dim,
-            window=cfg.window,
-            epochs=cfg.epochs,
-            initial_lr=cfg.initial_lr,
-            negatives=cfg.negatives,
-            batch_size=cfg.batch_size,
-            seed=stage_seeds["embed"],
-        )
-        emb = train(corpus, tcfg)
-        save_embeddings(emb, out / "embeddings.txt")
+        emb = train(corpus, replace(cfg.train, seed=stage_seeds["embed"]))
+        save_embeddings(emb, artifact("embeddings.txt"))
 
         stage = "cluster"
-        if cfg.cluster_mode == "fixed":
-            n_clusters = int(cfg.n_clusters)
-        elif cfg.cluster_mode == "auto-louvain":
+        ccfg = cfg.cluster
+        if ccfg.cluster_mode == "fixed":
+            n_clusters = ccfg.n_clusters
+        elif ccfg.cluster_mode == "auto-louvain":
             _, n_clusters, modularity_q = louvain(graph, seed=stage_seeds["cluster"])
             manifest["louvain"] = {"communities": n_clusters, "modularity": modularity_q}
         else:
-            hi = min(cfg.n_max, graph.num_nodes)
-            recommended, table = select_n(
-                emb.vectors, range(cfg.n_min, hi + 1), seed=stage_seeds["cluster"], restarts=cfg.restarts
-            )
-            n_clusters = recommended
-            selection = {
-                str(n): {
-                    "davies_bouldin": s.davies_bouldin,
-                    "dunn": s.dunn,
-                    "silhouette": s.silhouette,
-                }
-                for n, s in table.items()
-            }
-            write_json({"recommended": recommended, "scores": selection}, out / "selection.json")
+            hi = min(ccfg.n_max, graph.num_nodes)
+            selection = _selection(emb.vectors, range(ccfg.n_min, hi + 1), stage_seeds["cluster"], ccfg.restarts)
+            write_json(selection, artifact("selection.json"))
+            n_clusters = selection["recommended"]
         manifest["n_clusters"] = n_clusters
         if n_clusters < 2:  # louvain can legitimately report one community
             labels = np.zeros(graph.num_nodes, dtype=np.int64)
         else:
             assignment = kmeans(
-                emb.vectors, n_clusters, seed=stage_seeds["cluster"], restarts=cfg.restarts
+                emb.vectors, n_clusters, seed=stage_seeds["cluster"], restarts=ccfg.restarts
             )
             labels = assignment.labels
-        save_labels(graph.node_ids, labels, out / "labels.csv")
+        save_labels(graph.node_ids, labels, artifact("labels.csv"))
         if cfg.geojson:
-            write_json(grid_geojson(graph.node_ids, labels), out / "clusters.geojson")
+            write_json(grid_geojson(graph.node_ids, labels), artifact("clusters.geojson"))
 
         stage = "evaluate"
         if cfg.truth_paths:
@@ -284,67 +324,33 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                         graph,
                         truth,
                         list(cfg.noise),
-                        params=_pipeline_params(cfg),
+                        params={name: manifest["config"][name] for name in EXPERIMENT_PARAMS},
                         repeats=cfg.repeats,
                         seed=stage_seeds["evaluate"],
                         mode=cfg.noise_mode,
                         workers=cfg.workers,
                     )
-                    noise_rep.save_csv(out / f"noise_{truth.name}.csv")
+                    noise_rep.save_csv(artifact(f"noise_{truth.name}.csv"))
                     reports[truth.name]["noise"] = noise_rep.to_json()
-            write_json(reports, out / "report.json")
+            write_json(reports, artifact("report.json"))
         if od is not None:
             freq = interaction_frequency_report(od, labels)
-            freq.save_csv(out / "frequency.csv")
+            freq.save_csv(artifact("frequency.csv"))
     except PipelineError:
         raise
     except Exception as exc:
         raise PipelineError(stage, exc) from exc
 
-    for artifact in sorted(out.iterdir()):
-        if artifact.name != "manifest.json" and artifact.is_file():
-            manifest["outputs"][artifact.name] = sha256_file(artifact)
+    manifest["outputs"] = {name: sha256_file(out / name) for name in sorted(written)}
     write_json(manifest, out / "manifest.json")
     return manifest
-
-
-def _pipeline_params(cfg: PipelineConfig) -> dict:
-    return {
-        "p": cfg.p,
-        "q": cfg.q,
-        "walk_length": cfg.walk_length,
-        "num_walks": cfg.num_walks,
-        "dim": cfg.dim,
-        "window": cfg.window,
-        "epochs": cfg.epochs,
-        "initial_lr": cfg.initial_lr,
-        "negatives": cfg.negatives,
-        "batch_size": cfg.batch_size,
-        "restarts": cfg.restarts,
-    }
 
 
 # -- subcommands ------------------------------------------------------------------
 
 
 def _cmd_build_graph(args) -> int:
-    given = [x for x in (args.features, args.od, args.edges) if x]
-    if len(given) != 1:
-        raise ValueError("give exactly one of --features / --od / --edges")
-    if args.features:
-        feats = load_feature_csv(args.features)
-        g = build_srg_from_features(
-            feats,
-            similarity=args.similarity,
-            sigma=args.sigma,
-            sparsify=args.sparsify,
-            k_nn=args.k_nn,
-            tau=args.tau,
-        )
-    elif args.od:
-        g = build_srg_from_interactions(load_od_csv(args.od))
-    else:
-        g = load_graph(args.edges)
+    g, _ = _load_input(PipelineConfig(**_given(args, _INPUT_SETTINGS)))
     save_graph(g, args.out)
     print(f"wrote {args.out}: {g.num_nodes} nodes, {g.num_edges} edges, "
           f"{len(g.isolated_nodes())} isolated")
@@ -353,10 +359,7 @@ def _cmd_build_graph(args) -> int:
 
 def _cmd_walks(args) -> int:
     g = load_graph(args.graph)
-    cfg = WalkConfig(
-        p=args.p, q=args.q, walk_length=args.walk_length, num_walks=args.num_walks, seed=args.seed
-    )
-    corpus = generate_walks(g, cfg, workers=args.workers)
+    corpus = generate_walks(g, WalkConfig(**_given(args, _names(WalkConfig))), workers=args.workers)
     save_corpus(corpus, args.out)
     print(f"wrote {args.out}: {len(corpus.walks)} walks")
     return 0
@@ -364,16 +367,7 @@ def _cmd_walks(args) -> int:
 
 def _cmd_embed(args) -> int:
     corpus = load_corpus(args.corpus)
-    cfg = TrainConfig(
-        dim=args.dim,
-        window=args.window,
-        epochs=args.epochs,
-        initial_lr=args.lr,
-        negatives=args.negatives,
-        batch_size=args.batch_size,
-        seed=args.seed,
-    )
-    emb = train(corpus, cfg)
+    emb = train(corpus, TrainConfig(**_given(args, _names(TrainConfig))))
     save_embeddings(emb, args.out)
     print(f"wrote {args.out}: {len(emb.node_ids)} vectors of dim {emb.dim}")
     return 0
@@ -381,32 +375,21 @@ def _cmd_embed(args) -> int:
 
 def _cmd_cluster(args) -> int:
     emb = load_embeddings(args.embeddings)
-    assignment = kmeans(emb.vectors, args.n_clusters, seed=args.seed, restarts=args.restarts)
+    cfg = ClusterConfig(**_given(args, _names(ClusterConfig)))
+    assignment = kmeans(emb.vectors, cfg.n_clusters, seed=args.seed, restarts=cfg.restarts)
     save_labels(emb.node_ids, assignment.labels, args.out)
     if args.geojson:
         write_json(grid_geojson(emb.node_ids, assignment.labels), args.geojson)
-    print(f"wrote {args.out}: {args.n_clusters} clusters, inertia {assignment.inertia:.6g}")
+    print(f"wrote {args.out}: {cfg.n_clusters} clusters, inertia {assignment.inertia:.6g}")
     return 0
 
 
 def _cmd_select_n(args) -> int:
     emb = load_embeddings(args.embeddings)
-    recommended, table = select_n(
-        emb.vectors, range(args.n_min, args.n_max + 1), seed=args.seed, restarts=args.restarts
-    )
-    payload = {
-        "recommended": recommended,
-        "scores": {
-            str(n): {
-                "davies_bouldin": s.davies_bouldin,
-                "dunn": s.dunn,
-                "silhouette": s.silhouette,
-            }
-            for n, s in table.items()
-        },
-    }
+    cfg = ClusterConfig(**_given(args, _names(ClusterConfig)))
+    payload = _selection(emb.vectors, range(cfg.n_min, cfg.n_max + 1), args.seed, cfg.restarts)
     write_json(payload, args.out)
-    print(f"recommended n = {recommended}")
+    print(f"recommended n = {payload['recommended']}")
     return 0
 
 
@@ -451,24 +434,11 @@ def _cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
     if not grid:
         raise ValueError("give at least one --grid name=v1,v2,...")
-    base = {
-        key: value
-        for key, value in {
-            "p": args.p,
-            "q": args.q,
-            "walk_length": args.walk_length,
-            "num_walks": args.num_walks,
-            "dim": args.dim,
-            "window": args.window,
-            "epochs": args.epochs,
-        }.items()
-        if value is not None
-    }
     report = sweep(
         g,
         truths,
         grid,
-        base_params=base,
+        base_params=_given(args, EXPERIMENT_PARAMS),
         repeats=args.repeats,
         seed=args.seed,
         include_baselines=args.baselines,
@@ -528,75 +498,52 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    cfg = PipelineConfig()
-    if args.config:
-        overrides = read_config_file(args.config)
-        _apply_config(cfg, overrides)
-    _apply_flags(cfg, args)
-    manifest = run_pipeline(cfg)
-    print(f"wrote {Path(cfg.out_dir) / 'manifest.json'} "
+    settings = read_config_file(args.config) if args.config else {}
+    for name, value in _given(args, [f.name for _, f in _settings()]).items():
+        # a repeated flag adds to the config file's list; others replace its value
+        settings[name] = settings.get(name, ()) + value if isinstance(value, tuple) else value
+    manifest = run_pipeline(_pipeline_config(settings))
+    print(f"wrote {Path(manifest['config']['out_dir']) / 'manifest.json'} "
           f"({len(manifest['outputs'])} artifacts)")
     return 0
 
 
-_CONFIG_TYPES = {
-    "features_path": str, "od_path": str, "edges_path": str,
-    "similarity": str, "sigma": float, "sparsify": str, "k_nn": int, "tau": float,
-    "p": float, "q": float, "walk_length": int, "num_walks": int,
-    "dim": int, "window": int, "epochs": int, "initial_lr": float,
-    "negatives": int, "batch_size": int,
-    "n_clusters": int, "cluster_mode": str, "n_min": int, "n_max": int, "restarts": int,
-    "repeats": int, "noise_mode": str, "out_dir": str, "seed": int, "workers": int,
-    "geojson": lambda s: s.lower() in ("1", "true", "yes"),
-}
-
-
-def _apply_config(cfg: PipelineConfig, overrides: dict) -> None:
-    for key, raw in overrides.items():
-        if key == "truth":
-            cfg.truth_paths = cfg.truth_paths + tuple(raw.split(","))
-            continue
-        if key == "noise":
-            cfg.noise = cfg.noise + tuple(_parse_noise_entry(x) for x in raw.split(","))
-            continue
-        if key not in _CONFIG_TYPES:
-            raise ValueError(f"unknown config key {key!r}")
-        setattr(cfg, key, _CONFIG_TYPES[key](raw))
-
-
-def _parse_noise_entry(entry: str) -> tuple[str, float]:
-    kind, _, level = entry.partition(":")
-    if kind not in ("gaussian", "poisson") or not level:
-        raise ValueError(f"bad noise entry {entry!r}; expected kind:level")
-    return kind, float(level)
-
-
-def _apply_flags(cfg: PipelineConfig, args) -> None:
-    mapping = {
-        "features": "features_path", "od": "od_path", "edges": "edges_path",
-        "similarity": "similarity", "sigma": "sigma", "sparsify": "sparsify",
-        "k_nn": "k_nn", "tau": "tau",
-        "p": "p", "q": "q", "walk_length": "walk_length", "num_walks": "num_walks",
-        "dim": "dim", "window": "window", "epochs": "epochs", "lr": "initial_lr",
-        "negatives": "negatives", "batch_size": "batch_size",
-        "n_clusters": "n_clusters", "cluster_mode": "cluster_mode",
-        "n_min": "n_min", "n_max": "n_max", "restarts": "restarts",
-        "repeats": "repeats", "noise_mode": "noise_mode",
-        "out_dir": "out_dir", "seed": "seed", "workers": "workers",
-    }
-    for flag, attr in mapping.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, attr, value)
-    if getattr(args, "truth", None):
-        cfg.truth_paths = cfg.truth_paths + tuple(args.truth)
-    if getattr(args, "noise", None):
-        cfg.noise = cfg.noise + tuple(_parse_noise_entry(x) for x in args.noise)
-    if getattr(args, "geojson", False):
-        cfg.geojson = True
-
-
 # -- parser ---------------------------------------------------------------------
+
+
+_INPUT_SETTINGS = ("features_path", "od_path", "edges_path", "similarity", "sigma", "sparsify", "k_nn", "tau")
+
+
+def _names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _add_flags(parser, settings, required=()) -> None:
+    """One flag per (config class, field) in ``settings``: ``--field-name``
+    unless the field's metadata names the flag, typed by the field.  A flag
+    left out reads None so that the field keeps its default; a tuple field
+    takes a repeated flag."""
+    for cls, f in settings:
+        flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+        if isinstance(f.default, bool):
+            parser.add_argument(flag, dest=f.name, action="store_true", default=None)
+            continue
+        parser.add_argument(
+            flag,
+            dest=f.name,
+            type=field_parser(cls, f),
+            action="append" if isinstance(f.default, tuple) else "store",
+            choices=f.metadata.get("choices"),
+            metavar=f.metadata.get("metavar"),
+            required=f.name in required,
+        )
+
+
+def _given(args, names) -> dict:
+    """The flags among ``names`` that were given, by field name; repeated
+    flags as tuples."""
+    given = {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in given.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -608,44 +555,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("build-graph", help="build a space relation graph from a matrix")
-    g.add_argument("--features")
-    g.add_argument("--od")
-    g.add_argument("--edges")
-    g.add_argument("--similarity", choices=("gaussian", "cosine"), default="gaussian")
-    g.add_argument("--sigma", type=float, default=1.0)
-    g.add_argument("--sparsify", choices=("none", "knn", "threshold"), default="none")
-    g.add_argument("--k-nn", dest="k_nn", type=int)
-    g.add_argument("--tau", type=float)
+    _add_flags(g, _fields(PipelineConfig, _INPUT_SETTINGS))
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_build_graph)
 
     w = sub.add_parser("walks", help="sample the biased second-order walk corpus")
     w.add_argument("--graph", required=True)
-    w.add_argument("--p", type=float, default=1.0)
-    w.add_argument("--q", type=float, default=1.0)
-    w.add_argument("--walk-length", type=int, default=10)
-    w.add_argument("--num-walks", type=int, default=10)
-    w.add_argument("--seed", type=int, default=0)
+    _add_flags(w, _fields(WalkConfig))
     w.add_argument("--workers", type=int, default=1)
     w.add_argument("--out", required=True)
     w.set_defaults(func=_cmd_walks)
 
     e = sub.add_parser("embed", help="train skip-gram embeddings from a corpus")
     e.add_argument("--corpus", required=True)
-    e.add_argument("--dim", type=int, default=16)
-    e.add_argument("--window", type=int, default=5)
-    e.add_argument("--epochs", type=int, default=5)
-    e.add_argument("--lr", type=float, default=0.025)
-    e.add_argument("--negatives", type=int, default=5)
-    e.add_argument("--batch-size", type=int, default=64)
-    e.add_argument("--seed", type=int, default=0)
+    _add_flags(e, _fields(TrainConfig))
     e.add_argument("--out", required=True)
     e.set_defaults(func=_cmd_embed)
 
     c = sub.add_parser("cluster", help="k-means on an embedding matrix")
     c.add_argument("--embeddings", required=True)
-    c.add_argument("--n-clusters", type=int, required=True)
-    c.add_argument("--restarts", type=int, default=10)
+    _add_flags(c, _fields(ClusterConfig, ("n_clusters", "restarts")), required=("n_clusters",))
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", required=True)
     c.add_argument("--geojson")
@@ -653,9 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("select-n", help="score candidate cluster counts")
     s.add_argument("--embeddings", required=True)
-    s.add_argument("--n-min", type=int, default=2)
-    s.add_argument("--n-max", type=int, default=10)
-    s.add_argument("--restarts", type=int, default=10)
+    _add_flags(s, _fields(ClusterConfig, ("n_min", "n_max", "restarts")))
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_select_n)
@@ -677,13 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--graph", required=True)
     sw.add_argument("--truth", action="append", required=True)
     sw.add_argument("--grid", action="append", metavar="NAME=V1,V2,...")
-    sw.add_argument("--p", type=float)
-    sw.add_argument("--q", type=float)
-    sw.add_argument("--walk-length", type=int)
-    sw.add_argument("--num-walks", type=int)
-    sw.add_argument("--dim", type=int)
-    sw.add_argument("--window", type=int)
-    sw.add_argument("--epochs", type=int)
+    _add_flags(sw, [pair for cls in _STAGES.values() for pair in _fields(cls, EXPERIMENT_PARAMS)])
     sw.add_argument("--repeats", type=int, default=20)
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--baselines", action="store_true")
@@ -729,37 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pl = sub.add_parser("pipeline", help="run the whole pipeline with a manifest")
     pl.add_argument("--config")
-    pl.add_argument("--features")
-    pl.add_argument("--od")
-    pl.add_argument("--edges")
-    pl.add_argument("--similarity", choices=("gaussian", "cosine"))
-    pl.add_argument("--sigma", type=float)
-    pl.add_argument("--sparsify", choices=("none", "knn", "threshold"))
-    pl.add_argument("--k-nn", dest="k_nn", type=int)
-    pl.add_argument("--tau", type=float)
-    pl.add_argument("--p", type=float)
-    pl.add_argument("--q", type=float)
-    pl.add_argument("--walk-length", type=int)
-    pl.add_argument("--num-walks", type=int)
-    pl.add_argument("--dim", type=int)
-    pl.add_argument("--window", type=int)
-    pl.add_argument("--epochs", type=int)
-    pl.add_argument("--lr", type=float)
-    pl.add_argument("--negatives", type=int)
-    pl.add_argument("--batch-size", type=int)
-    pl.add_argument("--n-clusters", type=int)
-    pl.add_argument("--cluster-mode", choices=("fixed", "auto-indices", "auto-louvain"))
-    pl.add_argument("--n-min", type=int)
-    pl.add_argument("--n-max", type=int)
-    pl.add_argument("--restarts", type=int)
-    pl.add_argument("--truth", action="append")
-    pl.add_argument("--repeats", type=int)
-    pl.add_argument("--noise", action="append", metavar="KIND:LEVEL")
-    pl.add_argument("--noise-mode", choices=("scale-noise", "clip-result"))
-    pl.add_argument("--seed", type=int)
-    pl.add_argument("--workers", type=int)
-    pl.add_argument("--geojson", action="store_true")
-    pl.add_argument("--out-dir", required=True)
+    _add_flags(pl, _settings(), required=("out_dir",))
     pl.set_defaults(func=_cmd_pipeline)
     return parser
 

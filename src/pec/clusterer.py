@@ -8,13 +8,14 @@ estimates a community count directly from the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .util import derive_seed
 
 __all__ = [
+    "ClusterConfig",
     "ClusterAssignment",
     "IndexScores",
     "kmeans",
@@ -23,6 +24,31 @@ __all__ = [
     "louvain",
     "modularity",
 ]
+
+
+CLUSTER_MODES = ("fixed", "auto-indices", "auto-louvain")
+
+
+@dataclass(frozen=True)
+class ClusterConfig:
+    """Clustering hyperparameters: the k-means cluster count is
+    ``n_clusters`` in mode "fixed", the Louvain community count in
+    "auto-louvain", or the validity-index vote over ``n_min..n_max`` in
+    "auto-indices"; every k-means keeps the best of ``restarts`` runs."""
+
+    n_clusters: int | None = None
+    cluster_mode: str = field(default="fixed", metadata={"choices": CLUSTER_MODES})
+    n_min: int = 2
+    n_max: int = 10
+    restarts: int = 10
+
+    def __post_init__(self) -> None:
+        if self.cluster_mode not in CLUSTER_MODES:
+            raise ValueError(f"unknown cluster mode {self.cluster_mode!r}")
+        if not 2 <= self.n_min <= self.n_max:
+            raise ValueError(f"need 2 <= n_min <= n_max, got n_min={self.n_min}, n_max={self.n_max}")
+        if self.restarts < 1:
+            raise ValueError("restarts must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -124,7 +150,7 @@ def kmeans(
     seed: int = 0,
     max_iter: int = 100,
     tol: float = 1e-9,
-    restarts: int = 10,
+    restarts: int = ClusterConfig.restarts,
 ) -> ClusterAssignment:
     """Best-of-``restarts`` k-means with k-means++ initialization.
 
@@ -229,7 +255,7 @@ def select_n(
     x,
     n_range,
     seed: int = 0,
-    restarts: int = 10,
+    restarts: int = ClusterConfig.restarts,
     max_iter: int = 100,
 ) -> tuple[int, dict[int, IndexScores]]:
     """Score each candidate cluster count and recommend one.

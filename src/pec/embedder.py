@@ -14,7 +14,7 @@ so a seed fully determines the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,10 +41,14 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Skip-gram hyperparameters: vector dimension, context window, passes
+    over the corpus, starting learning rate, negatives per pair, pairs per
+    SGD step, and the RNG seed."""
+
     dim: int = 16
     window: int = 5
     epochs: int = 5
-    initial_lr: float = 0.025
+    initial_lr: float = field(default=0.025, metadata={"flag": "--lr"})
     negatives: int = 5
     batch_size: int = 64
     seed: int = 0

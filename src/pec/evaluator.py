@@ -11,17 +11,17 @@ from __future__ import annotations
 import csv
 import itertools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .baselines import hca, spectral_cluster
-from .clusterer import kmeans
-from .embedder import TrainConfig, train
+from .clusterer import ClusterConfig, kmeans
+from .embedder import TrainConfig, TrainingDiverged, train
 from .srg import InteractionMatrix, build_srg_from_interactions
-from .util import derive_seed
+from .util import derive_seed, field_parser, knobs
 from .walker import WalkConfig, build_alias_tables, generate_walks
 
 __all__ = [
@@ -30,7 +30,7 @@ __all__ = [
     "NoiseSpec",
     "macro_f1",
     "run_embedding_clustering",
-    "DEFAULT_PARAMS",
+    "EXPERIMENT_PARAMS",
     "sweep",
     "SweepReport",
     "perturb",
@@ -134,51 +134,45 @@ def macro_f1(pred_labels, truth: GroundTruth, node_ids=None) -> EvaluationReport
 
 # -- the embedding-and-clustering pipeline used by experiments ----------------
 
-DEFAULT_PARAMS = {
-    "p": 1.0,
-    "q": 1.0,
-    "walk_length": 10,
-    "num_walks": 10,
-    "dim": 5,
-    "window": 5,
-    "epochs": 5,
-    "initial_lr": 0.025,
-    "negatives": 5,
-    "batch_size": 64,
-    "restarts": 10,
-}
+# The cluster count of an experiment run is the ground truth's class count,
+# so of ClusterConfig's knobs only ``restarts`` applies.
+EXPERIMENT_PARAMS = tuple(f.name for f in knobs(WalkConfig) + knobs(TrainConfig)) + ("restarts",)
+
+
+def _check_param_names(names) -> None:
+    unknown = sorted(set(names) - set(EXPERIMENT_PARAMS))
+    if unknown:
+        raise ValueError(
+            f"unknown hyperparameter {unknown[0]!r}; expected one of {', '.join(EXPERIMENT_PARAMS)}"
+        )
+
+
+def _resolve_params(params: dict | None = None) -> tuple[WalkConfig, TrainConfig, ClusterConfig]:
+    """Split a flat dict of EXPERIMENT_PARAMS over the three stage configs.
+
+    Values are converted to each field's type; a knob left out keeps its
+    config's default.  An unknown name raises ValueError.
+    """
+    params = dict(params or {})
+    _check_param_names(params)
+    return tuple(
+        cls(**{f.name: field_parser(cls, f)(params[f.name]) for f in knobs(cls) if f.name in params})
+        for cls in (WalkConfig, TrainConfig, ClusterConfig)
+    )
 
 
 def run_embedding_clustering(g, n: int, params: dict | None = None, seed: int = 0,
                              sampler=None):
     """Walks -> skip-gram training -> k-means; returns (labels, embedding).
 
-    Labels are aligned to ``g.node_ids``.  All stage seeds derive from
-    ``seed``, so a run is fully reproducible.
+    ``params`` maps EXPERIMENT_PARAMS names to values (see
+    :func:`_resolve_params`).  Labels are aligned to ``g.node_ids``.  All
+    stage seeds derive from ``seed``, so a run is fully reproducible.
     """
-    par = dict(DEFAULT_PARAMS)
-    par.update(params or {})
-    wcfg = WalkConfig(
-        p=float(par["p"]),
-        q=float(par["q"]),
-        walk_length=int(par["walk_length"]),
-        num_walks=int(par["num_walks"]),
-        seed=derive_seed(seed, "walks"),
-    )
-    corpus = generate_walks(g, wcfg, sampler=sampler)
-    tcfg = TrainConfig(
-        dim=int(par["dim"]),
-        window=int(par["window"]),
-        epochs=int(par["epochs"]),
-        initial_lr=float(par["initial_lr"]),
-        negatives=int(par["negatives"]),
-        batch_size=int(par["batch_size"]),
-        seed=derive_seed(seed, "train"),
-    )
-    emb = train(corpus, tcfg)
-    assignment = kmeans(
-        emb.vectors, n, seed=derive_seed(seed, "kmeans"), restarts=int(par["restarts"])
-    )
+    wcfg, tcfg, ccfg = _resolve_params(params)
+    corpus = generate_walks(g, replace(wcfg, seed=derive_seed(seed, "walks")), sampler=sampler)
+    emb = train(corpus, replace(tcfg, seed=derive_seed(seed, "train")))
+    assignment = kmeans(emb.vectors, n, seed=derive_seed(seed, "kmeans"), restarts=ccfg.restarts)
     return assignment.labels, emb
 
 
@@ -265,12 +259,17 @@ def sweep(
     window, ...) to candidate values; cells are their cartesian product
     applied over ``base_params``.  With ``include_baselines``, spectral
     clustering and average-linkage HCA are scored per cell at the same
-    embedding dimension.  A failing cell is recorded and skipped.
+    embedding dimension.  A cell whose values are out of range or whose
+    training diverges is recorded and skipped; an unknown parameter name
+    raises ValueError up front.
     """
     truths = list(truths)
     names = [t.name for t in truths]
     if len(set(names)) != len(names):
         raise ValueError("ground truths must have distinct names")
+    if repeats < 1 or workers < 1:
+        raise ValueError("repeats and workers must be at least 1")
+    _check_param_names([*(base_params or {}), *grid])
     param_names = tuple(grid.keys())
     if not param_names:
         return SweepReport((), (), repeats, tuple(names))
@@ -281,10 +280,9 @@ def sweep(
     for cell_idx, values in enumerate(cells_values):
         par = dict(base_params or {})
         par.update(dict(zip(param_names, values)))
-        full = dict(DEFAULT_PARAMS)
-        full.update(par)
         try:
-            sampler = build_alias_tables(g, float(full["p"]), float(full["q"]))
+            wcfg, tcfg, _ = _resolve_params(par)
+            sampler = build_alias_tables(g, wcfg.p, wcfg.q)
 
             def one_run(rep: int) -> list[float]:
                 run_seed = derive_seed(seed, "cell", cell_idx, rep)
@@ -293,7 +291,7 @@ def sweep(
                     labels, _ = run_embedding_clustering(
                         g,
                         truth.n_true,
-                        params=full,
+                        params=par,
                         seed=derive_seed(run_seed, truth.name),
                         sampler=sampler,
                     )
@@ -312,14 +310,11 @@ def sweep(
             }
             baselines: dict[str, dict] = {}
             if include_baselines:
-                key = (int(full["dim"]),)
-                if key not in baseline_cache:
-                    baseline_cache[key] = _baseline_scores(
-                        g, truths, int(full["dim"]), repeats, seed
-                    )
-                baselines = baseline_cache[key]
+                if tcfg.dim not in baseline_cache:
+                    baseline_cache[tcfg.dim] = _baseline_scores(g, truths, tcfg.dim, repeats, seed)
+                baselines = baseline_cache[tcfg.dim]
             cells.append(SweepCell(dict(zip(param_names, values)), scores, baselines))
-        except Exception as exc:  # record the failure, keep sweeping
+        except (ValueError, TrainingDiverged) as exc:  # record the failure, keep sweeping
             cells.append(
                 SweepCell(dict(zip(param_names, values)), {}, {}, error=f"{type(exc).__name__}: {exc}")
             )
@@ -437,8 +432,10 @@ def noise_robustness(
     matrix, adds it to the graph's weight matrix (per :func:`perturb`),
     rebuilds the graph from the noisy volumes and runs the embedding
     pipeline.  The unperturbed pipeline is run with the same repeat seeds
-    as the reference.
+    as the reference.  ``params`` is as for :func:`run_embedding_clustering`.
     """
+    if repeats < 1 or workers < 1:
+        raise ValueError("repeats and workers must be at least 1")
     weight = g.to_weight_matrix()
     node_ids = g.node_ids
 

@@ -1,10 +1,26 @@
-"""Shared plumbing: seed derivation, hashing, canonical JSON."""
+"""Shared plumbing: seed derivation, hashing, canonical JSON, config fields."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import typing
 from pathlib import Path
+
+
+def knobs(cls) -> tuple[dataclasses.Field, ...]:
+    """The hyperparameter fields of a config dataclass: every field but ``seed``."""
+    return tuple(f for f in dataclasses.fields(cls) if f.name != "seed")
+
+
+def field_parser(cls, f: dataclasses.Field):
+    """The callable that reads one value of config field ``f`` from a string
+    or a number: the field's ``parse`` metadata, else its annotated type
+    (``X | None`` and ``tuple[X, ...]`` give X)."""
+    hint = typing.get_type_hints(cls)[f.name]
+    args = [a for a in typing.get_args(hint) if a not in (type(None), Ellipsis)]
+    return f.metadata.get("parse", args[0] if args else hint)
 
 
 def derive_seed(master: int, *labels) -> int:

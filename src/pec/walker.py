@@ -13,9 +13,11 @@ Transitions are sampled in O(1) from precomputed alias tables.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .util import field_parser
 
 __all__ = [
     "AliasTable",
@@ -215,6 +217,8 @@ def generate_walks(g, cfg: WalkConfig, sampler: WalkSampler | None = None,
     isolated nodes are single-node sequences, flagged via the corpus
     provenance.
     """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     if sampler is None:
         sampler = build_alias_tables(g, cfg.p, cfg.q)
     elif sampler.graph is not g or sampler.p != cfg.p or sampler.q != cfg.q:
@@ -248,8 +252,7 @@ def save_corpus(corpus: WalkCorpus, path) -> None:
     cfg = corpus.config
     lines = [
         f"# graph={corpus.graph_fingerprint}",
-        f"# p={cfg.p!r} q={cfg.q!r} walk_length={cfg.walk_length} "
-        f"num_walks={cfg.num_walks} seed={cfg.seed}",
+        "# " + " ".join(f"{f.name}={getattr(cfg, f.name)!r}" for f in fields(cfg)),
         "# nodes=" + " ".join(corpus.node_ids),
         "# isolated=" + " ".join(corpus.isolated_nodes),
     ]
@@ -260,7 +263,7 @@ def save_corpus(corpus: WalkCorpus, path) -> None:
 
 def load_corpus(path) -> WalkCorpus:
     header: dict[str, str] = {}
-    walks: list[tuple[str, ...]] = []
+    walks: list[tuple[int, tuple[str, ...]]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -276,22 +279,21 @@ def load_corpus(path) -> WalkCorpus:
                 if line.startswith("# isolated="):
                     header["isolated"] = line[len("# isolated="):]
                 continue
-            walks.append(tuple(line.split(" ")))
-    required = ("graph", "p", "q", "walk_length", "num_walks", "seed", "nodes")
+            walks.append((lineno, tuple(line.split(" "))))
+    required = ("graph", *(f.name for f in fields(WalkConfig)), "nodes")
     missing = [k for k in required if k not in header]
     if missing:
         raise ValueError(f"{path}: missing corpus header fields: {', '.join(missing)}")
-    cfg = WalkConfig(
-        p=float(header["p"]),
-        q=float(header["q"]),
-        walk_length=int(header["walk_length"]),
-        num_walks=int(header["num_walks"]),
-        seed=int(header["seed"]),
-    )
     node_ids = tuple(header["nodes"].split(" "))
+    known = set(node_ids)
+    for lineno, walk in walks:
+        unknown = [x for x in walk if x not in known]
+        if unknown:
+            raise ValueError(f"{path}: line {lineno}: node {unknown[0]!r} is not in the '# nodes=' header")
+    cfg = WalkConfig(**{f.name: field_parser(WalkConfig, f)(header[f.name]) for f in fields(WalkConfig)})
     isolated = tuple(x for x in header.get("isolated", "").split(" ") if x)
     return WalkCorpus(
-        walks=tuple(walks),
+        walks=tuple(walk for _, walk in walks),
         node_ids=node_ids,
         config=cfg,
         graph_fingerprint=header["graph"],

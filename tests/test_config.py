@@ -1,0 +1,179 @@
+"""The hyperparameter schema: config fields drive flags, config-file keys,
+the manifest echo and experiment parameters; bad values fail up front."""
+
+import json
+
+import pytest
+
+import pec.evaluator
+from pec.cli import main
+from pec.clusterer import ClusterConfig
+from pec.embedder import TrainConfig
+from pec.evaluator import noise_robustness, run_embedding_clustering, sweep
+from pec.synth import MetroSpec, metro_network
+from pec.util import knobs
+from pec.walker import WalkConfig
+
+FAST_PARAMS = {"walk_length": 6, "num_walks": 2, "dim": 3, "window": 2, "epochs": 1, "restarts": 2}
+
+# A valid value for every hyperparameter that differs from its default.
+SCHEMA_VALUES = {
+    "p": 2.0,
+    "q": 0.5,
+    "walk_length": 5,
+    "num_walks": 2,
+    "dim": 3,
+    "window": 2,
+    "epochs": 1,
+    "initial_lr": 0.05,
+    "negatives": 2,
+    "batch_size": 16,
+    "n_clusters": 2,
+    "cluster_mode": "auto-indices",
+    "n_min": 3,
+    "n_max": 4,
+    "restarts": 2,
+}
+SCHEMA_FIELDS = [f for cls in (WalkConfig, TrainConfig, ClusterConfig) for f in knobs(cls)]
+
+
+def run_cli(*argv):
+    return main([str(a) for a in argv])
+
+
+@pytest.fixture(scope="module")
+def od_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("od")
+    assert run_cli("synth", "od", "--blocks", 3, "--nodes-per-block", 6, "--seed", 5, "--out-dir", out) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def tiny_metro():
+    return metro_network(MetroSpec(2, 5, ((0, 2, 1, 1),)))
+
+
+def error_of(capsys) -> dict:
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+def test_every_hyperparameter_is_a_flag_a_config_key_and_echoed(od_dir, tmp_path):
+    assert {f.name for f in SCHEMA_FIELDS} == set(SCHEMA_VALUES)
+    for f in SCHEMA_FIELDS:
+        assert SCHEMA_VALUES[f.name] != f.default, f.name
+
+    flags = []
+    for f in SCHEMA_FIELDS:
+        flags += [f.metadata.get("flag", "--" + f.name.replace("_", "-")), SCHEMA_VALUES[f.name]]
+    assert run_cli("pipeline", "--od", od_dir / "od.csv", *flags, "--out-dir", tmp_path / "flags") == 0
+
+    cfg = tmp_path / "run.cfg"
+    lines = [f"od_path = {od_dir / 'od.csv'}"] + [f"{k} = {v}" for k, v in SCHEMA_VALUES.items()]
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run_cli("pipeline", "--config", cfg, "--out-dir", tmp_path / "file") == 0
+
+    for run in ("flags", "file"):
+        echo = json.loads((tmp_path / run / "manifest.json").read_text())["config"]
+        for name, value in SCHEMA_VALUES.items():
+            assert echo[name] == value, (run, name)
+
+
+def test_manifest_lists_only_this_runs_artifacts(od_dir, tmp_path):
+    out = tmp_path / "shared"
+    common = ["pipeline", "--od", od_dir / "od.csv", "--walk-length", 5, "--num-walks", 2,
+              "--dim", 3, "--epochs", 1, "--out-dir", out]
+    assert run_cli(*common, "--cluster-mode", "auto-indices", "--n-max", 4) == 0
+    assert (out / "selection.json").exists()
+    assert run_cli(*common, "--n-clusters", 3) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert set(outputs) == {"graph.tsv", "corpus.txt", "embeddings.txt", "labels.csv", "frequency.csv"}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, t: sweep(g, [t], grid={"foo": [1, 2]}, base_params=FAST_PARAMS, repeats=1),
+        lambda g, t: sweep(g, [t], grid={"p": [1.0]}, base_params={**FAST_PARAMS, "foo": 1}, repeats=1),
+        lambda g, t: run_embedding_clustering(g, 2, params={**FAST_PARAMS, "foo": 1}),
+        lambda g, t: noise_robustness(g, t, [("gaussian", 1.0)], params={"foo": 1}, repeats=1),
+        # a cluster-count knob has no effect in an experiment, so it is not a parameter there
+        lambda g, t: sweep(g, [t], grid={"n_clusters": [2, 3]}, base_params=FAST_PARAMS, repeats=1),
+    ],
+)
+def test_unknown_experiment_parameter_rejected(tiny_metro, call):
+    g, line_t, _ = tiny_metro
+    with pytest.raises(ValueError, match="unknown hyperparameter '(foo|n_clusters)'"):
+        call(g, line_t)
+
+
+def test_sweep_cli_unknown_grid_key(tmp_path, capsys):
+    assert run_cli("synth", "metro", "--lines", 3, "--stations", 4, "--out-dir", tmp_path) == 0
+    code = run_cli("sweep", "--graph", tmp_path / "edges.tsv", "--truth", tmp_path / "line-membership.csv",
+                   "--grid", "foo=1,2", "--repeats", 1, "--out-dir", tmp_path / "sw")
+    assert code == 1
+    assert "'foo'" in error_of(capsys)["message"]
+    assert not (tmp_path / "sw").exists()
+
+
+def test_unknown_config_key_names_key_and_line(od_dir, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"od_path = {od_dir / 'od.csv'}\nfoo = 1\n", encoding="utf-8")
+    assert run_cli("pipeline", "--config", cfg, "--n-clusters", 2, "--out-dir", tmp_path / "x") == 1
+    message = error_of(capsys)["message"]
+    assert "'foo'" in message and "line 2" in message and str(cfg) in message
+
+
+@pytest.mark.parametrize(
+    "flags, match",
+    [
+        (["--n-clusters", 2, "--truth", "TRUTH", "--noise", "gaussian:1", "--repeats", 0], "repeats"),
+        (["--n-clusters", 2, "--workers", 0], "workers"),
+        (["--cluster-mode", "auto-indices", "--n-min", 5, "--n-max", 3], "n_min"),
+    ],
+)
+def test_pipeline_rejects_bad_settings_before_any_stage(od_dir, tmp_path, capsys, flags, match):
+    flags = [od_dir / "block-membership.csv" if f == "TRUTH" else f for f in flags]
+    out = tmp_path / "never"
+    assert run_cli("pipeline", "--od", od_dir / "od.csv", *flags, "--out-dir", out) == 1
+    err = error_of(capsys)
+    assert err["error"] == "ValueError" and "stage" not in err
+    assert match in err["message"]
+    assert not out.exists()
+
+
+def test_config_classes_validate():
+    with pytest.raises(ValueError, match="n_min"):
+        ClusterConfig(n_min=5, n_max=3)
+    with pytest.raises(ValueError, match="cluster mode"):
+        ClusterConfig(cluster_mode="guess")
+    with pytest.raises(ValueError, match="restarts"):
+        ClusterConfig(restarts=0)
+
+
+def test_experiments_reject_repeats_below_one(tiny_metro):
+    g, line_t, transfer_t = tiny_metro
+    with pytest.raises(ValueError, match="repeats"):
+        noise_robustness(g, transfer_t, [("gaussian", 1.0)], params=FAST_PARAMS, repeats=0)
+    with pytest.raises(ValueError, match="repeats"):
+        sweep(g, [line_t], grid={"p": [1.0]}, base_params=FAST_PARAMS, repeats=0)
+
+
+def test_sweep_propagates_programming_errors(tiny_metro, monkeypatch):
+    g, line_t, _ = tiny_metro
+
+    def broken_train(corpus, cfg):
+        raise TypeError("not a domain error")
+
+    monkeypatch.setattr(pec.evaluator, "train", broken_train)
+    with pytest.raises(TypeError, match="not a domain error"):
+        sweep(g, [line_t], grid={"p": [1.0]}, base_params=FAST_PARAMS, repeats=1)
+
+
+def test_config_file_value_outside_choices_fails_before_any_stage(od_dir, tmp_path, capsys):
+    cfg = tmp_path / "mode.cfg"
+    cfg.write_text(f"od_path = {od_dir / 'od.csv'}\nnoise_mode = foo\n", encoding="utf-8")
+    out = tmp_path / "never"
+    assert run_cli("pipeline", "--config", cfg, "--n-clusters", 2, "--out-dir", out) == 1
+    message = error_of(capsys)["message"]
+    assert "line 2" in message and "noise_mode" in message
+    assert not out.exists()

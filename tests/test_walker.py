@@ -234,3 +234,13 @@ def test_corpus_missing_header(tmp_path):
     path.write_text("A B C\n", encoding="utf-8")
     with pytest.raises(ValueError, match="header"):
         load_corpus(path)
+
+
+def test_corpus_unknown_node_names_path_and_line(tmp_path, weighted_graph):
+    path = tmp_path / "c.txt"
+    save_corpus(generate_walks(weighted_graph, WalkConfig(walk_length=3, num_walks=1)), path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("zzz a\n")
+    n_lines = len(path.read_text().splitlines())
+    with pytest.raises(ValueError, match=rf"c\.txt: line {n_lines}: node 'zzz'"):
+        load_corpus(path)
