@@ -239,6 +239,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
     Writes artifacts plus ``manifest.json`` into ``cfg.out_dir`` and
     returns the manifest, which hashes the artifacts this run wrote.
+    Artifacts that an earlier run's manifest in ``out_dir`` lists and this
+    run did not write are deleted; no other file is touched.
     Raises PipelineError naming the failed stage; artifacts of completed
     stages are retained.
     """
@@ -265,6 +267,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     for path in (cfg.features_path, cfg.od_path, cfg.edges_path, *cfg.truth_paths):
         if path is not None:
             manifest["inputs"][str(path)] = sha256_file(path)
+    try:  # what an earlier run in this directory wrote; an unreadable manifest lists nothing
+        earlier = set(json.loads((out / "manifest.json").read_text(encoding="utf-8"))["outputs"].keys())
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        earlier = set()
     written: list[str] = []
 
     def artifact(name: str) -> Path:
@@ -341,6 +347,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     except Exception as exc:
         raise PipelineError(stage, exc) from exc
 
+    for name in sorted(earlier - set(written)):
+        if Path(name).name == name and (out / name).is_file():
+            (out / name).unlink()
     manifest["outputs"] = {name: sha256_file(out / name) for name in sorted(written)}
     write_json(manifest, out / "manifest.json")
     return manifest
@@ -418,13 +427,22 @@ def _cmd_evaluate(args) -> int:
 
 
 def _parse_grid(entries) -> dict:
+    """``name=v1,v2,...`` entries, each value read by its field's parser;
+    an unknown name keeps its values as text for ``sweep`` to reject."""
+    parsers = {
+        f.name: field_parser(cls, f) for cls in (WalkConfig, TrainConfig, ClusterConfig) for f in knobs(cls)
+    }
     grid = {}
     for entry in entries or []:
         key, _, values = entry.partition("=")
         if not values:
             raise ValueError(f"bad grid entry {entry!r}; expected name=v1,v2,...")
         key = key.strip().replace("-", "_")
-        grid[key] = [float(v) for v in values.split(",")]
+        parse = parsers.get(key, str)
+        try:
+            grid[key] = [parse(v) for v in values.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"bad grid value for {key}: {exc}") from None
     return grid
 
 

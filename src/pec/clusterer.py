@@ -294,25 +294,14 @@ def modularity(g, labels) -> float:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != g.num_nodes:
         raise ValueError("one label per node required")
-    m = 0.0
-    intra: dict[int, float] = {}
-    degree: dict[int, float] = {}
-    for i in range(g.num_nodes):
-        strength = float(g.neighbor_weights(i).sum())
-        degree[int(labels[i])] = degree.get(int(labels[i]), 0.0) + strength
-    for u, v, w in g.edges():
-        m += w
-        cu, cv = int(labels[g.index(u)]), int(labels[g.index(v)])
-        if cu == cv:
-            intra[cu] = intra.get(cu, 0.0) + w
+    m = g.weights.sum() / 2.0
     if m <= 0.0:
         raise ValueError("modularity is undefined for an edgeless graph")
-    return float(
-        sum(
-            intra.get(c, 0.0) / m - (degree.get(c, 0.0) / (2.0 * m)) ** 2
-            for c in set(degree)
-        )
-    )
+    comm = np.unique(labels, return_inverse=True)[1]
+    src, dst = comm[g.entry_rows()], comm[g.indices]
+    intra = np.bincount(src, g.weights * (src == dst)) / 2.0  # each edge is stored twice
+    degree = np.bincount(src, g.weights)
+    return float(np.sum(intra / m - (degree / (2.0 * m)) ** 2))
 
 
 def _louvain_once(adj: list[dict[int, float]], self_loops: list[float],
@@ -400,7 +389,7 @@ def louvain(g, seed: int = 0, runs: int = 5) -> tuple[np.ndarray, int, float]:
     best_q = -np.inf
     for r in range(runs):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(derive_seed(seed, "louvain", r))))
-        adj = [dict(g.adjacency(i)) for i in range(n)]
+        adj = [dict(zip(g.neighbor_indices(i).tolist(), g.neighbor_weights(i).tolist())) for i in range(n)]
         groups = _louvain_once(adj, [0.0] * n, m, rng)
         labels = np.zeros(n, dtype=np.int64)
         # canonical labels: communities numbered by their smallest node index

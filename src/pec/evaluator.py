@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -261,7 +260,8 @@ def sweep(
     clustering and average-linkage HCA are scored per cell at the same
     embedding dimension.  A cell whose values are out of range or whose
     training diverges is recorded and skipped; an unknown parameter name
-    raises ValueError up front.
+    raises ValueError up front.  Runs are serial; ``workers`` is only
+    validated.
     """
     truths = list(truths)
     names = [t.name for t in truths]
@@ -283,27 +283,14 @@ def sweep(
         try:
             wcfg, tcfg, _ = _resolve_params(par)
             sampler = build_alias_tables(g, wcfg.p, wcfg.q)
-
-            def one_run(rep: int) -> list[float]:
+            arr = np.zeros((repeats, len(truths)))
+            for rep in range(repeats):
                 run_seed = derive_seed(seed, "cell", cell_idx, rep)
-                out = []
-                for truth in truths:
+                for i, truth in enumerate(truths):
                     labels, _ = run_embedding_clustering(
-                        g,
-                        truth.n_true,
-                        params=par,
-                        seed=derive_seed(run_seed, truth.name),
-                        sampler=sampler,
+                        g, truth.n_true, params=par, seed=derive_seed(run_seed, truth.name), sampler=sampler
                     )
-                    out.append(macro_f1(labels, truth, node_ids=g.node_ids).macro_f1)
-                return out
-
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    per_rep = list(pool.map(one_run, range(repeats)))
-            else:
-                per_rep = [one_run(r) for r in range(repeats)]
-            arr = np.array(per_rep)  # (repeats, n_truths)
+                    arr[rep, i] = macro_f1(labels, truth, node_ids=g.node_ids).macro_f1
             scores = {
                 t.name: {"mean": float(arr[:, i].mean()), "std": float(arr[:, i].std())}
                 for i, t in enumerate(truths)
@@ -433,6 +420,7 @@ def noise_robustness(
     rebuilds the graph from the noisy volumes and runs the embedding
     pipeline.  The unperturbed pipeline is run with the same repeat seeds
     as the reference.  ``params`` is as for :func:`run_embedding_clustering`.
+    Runs are serial; ``workers`` is only validated.
     """
     if repeats < 1 or workers < 1:
         raise ValueError("repeats and workers must be at least 1")
@@ -445,8 +433,7 @@ def noise_robustness(
         )
         return macro_f1(labels, truth, node_ids=node_ids).macro_f1
 
-    def noisy_run(task: tuple[int, int]) -> float:
-        spec_idx, rep = task
+    def noisy_run(spec_idx: int, rep: int) -> float:
         kind, level = noise[spec_idx]
         noisy = perturb(
             weight, NoiseSpec(kind, level, seed=derive_seed(seed, "noise", spec_idx, rep)), mode=mode
@@ -457,17 +444,10 @@ def noise_robustness(
         )
         return macro_f1(labels, truth, node_ids=node_ids).macro_f1
 
-    tasks = [(si, rep) for si in range(len(noise)) for rep in range(repeats)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            clean = list(pool.map(clean_run, range(repeats)))
-            noisy_scores = list(pool.map(noisy_run, tasks))
-    else:
-        clean = [clean_run(r) for r in range(repeats)]
-        noisy_scores = [noisy_run(t) for t in tasks]
+    clean = [clean_run(r) for r in range(repeats)]
     curves = {}
     for si, (kind, level) in enumerate(noise):
-        vals = np.array([noisy_scores[i] for i, t in enumerate(tasks) if t[0] == si])
+        vals = np.array([noisy_run(si, rep) for rep in range(repeats)])
         curves[NoiseSpec(kind, level).label] = {
             "kind": kind,
             "level": float(level),

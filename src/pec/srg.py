@@ -97,15 +97,18 @@ class InteractionMatrix:
 class SpaceRelationGraph:
     """Undirected, positively weighted graph with string node identifiers.
 
-    Each unordered pair is stored once; self-loops are rejected.  Instances
-    are immutable after construction and safe to share between workers.
+    The adjacency is stored once, in CSR form: the neighbors of node index
+    i are ``indices[indptr[i]:indptr[i + 1]]`` (sorted) with edge weights
+    ``weights`` at the same positions, so every undirected edge appears
+    once in each endpoint's row.  Self-loops are rejected.  The arrays are
+    read-only; instances are immutable and safe to share between workers.
     """
 
     def __init__(self, node_ids: Sequence[str], edges: Iterable[tuple[str, str, float]]):
         self.node_ids = _check_node_ids(node_ids)
         self._index = {nid: i for i, nid in enumerate(self.node_ids)}
         n = len(self.node_ids)
-        adj: list[dict[int, float]] = [dict() for _ in range(n)]
+        src, dst, wts = [], [], []
         for u, v, w in edges:
             try:
                 ui, vi = self._index[u], self._index[v]
@@ -116,17 +119,22 @@ class SpaceRelationGraph:
             w = float(w)
             if not np.isfinite(w) or w <= 0.0:
                 raise ValueError(f"edge ({u!r}, {v!r}) has nonpositive or nonfinite weight {w}")
-            if vi in adj[ui]:
-                raise ValueError(f"duplicate edge ({u!r}, {v!r})")
-            adj[ui][vi] = w
-            adj[vi][ui] = w
-        self._adj = tuple(adj)
-        self._nbr_idx = tuple(
-            np.array(sorted(adj[i]), dtype=np.int64) for i in range(n)
-        )
-        self._nbr_wts = tuple(
-            np.array([adj[i][j] for j in sorted(adj[i])], dtype=float) for i in range(n)
-        )
+            src.append(ui)
+            dst.append(vi)
+            wts.append(w)
+        ends = np.array([src, dst], dtype=np.int64).reshape(2, -1)
+        keys = ends.min(axis=0) * n + ends.max(axis=0)
+        first = np.unique(keys, return_index=True)[1]
+        if first.size < keys.size:
+            k = int(np.setdiff1d(np.arange(keys.size), first)[0])  # the first repeat
+            raise ValueError(f"duplicate edge ({self.node_ids[src[k]]!r}, {self.node_ids[dst[k]]!r})")
+        rows, cols = np.concatenate((ends, ends[::-1]), axis=1)  # both directions of every edge
+        order = np.lexsort((cols, rows))
+        self.indptr = np.searchsorted(rows[order], np.arange(n + 1))
+        self.indices = cols[order]
+        self.weights = np.array(wts + wts, dtype=float)[order]
+        for arr in (self.indptr, self.indices, self.weights):
+            arr.flags.writeable = False
 
     # -- basic accessors ---------------------------------------------------
 
@@ -136,53 +144,55 @@ class SpaceRelationGraph:
 
     @property
     def num_edges(self) -> int:
-        return sum(len(a) for a in self._adj) // 2
+        return self.indices.size // 2
 
     def index(self, node_id: str) -> int:
         return self._index[node_id]
 
     def degree(self, node_id: str) -> int:
-        return len(self._adj[self._index[node_id]])
+        return self.neighbor_indices(self._index[node_id]).size
 
     def has_edge(self, u: str, v: str) -> bool:
-        return self._index[v] in self._adj[self._index[u]]
+        return self._index[v] in self.neighbor_indices(self._index[u])
 
     def weight(self, u: str, v: str) -> float:
-        return self._adj[self._index[u]][self._index[v]]
+        i, j = self._index[u], self._index[v]
+        w = self.neighbor_weights(i)[self.neighbor_indices(i) == j]
+        if w.size == 0:
+            raise KeyError(f"no edge ({u!r}, {v!r})")
+        return float(w[0])
 
     def neighbors(self, node_id: str) -> tuple[str, ...]:
-        i = self._index[node_id]
-        return tuple(self.node_ids[j] for j in self._nbr_idx[i])
+        return tuple(self.node_ids[j] for j in self.neighbor_indices(self._index[node_id]).tolist())
 
     def neighbor_indices(self, i: int) -> np.ndarray:
-        """Sorted neighbor indices of node index ``i`` (do not mutate)."""
-        return self._nbr_idx[i]
+        """Sorted neighbor indices of node index ``i`` (a read-only view)."""
+        return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
     def neighbor_weights(self, i: int) -> np.ndarray:
-        return self._nbr_wts[i]
+        return self.weights[self.indptr[i]:self.indptr[i + 1]]
 
-    def adjacency(self, i: int) -> dict[int, float]:
-        """Neighbor-index -> weight mapping for node index ``i`` (do not mutate)."""
-        return self._adj[i]
+    def entry_rows(self) -> np.ndarray:
+        """Row (source node index) of every CSR position."""
+        return np.repeat(np.arange(self.num_nodes), np.diff(self.indptr))
 
     def edges(self) -> list[tuple[str, str, float]]:
         """Canonical edge list: by node index, each pair once."""
-        out = []
-        for i in range(self.num_nodes):
-            for j in self._nbr_idx[i]:
-                if i < j:
-                    out.append((self.node_ids[i], self.node_ids[int(j)], self._adj[i][int(j)]))
-        return out
+        rows = self.entry_rows()
+        upper = rows < self.indices
+        ids = self.node_ids
+        return [
+            (ids[i], ids[j], w)
+            for i, j, w in zip(rows[upper].tolist(), self.indices[upper].tolist(), self.weights[upper].tolist())
+        ]
 
     def isolated_nodes(self) -> tuple[str, ...]:
-        return tuple(nid for i, nid in enumerate(self.node_ids) if not self._adj[i])
+        return tuple(self.node_ids[i] for i in np.flatnonzero(np.diff(self.indptr) == 0).tolist())
 
     def to_weight_matrix(self) -> np.ndarray:
         """Dense symmetric weight matrix in node order (zero diagonal)."""
-        n = self.num_nodes
-        mat = np.zeros((n, n))
-        for i in range(n):
-            mat[i, self._nbr_idx[i]] = self._nbr_wts[i]
+        mat = np.zeros((self.num_nodes, self.num_nodes))
+        mat[self.entry_rows(), self.indices] = self.weights
         return mat
 
     def fingerprint(self) -> str:
@@ -199,7 +209,7 @@ class SpaceRelationGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpaceRelationGraph):
             return NotImplemented
-        return self.node_ids == other.node_ids and self._adj == other._adj
+        return self.node_ids == other.node_ids and self.edges() == other.edges()
 
     def __repr__(self) -> str:
         return (
@@ -316,24 +326,12 @@ def build_srg_from_adjacency(
     Duplicate pairs (in either orientation) collapse to one edge.  When
     ``node_ids`` is omitted, nodes are taken in order of first appearance.
     """
-    pairs: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
-    appearance: list[str] = []
-    appeared: set[str] = set()
-    for u, v in edges:
-        u, v = str(u), str(v)
+    raw = [(str(u), str(v)) for u, v in edges]
+    for u, v in raw:
         if u == v:
             raise ValueError(f"self-loop ({u!r}, {v!r}) is not allowed")
-        for x in (u, v):
-            if x not in appeared:
-                appeared.add(x)
-                appearance.append(x)
-        key = (u, v) if u <= v else (v, u)
-        if key in seen:
-            continue
-        seen.add(key)
-        pairs.append(key)
-    ids = tuple(node_ids) if node_ids is not None else tuple(appearance)
+    pairs = dict.fromkeys((u, v) if u <= v else (v, u) for u, v in raw)
+    ids = tuple(node_ids) if node_ids is not None else tuple(dict.fromkeys(x for pair in raw for x in pair))
     return SpaceRelationGraph(ids, [(u, v, 1.0) for u, v in pairs])
 
 
@@ -378,17 +376,7 @@ def load_graph(path) -> SpaceRelationGraph:
             if u == v:
                 raise ValueError(f"{path}: line {lineno}: self-loop on {u!r}")
             raw_edges.append((u, v, w))
-    if declared:
-        ids: Sequence[str] = declared
-    else:
-        order: list[str] = []
-        seen: set[str] = set()
-        for u, v, _ in raw_edges:
-            for x in (u, v):
-                if x not in seen:
-                    seen.add(x)
-                    order.append(x)
-        ids = order
+    ids = declared or list(dict.fromkeys(x for u, v, _ in raw_edges for x in (u, v)))
     try:
         return SpaceRelationGraph(ids, raw_edges)
     except ValueError as exc:

@@ -42,10 +42,6 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def write_json(obj, path) -> None:
     """Canonical JSON: sorted keys, fixed separators, trailing newline."""
     Path(path).write_text(

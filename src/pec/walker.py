@@ -7,12 +7,18 @@ multiplies the edge weight and the result is normalized.  Low q pushes the
 walk outward (depth-first flavour), low p pulls it back (breadth-first
 flavour); p = q = 1 leaves the walk driven by the weights alone.
 
-Transitions are sampled in O(1) from precomputed alias tables.
+Steps are drawn by rejection from the first-order walk, as in KnightKing
+(Yang et al., SOSP 2019) and PecanPy (Liu & Krishnan, 2021): a candidate
+is proposed in proportion to its edge weight, by one inverse-CDF lookup in
+the prefix sums of the graph's CSR weights, and accepted with probability
+factor / max(1/p, 1, 1/q).  Accepted candidates follow the biased law
+exactly, and nothing is stored per (previous, current) state, so the
+sampler's memory is O(edges).  All walks advance together as one integer
+array, drawing from one random stream per seed.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -118,10 +124,6 @@ class WalkCorpus:
     graph_fingerprint: str
     isolated_nodes: tuple[str, ...] = ()
 
-    @property
-    def provenance(self) -> tuple[str, WalkConfig]:
-        return (self.graph_fingerprint, self.config)
-
 
 def transition_distribution(g, prev: str, cur: str, p: float, q: float) -> dict[str, float]:
     """Analytic next-step distribution from state (prev, cur)."""
@@ -129,93 +131,114 @@ def transition_distribution(g, prev: str, cur: str, p: float, q: float) -> dict[
         raise ValueError("p and q must be positive")
     if not g.has_edge(prev, cur):
         raise ValueError(f"({prev!r}, {cur!r}) is not an edge")
-    ci = g.index(cur)
-    pi = g.index(prev)
+    ci, pi = g.index(cur), g.index(prev)
     nbrs = g.neighbor_indices(ci)
-    if nbrs.size == 0:
-        raise ValueError(f"node {cur!r} has no neighbors")
-    prev_adj = g.adjacency(pi)
-    weights = g.neighbor_weights(ci)
-    factors = np.empty(nbrs.size)
-    for k, x in enumerate(nbrs):
-        if x == pi:
-            factors[k] = 1.0 / p
-        elif int(x) in prev_adj:
-            factors[k] = 1.0
-        else:
-            factors[k] = 1.0 / q
-    unnorm = factors * weights
+    factors = np.where(np.isin(nbrs, g.neighbor_indices(pi)), 1.0, 1.0 / q)
+    factors[nbrs == pi] = 1.0 / p
+    unnorm = factors * g.neighbor_weights(ci)
     probs = unnorm / unnorm.sum()
-    return {g.node_ids[int(x)]: float(pr) for x, pr in zip(nbrs, probs)}
+    return {g.node_ids[x]: float(pr) for x, pr in zip(nbrs.tolist(), probs)}
 
 
 class WalkSampler:
-    """Precomputed alias tables for one graph and one (p, q) setting.
+    """Rejection sampler of the biased walk on one graph for one (p, q).
 
-    ``first_step[i]`` samples the first move out of node i proportionally
-    to edge weights (there is no previous node yet); ``step[(prev, cur)]``
-    samples the biased second-order transition.
+    Besides the graph it holds the prefix sums ``cum`` of the CSR weights,
+    each divided by its row's total, and the sorted edge keys
+    ``row * N + col``: O(edges) memory.  :meth:`propose` and
+    :meth:`advance` return CSR positions, i.e. indices into
+    ``graph.indices``.  ``step[(prev, cur)]`` is a view of one
+    second-order state by node index, for inspection and tests.
     """
 
     def __init__(self, g, p: float, q: float):
         if not (p > 0 and q > 0):
             raise ValueError("p and q must be positive")
-        self.p = float(p)
-        self.q = float(q)
+        self.p, self.q = float(p), float(q)
         self.graph = g
-        n = g.num_nodes
-        self.first_step: list[AliasTable | None] = [None] * n
-        self.step: dict[tuple[int, int], AliasTable] = {}
-        inv_p, inv_q = 1.0 / self.p, 1.0 / self.q
-        mark = np.zeros(n, dtype=bool)
-        for i in range(n):
-            wts = g.neighbor_weights(i)
-            if wts.size:
-                self.first_step[i] = AliasTable(wts / wts.sum())
-        for prev in range(n):
-            prev_nbrs = g.neighbor_indices(prev)
-            if prev_nbrs.size == 0:
-                continue
-            mark[prev_nbrs] = True
-            for cur in prev_nbrs:
-                cur = int(cur)
-                nbrs = g.neighbor_indices(cur)
-                factors = np.where(mark[nbrs], 1.0, inv_q)
-                factors[nbrs == prev] = inv_p
-                unnorm = factors * g.neighbor_weights(cur)
-                self.step[(prev, cur)] = AliasTable(unnorm / unnorm.sum())
-            mark[prev_nbrs] = False
+        rows = g.entry_rows()
+        # every row spans ~1 of the running total, so a row of tiny weights
+        # is not rounded away against the rows before it
+        share = g.weights / np.bincount(rows, g.weights, minlength=g.num_nodes)[rows]
+        self.cum = np.concatenate(([0.0], np.cumsum(share)))
+        self.keys = rows * g.num_nodes + g.indices
+        self.bound = max(1.0 / self.p, 1.0, 1.0 / self.q)
+        self.step = _States(self)
+
+    def factors(self, prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+        """Bias factor of each move to ``nxt`` from a state whose previous node is ``prev``."""
+        keys = prev * self.graph.num_nodes + nxt
+        pos = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+        out = np.where(self.keys[pos] == keys, 1.0, 1.0 / self.q)
+        out[nxt == prev] = 1.0 / self.p
+        return out
+
+    def propose(self, cur: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Weight-proportional (first-order) moves out of the nodes ``cur``."""
+        lo, hi = self.graph.indptr[cur], self.graph.indptr[cur + 1]
+        u = self.cum[lo] + rng.random(cur.size) * (self.cum[hi] - self.cum[lo])
+        return np.clip(np.searchsorted(self.cum, u, side="right") - 1, lo, hi - 1)
+
+    def advance(self, prev: np.ndarray, cur: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Biased second-order moves from the states (prev, cur); rejected
+        candidates are proposed again until every state has moved."""
+        out = np.empty(cur.size, dtype=np.int64)
+        todo = np.arange(cur.size)
+        while todo.size:
+            k = self.propose(cur[todo], rng)
+            ok = rng.random(todo.size) * self.bound < self.factors(prev[todo], self.graph.indices[k])
+            out[todo[ok]] = k[ok]
+            todo = todo[~ok]
+        return out
+
+
+class _States:
+    """``sampler.step[(prev, cur)]``: the state of an edge, by node index."""
+
+    def __init__(self, sampler: WalkSampler):
+        self.sampler = sampler
+
+    def __getitem__(self, state: tuple[int, int]) -> "_State":
+        prev, cur = (int(x) for x in state)
+        if cur not in self.sampler.graph.neighbor_indices(prev):
+            raise KeyError(state)
+        return _State(self.sampler, prev, cur)
+
+
+class _State:
+    """One second-order state; outcomes are offsets into ``neighbor_indices(cur)``."""
+
+    def __init__(self, sampler: WalkSampler, prev: int, cur: int):
+        self.sampler, self.prev, self.cur = sampler, prev, cur
+
+    def draw_many(self, rng: np.random.Generator, shape) -> np.ndarray:
+        size = int(np.prod(shape))
+        k = self.sampler.advance(np.full(size, self.prev), np.full(size, self.cur), rng)
+        return (k - self.sampler.graph.indptr[self.cur]).reshape(shape)
+
+    def probabilities(self) -> np.ndarray:
+        """Exact probability of each outcome."""
+        g = self.sampler.graph
+        nbrs = g.neighbor_indices(self.cur)
+        unnorm = self.sampler.factors(np.full(nbrs.size, self.prev), nbrs) * g.neighbor_weights(self.cur)
+        return unnorm / unnorm.sum()
 
 
 def build_alias_tables(g, p: float, q: float) -> WalkSampler:
-    """Deterministically precompute all transition alias tables."""
+    """The walk sampler of graph ``g`` at (p, q); O(edges) time and memory."""
     return WalkSampler(g, p, q)
-
-
-def _single_walk(g, sampler: WalkSampler, start: int, length: int,
-                 rng: np.random.Generator) -> list[int]:
-    walk = [start]
-    first = sampler.first_step[start]
-    if first is None:
-        return walk  # isolated start: dead end, truncate
-    nbrs = g.neighbor_indices(start)
-    walk.append(int(nbrs[first.draw(rng)]))
-    while len(walk) < length:
-        prev, cur = walk[-2], walk[-1]
-        table = sampler.step[(prev, cur)]
-        cur_nbrs = g.neighbor_indices(cur)
-        walk.append(int(cur_nbrs[table.draw(rng)]))
-    return walk
 
 
 def generate_walks(g, cfg: WalkConfig, sampler: WalkSampler | None = None,
                    workers: int = 1) -> WalkCorpus:
     """Sample ``num_walks`` walks from every node.
 
-    The RNG stream of walk j from node i is derived from (seed, i, j), so
-    the corpus is byte-identical for any ``workers`` count.  Walks from
-    isolated nodes are single-node sequences, flagged via the corpus
-    provenance.
+    All walks advance together, drawing from one random stream seeded by
+    ``cfg.seed``, so the corpus depends on the graph and ``cfg`` alone.
+    ``workers`` must be at least 1 and has no effect on the walks.  The
+    corpus is node-major: walk j from node i is walk i * num_walks + j.
+    Walks from isolated nodes are single-node sequences, listed in
+    ``isolated_nodes``.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -223,24 +246,21 @@ def generate_walks(g, cfg: WalkConfig, sampler: WalkSampler | None = None,
         sampler = build_alias_tables(g, cfg.p, cfg.q)
     elif sampler.graph is not g or sampler.p != cfg.p or sampler.q != cfg.q:
         raise ValueError("sampler does not match this graph and (p, q) setting")
-    n = g.num_nodes
-    tasks = [(i, j) for i in range(n) for j in range(cfg.num_walks)]
-
-    def run(task: tuple[int, int]) -> list[int]:
-        i, j = task
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, i, j))))
-        return _single_walk(g, sampler, i, cfg.walk_length, rng)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(run, tasks, chunksize=64))
-    else:
-        raw = [run(t) for t in tasks]
-    ids = g.node_ids
-    walks = tuple(tuple(ids[i] for i in walk) for walk in raw)
+    rng = np.random.default_rng(cfg.seed)
+    starts = np.repeat(np.arange(g.num_nodes), cfg.num_walks)
+    moving = np.flatnonzero(np.diff(g.indptr)[starts] > 0)
+    steps = np.empty((moving.size, cfg.walk_length), dtype=np.int64)
+    steps[:, 0] = starts[moving]
+    steps[:, 1] = g.indices[sampler.propose(steps[:, 0], rng)]
+    for t in range(2, cfg.walk_length):
+        steps[:, t] = g.indices[sampler.advance(steps[:, t - 2], steps[:, t - 1], rng)]
+    ids = np.array(g.node_ids, dtype=object)
+    walks = [(nid,) for nid in ids[starts].tolist()]
+    for row, walk in zip(moving.tolist(), ids[steps].tolist()):
+        walks[row] = tuple(walk)
     return WalkCorpus(
-        walks=walks,
-        node_ids=ids,
+        walks=tuple(walks),
+        node_ids=g.node_ids,
         config=cfg,
         graph_fingerprint=g.fingerprint(),
         isolated_nodes=g.isolated_nodes(),

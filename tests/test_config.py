@@ -89,6 +89,19 @@ def test_manifest_lists_only_this_runs_artifacts(od_dir, tmp_path):
     assert set(outputs) == {"graph.tsv", "corpus.txt", "embeddings.txt", "labels.csv", "frequency.csv"}
 
 
+def test_rerun_deletes_earlier_runs_artifacts_only(od_dir, tmp_path):
+    out = tmp_path / "shared"
+    common = ["pipeline", "--od", od_dir / "od.csv", "--walk-length", 5, "--num-walks", 2,
+              "--dim", 3, "--epochs", 1, "--out-dir", out]
+    assert run_cli(*common, "--cluster-mode", "auto-indices", "--n-max", 4) == 0
+    (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+    assert run_cli(*common, "--n-clusters", 3) == 0
+    assert not (out / "selection.json").exists()
+    assert (out / "notes.txt").read_text(encoding="utf-8") == "kept\n"
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "manifest.json", "notes.txt"])
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -113,6 +126,19 @@ def test_sweep_cli_unknown_grid_key(tmp_path, capsys):
     assert code == 1
     assert "'foo'" in error_of(capsys)["message"]
     assert not (tmp_path / "sw").exists()
+
+
+def test_sweep_grid_values_keep_their_field_types(tmp_path):
+    assert run_cli("synth", "metro", "--lines", 3, "--stations", 4, "--out-dir", tmp_path) == 0
+    out = tmp_path / "sw"
+    assert run_cli("sweep", "--graph", tmp_path / "edges.tsv", "--truth", tmp_path / "line-membership.csv",
+                   "--grid", "dim=3,4", "--grid", "q=0.5", "--walk-length", 5, "--num-walks", 2,
+                   "--epochs", 1, "--repeats", 1, "--out-dir", out) == 0
+    cells = json.loads((out / "sweep.json").read_text())["tables"]["line-membership"]
+    assert [c["params"] for c in cells] == [{"dim": 3, "q": 0.5}, {"dim": 4, "q": 0.5}]
+    assert all(type(c["params"]["dim"]) is int for c in cells)
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[:2] for r in rows] == [["3", "0.5"], ["4", "0.5"]]
 
 
 def test_unknown_config_key_names_key_and_line(od_dir, tmp_path, capsys):

@@ -244,3 +244,68 @@ def test_corpus_unknown_node_names_path_and_line(tmp_path, weighted_graph):
     n_lines = len(path.read_text().splitlines())
     with pytest.raises(ValueError, match=rf"c\.txt: line {n_lines}: node 'zzz'"):
         load_corpus(path)
+
+
+# -- rejection sampler: worst case and memory -----------------------------------------
+
+
+@pytest.fixture
+def hub_graph():
+    # hub h with five leaves; chords a-b and c-d; tail a-x; heavy h-a edge so
+    # most first steps from h land on a
+    return SpaceRelationGraph(
+        ["h", "a", "b", "c", "d", "e", "x"],
+        [("h", "a", 20.0), ("h", "b", 1.0), ("h", "c", 1.0), ("h", "d", 2.0), ("h", "e", 1.0),
+         ("a", "b", 0.5), ("c", "d", 0.5), ("a", "x", 1.0)],
+    )
+
+
+def _l1(freq: dict, target: dict) -> float:
+    return sum(abs(freq.get(x, 0.0) - pr) for x, pr in target.items()) + sum(
+        f for x, f in freq.items() if x not in target
+    )
+
+
+@pytest.mark.parametrize("q", [4.0, 0.25])
+def test_hub_two_step_law_at_low_p(hub_graph, q):
+    # p = 0.25 makes 1/p the rejection bound: the worst acceptance rate
+    g, p = hub_graph, 0.25
+    states = [("h", "a"), ("h", "e"), ("a", "h"), ("e", "h")]  # hub->leaf, leaf->hub
+    sampler = build_alias_tables(g, p, q)
+    rng = np.random.default_rng(7)
+    for prev, cur in states:
+        nbrs = g.neighbors(cur)
+        draws = sampler.step[(g.index(prev), g.index(cur))].draw_many(rng, 100_000)
+        freq = {nbrs[k]: c / draws.size for k, c in enumerate(np.bincount(draws, minlength=len(nbrs)))}
+        assert _l1(freq, transition_distribution(g, prev, cur, p, q)) <= 0.01
+    corpus = generate_walks(g, WalkConfig(p=p, q=q, walk_length=3, num_walks=100_000, seed=11))
+    for prev, cur in (("h", "a"), ("e", "h")):  # e's only move is to h
+        third = [w[2] for w in corpus.walks if w[0] == prev and w[1] == cur]
+        assert len(third) >= 75_000
+        freq = {x: third.count(x) / len(third) for x in set(third)}
+        assert _l1(freq, transition_distribution(g, prev, cur, p, q)) <= 0.01
+
+
+def test_sampler_memory_linear_in_edges():
+    # complete graph: sum of deg^2 is ~1.2e8 second-order states, 2E ~ 2.5e5 entries
+    n = 500
+    ids = [f"v{i}" for i in range(n)]
+    g = SpaceRelationGraph(ids, [(ids[i], ids[j], 1.0 + (i + j) % 3) for i in range(n) for j in range(i + 1, n)])
+    sampler = build_alias_tables(g, 0.25, 4.0)
+    owned = [v for v in vars(sampler).values() if isinstance(v, np.ndarray)]
+    arrays = {id(a): a for a in [*owned, g.indptr, g.indices, g.weights]}
+    assert sum(a.nbytes for a in arrays.values()) <= 64 * (2 * g.num_edges + n + 1)
+    corpus = generate_walks(g, WalkConfig(p=0.25, q=4.0, walk_length=4, num_walks=1), sampler=sampler)
+    assert all(len(w) == 4 and g.has_edge(w[0], w[1]) for w in corpus.walks)
+
+
+def test_tiny_weights_keep_their_law():
+    # x's row is 4e-20 wide, far below the rounding step of a running weight
+    # total of 4 from the rows before it
+    g = SpaceRelationGraph(
+        ["a", "b", "c", "x", "y", "z"],
+        [("a", "b", 1.0), ("b", "c", 1.0), ("x", "y", 1e-20), ("x", "z", 3e-20)],
+    )
+    corpus = generate_walks(g, WalkConfig(walk_length=2, num_walks=20_000, seed=4))
+    seconds = [w[1] for w in corpus.walks if w[0] == "x"]
+    assert seconds.count("y") / len(seconds) == pytest.approx(0.25, abs=0.01)
