@@ -9,7 +9,10 @@ per-pair objective is
 with u the center vector, v the context vector and v_n the sampled
 negative context vectors.  Training is plain SGD with a linearly decaying
 learning rate, applied in small batches; it is single-threaded by design
-so a seed fully determines the result.
+so a seed fully determines the result.  Center and context vectors are the
+two halves of one (2N, d) array, and each batch is applied with a single
+1-D ``np.add.at`` on its flat view.  That adds every element's updates in
+input order, so the floats are exactly those of row-wise scatters.
 """
 
 from __future__ import annotations
@@ -94,21 +97,27 @@ class EmbeddingMatrix:
         return self.vectors[self.node_ids.index(node_id)]
 
 
-def _pair_indices(corpus: WalkCorpus, window: int) -> tuple[np.ndarray, np.ndarray]:
+def _walk_matrix(corpus: WalkCorpus) -> np.ndarray:
+    """Node indices of the walks, one row per walk, padded with -1."""
     index = {nid: i for i, nid in enumerate(corpus.node_ids)}
-    centers: list[int] = []
-    contexts: list[int] = []
-    for walk in corpus.walks:
-        idx = [index[nid] for nid in walk]
-        length = len(idx)
-        for i in range(length):
-            lo = max(0, i - window)
-            hi = min(length, i + window + 1)
-            for j in range(lo, hi):
-                if j != i:
-                    centers.append(idx[i])
-                    contexts.append(idx[j])
-    return np.array(centers, dtype=np.int64), np.array(contexts, dtype=np.int64)
+    lengths = np.fromiter(map(len, corpus.walks), dtype=np.int64, count=len(corpus.walks))
+    mat = np.full((lengths.size, int(lengths.max(initial=0))), -1, dtype=np.int64)
+    mat[np.arange(mat.shape[1]) < lengths[:, None]] = [index[nid] for walk in corpus.walks for nid in walk]
+    return mat
+
+
+def _pair_indices(mat: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Center and context indices, walk by walk, position by position, then
+    by ascending offset from -window to +window."""
+    w = min(window, mat.shape[1] - 1)
+    if w < 1:  # no walk has two nodes
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    padded = np.pad(mat, ((0, 0), (w, w)), constant_values=-1)
+    ctx = np.lib.stride_tricks.sliding_window_view(padded, 2 * w + 1, axis=1)  # (walks, pos, offset)
+    cen = mat[:, :, None]
+    valid = (cen >= 0) & (ctx >= 0)
+    valid[:, :, w] = False
+    return np.broadcast_to(cen, ctx.shape)[valid], ctx[valid]
 
 
 def extract_pairs(corpus: WalkCorpus, window: int) -> list[tuple[str, str]]:
@@ -117,7 +126,7 @@ def extract_pairs(corpus: WalkCorpus, window: int) -> list[tuple[str, str]]:
         raise ValueError("window must be at least 1")
     if not corpus.walks:
         raise ValueError("corpus is empty")
-    centers, contexts = _pair_indices(corpus, window)
+    centers, contexts = _pair_indices(_walk_matrix(corpus), window)
     ids = corpus.node_ids
     return [(ids[c], ids[x]) for c, x in zip(centers, contexts)]
 
@@ -127,12 +136,9 @@ def _softplus(x):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    t = 1.0 + e
+    return np.where(x >= 0, 1.0 / t, e / t)
 
 
 def sgns_loss_and_grad(center_vec, context_vec, negative_vecs):
@@ -158,13 +164,8 @@ def sgns_loss_and_grad(center_vec, context_vec, negative_vecs):
     return loss, grad_center, grad_context, grad_negatives
 
 
-def _negative_table(corpus: WalkCorpus) -> AliasTable:
-    counts = np.zeros(len(corpus.node_ids))
-    index = {nid: i for i, nid in enumerate(corpus.node_ids)}
-    for walk in corpus.walks:
-        for nid in walk:
-            counts[index[nid]] += 1
-    weights = counts**NEGATIVE_EXPONENT
+def _negative_table(mat: np.ndarray, n: int) -> AliasTable:
+    weights = np.bincount(mat[mat >= 0], minlength=n).astype(float) ** NEGATIVE_EXPONENT
     return AliasTable(weights / weights.sum())
 
 
@@ -180,33 +181,40 @@ def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
         raise ValueError("corpus has no nodes")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     d = cfg.dim
-    vectors = (rng.random((n, d)) - 0.5) / d
-    contexts = np.zeros((n, d))
+    # rows 0..n-1 hold the center vectors, rows n..2n-1 the context vectors
+    weights = np.zeros((2 * n, d))
+    weights[:n] = (rng.random((n, d)) - 0.5) / d
+    vectors, contexts = weights[:n], weights[n:]
 
-    centers_idx, contexts_idx = _pair_indices(corpus, cfg.window)
+    mat = _walk_matrix(corpus)
+    centers_idx, contexts_idx = _pair_indices(mat, cfg.window)
     n_pairs = centers_idx.size
     epoch_losses: list[float] = []
     if cfg.epochs == 0 or n_pairs == 0:
         return EmbeddingMatrix(corpus.node_ids, vectors, contexts, ())
 
-    neg_table = _negative_table(corpus)
+    neg_table = _negative_table(mat, n)
+    flat = weights.reshape(-1)
+    flat_index = np.arange(flat.size).reshape(weights.shape)
     m = cfg.negatives
     total_updates = cfg.epochs * n_pairs
     done = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(n_pairs)
         negs = neg_table.draw_many(rng, (n_pairs, m))
+        negs += n
+        cen_all = centers_idx[order]
+        ctx_all = contexts_idx[order]
+        ctx_all += n
         loss_sum = 0.0
         # divergence shows up as non-finite scores; detected and raised below
         with np.errstate(invalid="ignore", over="ignore"):
             for start in range(0, n_pairs, cfg.batch_size):
-                sel = order[start:start + cfg.batch_size]
-                cen = centers_idx[sel]
-                tgt = np.concatenate(
-                    [contexts_idx[sel][:, None], negs[start:start + sel.size]], axis=1
-                )
-                u = vectors[cen]  # (B, d)
-                v = contexts[tgt]  # (B, m+1, d)
+                stop = start + cfg.batch_size
+                cen = cen_all[start:stop]
+                tgt = np.concatenate([ctx_all[start:stop, None], negs[start:stop]], axis=1)
+                u = weights[cen]  # (B, d)
+                v = weights[tgt]  # (B, m+1, d)
                 scores = np.einsum("bkd,bd->bk", v, u)
                 loss_sum += float(
                     _softplus(-scores[:, 0]).sum() + _softplus(scores[:, 1:]).sum()
@@ -214,11 +222,16 @@ def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
                 coef = _sigmoid(scores)
                 coef[:, 0] -= 1.0
                 lr = cfg.initial_lr * max(1.0 - done / total_updates, LR_FLOOR_FACTOR)
-                grad_u = np.einsum("bk,bkd->bd", coef, v)
-                grad_v = coef[:, :, None] * u[:, None, :]
-                np.add.at(vectors, cen, -lr * grad_u)
-                np.add.at(contexts, tgt.reshape(-1), (-lr * grad_v).reshape(-1, d))
-                done += sel.size
+                # gradients of the center rows, then of the context rows
+                step = np.empty((cen.size + tgt.size, d))
+                np.einsum("bk,bkd->bd", coef, v, out=step[:cen.size])
+                np.multiply(coef[:, :, None], u[:, None, :], out=step[cen.size:].reshape(v.shape))
+                step *= -lr
+                # in input order per element, as row-wise scatters would add them
+                idx = flat_index[np.concatenate([cen, tgt.reshape(-1)])]
+                np.add.at(flat, idx.reshape(-1), step.reshape(-1))
+                done += cen.size
+        del order, negs, cen_all, ctx_all  # not held while the next epoch draws its own
         mean_loss = loss_sum / n_pairs
         if not np.isfinite(mean_loss):
             raise TrainingDiverged(

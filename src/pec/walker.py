@@ -42,6 +42,7 @@ class AliasTable:
     """Constant-time sampler for a fixed discrete distribution (Vose setup)."""
 
     __slots__ = ("accept", "alias", "size")
+    DRAW_CHUNK = 1 << 16  # draws resolved at a time by draw_many
 
     def __init__(self, probs) -> None:
         probs = np.asarray(probs, dtype=float)
@@ -81,9 +82,16 @@ class AliasTable:
         return int(self.alias[cell])
 
     def draw_many(self, rng: np.random.Generator, shape) -> np.ndarray:
+        """Draws of ``shape``: all cells, then one uniform per cell in flat
+        order.  Aliases are resolved in place, a chunk at a time, so the
+        result is the only full-size array."""
         cells = rng.integers(0, self.size, size=shape)
-        keep = rng.random(shape) < self.accept[cells]
-        return np.where(keep, cells, self.alias[cells])
+        flat = cells.reshape(-1)
+        for start in range(0, flat.size, self.DRAW_CHUNK):
+            chunk = flat[start:start + self.DRAW_CHUNK]
+            miss = rng.random(chunk.size) >= self.accept[chunk]
+            chunk[miss] = self.alias[chunk[miss]]
+        return cells
 
     def probabilities(self) -> np.ndarray:
         """Exact per-outcome probability encoded by the table."""

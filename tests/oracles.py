@@ -10,6 +10,7 @@ import numpy as np
 
 from pec.embedder import sgns_loss_and_grad
 from pec.srg import SpaceRelationGraph
+from pec.walker import AliasTable
 
 
 def brute_force_kmeans(x, n):
@@ -156,3 +157,108 @@ def count_components(g):
         if a != b:
             parent[a] = b
     return len({find(i) for i in range(g.num_nodes)})
+
+
+# -- reference SGNS trainer ------------------------------------------------------------
+#
+# The minibatch trainer as first written: a pure-Python triple loop for the
+# pairs, a per-token count loop for the negative table, a masked sigmoid, the
+# alias draws as one np.where, and two row-wise np.add.at calls per batch.
+# Only the alias table's setup is the package's.  The package's trainer must
+# reproduce it bit for bit.
+
+REFERENCE_LR_FLOOR_FACTOR = 1e-4
+REFERENCE_NEGATIVE_EXPONENT = 0.75
+
+
+def reference_pair_indices(corpus, window):
+    index = {nid: i for i, nid in enumerate(corpus.node_ids)}
+    centers = []
+    contexts = []
+    for walk in corpus.walks:
+        idx = [index[nid] for nid in walk]
+        length = len(idx)
+        for i in range(length):
+            lo = max(0, i - window)
+            hi = min(length, i + window + 1)
+            for j in range(lo, hi):
+                if j != i:
+                    centers.append(idx[i])
+                    contexts.append(idx[j])
+    return np.array(centers, dtype=np.int64), np.array(contexts, dtype=np.int64)
+
+
+def reference_draw_many(table, rng, shape):
+    cells = rng.integers(0, table.size, size=shape)
+    keep = rng.random(shape) < table.accept[cells]
+    return np.where(keep, cells, table.alias[cells])
+
+
+def _reference_softplus(x):
+    return np.logaddexp(0.0, x)
+
+
+def _reference_sigmoid(x):
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _reference_negative_table(corpus):
+    counts = np.zeros(len(corpus.node_ids))
+    index = {nid: i for i, nid in enumerate(corpus.node_ids)}
+    for walk in corpus.walks:
+        for nid in walk:
+            counts[index[nid]] += 1
+    weights = counts**REFERENCE_NEGATIVE_EXPONENT
+    return AliasTable(weights / weights.sum())
+
+
+def reference_train(corpus, cfg):
+    """(vectors, context_vectors, epoch_mean_loss) of the reference trainer."""
+    n = len(corpus.node_ids)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    d = cfg.dim
+    vectors = (rng.random((n, d)) - 0.5) / d
+    contexts = np.zeros((n, d))
+
+    centers_idx, contexts_idx = reference_pair_indices(corpus, cfg.window)
+    n_pairs = centers_idx.size
+    epoch_losses = []
+    if cfg.epochs == 0 or n_pairs == 0:
+        return vectors, contexts, ()
+
+    neg_table = _reference_negative_table(corpus)
+    m = cfg.negatives
+    total_updates = cfg.epochs * n_pairs
+    done = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n_pairs)
+        negs = reference_draw_many(neg_table, rng, (n_pairs, m))
+        loss_sum = 0.0
+        with np.errstate(invalid="ignore", over="ignore"):
+            for start in range(0, n_pairs, cfg.batch_size):
+                sel = order[start:start + cfg.batch_size]
+                cen = centers_idx[sel]
+                tgt = np.concatenate(
+                    [contexts_idx[sel][:, None], negs[start:start + sel.size]], axis=1
+                )
+                u = vectors[cen]  # (B, d)
+                v = contexts[tgt]  # (B, m+1, d)
+                scores = np.einsum("bkd,bd->bk", v, u)
+                loss_sum += float(
+                    _reference_softplus(-scores[:, 0]).sum() + _reference_softplus(scores[:, 1:]).sum()
+                )
+                coef = _reference_sigmoid(scores)
+                coef[:, 0] -= 1.0
+                lr = cfg.initial_lr * max(1.0 - done / total_updates, REFERENCE_LR_FLOOR_FACTOR)
+                grad_u = np.einsum("bk,bkd->bd", coef, v)
+                grad_v = coef[:, :, None] * u[:, None, :]
+                np.add.at(vectors, cen, -lr * grad_u)
+                np.add.at(contexts, tgt.reshape(-1), (-lr * grad_v).reshape(-1, d))
+                done += sel.size
+        epoch_losses.append(loss_sum / n_pairs)
+    return vectors, contexts, tuple(epoch_losses)

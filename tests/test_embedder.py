@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from oracles import sgns_finite_difference_error
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_pair_indices, reference_train, sgns_finite_difference_error
 
 from pec.embedder import (
     EmbeddingMatrix,
@@ -15,12 +17,16 @@ from pec.embedder import (
     train,
 )
 from pec.srg import build_srg_from_adjacency
-from pec.walker import WalkConfig, generate_walks
+from pec.walker import WalkConfig, WalkCorpus, generate_walks
 
 
 def corpus_for(g, **kwargs):
     cfg = WalkConfig(**{"walk_length": 10, "num_walks": 5, "seed": 0, **kwargs})
     return generate_walks(g, cfg)
+
+
+def corpus_of(walks, node_ids):
+    return WalkCorpus(tuple(map(tuple, walks)), tuple(node_ids), WalkConfig(), "")
 
 
 def two_cliques(k=5):
@@ -88,6 +94,23 @@ def test_pairs_symmetric():
         assert counts.get((b, a), 0) == c
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    walks=st.lists(st.lists(st.integers(0, 5), max_size=12), max_size=8),
+    window=st.integers(1, 15),
+)
+def test_pairs_match_reference_triple_loop(walks, window):
+    ids = [f"n{i}" for i in range(6)]
+    corpus = corpus_of([[ids[i] for i in walk] for walk in walks], ids)
+    centers, contexts = reference_pair_indices(corpus, window)
+    expected = [(ids[c], ids[x]) for c, x in zip(centers, contexts)]
+    if not walks:
+        with pytest.raises(ValueError, match="empty"):
+            extract_pairs(corpus, window)
+    else:
+        assert extract_pairs(corpus, window) == expected
+
+
 # -- loss and gradients ------------------------------------------------------------------
 
 
@@ -139,6 +162,45 @@ def test_zero_epochs_returns_initialization():
     assert np.array_equal(emb1.vectors, emb2.vectors)
     assert np.all(emb1.context_vectors == 0.0)
     assert np.all(np.abs(emb1.vectors) <= 0.5 / 6)
+
+
+RAGGED_WALKS = [
+    ["a", "b", "c", "b", "a", "d"],
+    ["e"],
+    ["c", "a"],
+    ["d", "d", "b", "e", "c", "a", "b", "c", "e"],
+    ["b"],
+    ["e", "d", "c"],
+]
+
+
+@pytest.mark.parametrize("cfg", [
+    TrainConfig(dim=6, window=2, epochs=2, seed=3),
+    TrainConfig(dim=6, window=20, epochs=1, seed=4),
+    TrainConfig(dim=5, window=3, epochs=2, batch_size=7, seed=5),
+    TrainConfig(dim=4, window=2, epochs=3, seed=6),
+    TrainConfig(dim=4, window=3, epochs=2, negatives=1, seed=7),
+    TrainConfig(dim=1, window=3, epochs=2, batch_size=5, seed=8),
+    TrainConfig(dim=8, epochs=2, seed=1),
+], ids=["ragged", "window-over-length", "batch-7", "epochs-3", "negatives-1", "dim-1", "defaults"])
+def test_train_matches_reference_byte_for_byte(cfg):
+    corpus = corpus_of(RAGGED_WALKS, "abcde")
+    emb = train(corpus, cfg)
+    vectors, contexts, losses = reference_train(corpus, cfg)
+    assert emb.vectors.tobytes() == vectors.tobytes()
+    assert emb.context_vectors.tobytes() == contexts.tobytes()
+    assert emb.epoch_mean_loss == losses
+
+
+@pytest.mark.parametrize("walks", [[["a"], ["b"], ["a"]], []], ids=["single-node-walks", "no-walks"])
+def test_train_without_pairs_returns_initialization(walks):
+    corpus = corpus_of(walks, "abc")
+    cfg = TrainConfig(dim=3, epochs=2, seed=11)
+    emb = train(corpus, cfg)
+    vectors, contexts, _ = reference_train(corpus, cfg)
+    assert emb.epoch_mean_loss == ()
+    assert emb.vectors.tobytes() == vectors.tobytes()
+    assert emb.context_vectors.tobytes() == contexts.tobytes()
 
 
 def test_training_deterministic():

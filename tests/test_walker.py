@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from oracles import reference_draw_many
 
 from pec.srg import SpaceRelationGraph, build_srg_from_adjacency
 from pec.walker import (
@@ -118,6 +121,29 @@ def test_alias_reconstructs_distribution_exactly():
         probs = rng.dirichlet(np.ones(rng.integers(2, 12)))
         table = AliasTable(probs)
         assert np.allclose(table.probabilities(), probs, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [1, 1000, (70_000, 3), (1 << 16) + 1], ids=str)
+def test_alias_draw_many_matches_reference(shape):
+    table = AliasTable(np.random.default_rng(3).dirichlet(np.ones(37)))
+    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    draws = table.draw_many(rng, shape)
+    expected = reference_draw_many(table, ref_rng, shape)
+    assert draws.shape == expected.shape
+    assert np.array_equal(draws, expected)
+    assert rng.random() == ref_rng.random()  # the stream is left where the reference leaves it
+
+
+def test_alias_draw_many_memory_bound():
+    table = AliasTable(np.random.default_rng(4).dirichlet(np.ones(100)))
+    draws = 10**6
+    tracemalloc.start()
+    try:
+        table.draw_many(np.random.default_rng(0), draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * draws
 
 
 def test_alias_tables_match_transition_distribution(weighted_graph):
