@@ -225,9 +225,12 @@ def _load_input(cfg: PipelineConfig):
     return load_graph(cfg.edges_path), None
 
 
-def _selection(vectors, n_range, seed: int, restarts: int) -> dict:
-    """select_n's recommended count and each candidate's validity indices."""
-    recommended, table = select_n(vectors, n_range, seed=seed, restarts=restarts)
+def _selection(vectors, cfg: ClusterConfig, seed: int) -> dict:
+    """select_n's recommended count and each candidate's validity indices
+    over n_min..n_max, with n_max clipped to one less than the number of
+    rows (N clusters are all singletons, whose Dunn index is undefined)."""
+    n_range = range(cfg.n_min, min(cfg.n_max, len(vectors) - 1) + 1)
+    recommended, table = select_n(vectors, n_range, seed=seed, restarts=cfg.restarts)
     return {"recommended": recommended, "scores": {str(n): asdict(s) for n, s in table.items()}}
 
 
@@ -298,8 +301,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             _, n_clusters, modularity_q = louvain(graph, seed=stage_seeds["cluster"])
             manifest["louvain"] = {"communities": n_clusters, "modularity": modularity_q}
         else:
-            hi = min(ccfg.n_max, graph.num_nodes)
-            selection = _selection(emb.vectors, range(ccfg.n_min, hi + 1), stage_seeds["cluster"], ccfg.restarts)
+            selection = _selection(emb.vectors, ccfg, stage_seeds["cluster"])
             write_json(selection, artifact("selection.json"))
             n_clusters = selection["recommended"]
         manifest["n_clusters"] = n_clusters
@@ -319,12 +321,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             reports = {}
             for tpath in cfg.truth_paths:
                 truth = load_ground_truth(tpath)
-                rep = macro_f1(labels, truth, node_ids=graph.node_ids)
-                reports[truth.name] = {
-                    "macro_f1": rep.macro_f1,
-                    "per_class_f1": list(rep.per_class_f1),
-                    "matching": {str(k): v for k, v in rep.matching.items()},
-                }
+                reports[truth.name] = macro_f1(labels, truth, node_ids=graph.node_ids).to_json()
                 if cfg.noise:
                     noise_rep = noise_robustness(
                         graph,
@@ -396,7 +393,7 @@ def _cmd_cluster(args) -> int:
 def _cmd_select_n(args) -> int:
     emb = load_embeddings(args.embeddings)
     cfg = ClusterConfig(**_given(args, _names(ClusterConfig)))
-    payload = _selection(emb.vectors, range(cfg.n_min, cfg.n_max + 1), args.seed, cfg.restarts)
+    payload = _selection(emb.vectors, cfg, args.seed)
     write_json(payload, args.out)
     print(f"recommended n = {payload['recommended']}")
     return 0
@@ -413,13 +410,7 @@ def _cmd_louvain(args) -> int:
 def _cmd_evaluate(args) -> int:
     ids, labels = load_labels(args.pred)
     truth = load_ground_truth(args.truth)
-    report = macro_f1(labels, truth, node_ids=ids)
-    payload = {
-        "truth": truth.name,
-        "macro_f1": report.macro_f1,
-        "per_class_f1": list(report.per_class_f1),
-        "matching": {str(k): v for k, v in report.matching.items()},
-    }
+    payload = {"truth": truth.name, **macro_f1(labels, truth, node_ids=ids).to_json()}
     if args.out:
         write_json(payload, args.out)
     print(json.dumps(payload, sort_keys=True))

@@ -84,6 +84,14 @@ class EvaluationReport:
     repeats: int = 1
     config: dict = field(default_factory=dict)
 
+    def to_json(self) -> dict:
+        """Score, per-class F1 and matching (keys as text) for a JSON report."""
+        return {
+            "macro_f1": self.macro_f1,
+            "per_class_f1": list(self.per_class_f1),
+            "matching": {str(k): v for k, v in self.matching.items()},
+        }
+
 
 def macro_f1(pred_labels, truth: GroundTruth, node_ids=None) -> EvaluationReport:
     """Macro-averaged F1 after optimal cluster-to-class matching.
@@ -530,11 +538,15 @@ def load_labels(path) -> tuple[tuple[str, ...], np.ndarray]:
     if not rows or rows[0] != ["node_id", "label"]:
         raise ValueError(f"{path}: expected header 'node_id,label'")
     ids, labels = [], []
+    first_line: dict[str, int] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 2:
             raise ValueError(f"{path}: line {lineno}: expected 2 fields")
+        if row[0] in first_line:
+            raise ValueError(f"{path}: line {lineno}: node {row[0]!r} repeats line {first_line[row[0]]}")
+        first_line[row[0]] = lineno
         ids.append(row[0])
         try:
             labels.append(int(row[1]))

@@ -36,10 +36,11 @@ def _check_node_ids(node_ids) -> tuple[str, ...]:
     if len(set(ids)) != len(ids):
         raise ValueError("node identifiers must be unique")
     for nid in ids:
-        if not nid or any(c.isspace() for c in nid) or "," in nid:
+        # a leading '#' would read back as a comment line in graph and corpus files
+        if not nid or nid.startswith("#") or any(c.isspace() for c in nid) or "," in nid:
             raise ValueError(
                 f"invalid node identifier {nid!r}: must be non-empty, "
-                "without whitespace or commas"
+                "not start with '#', and have no whitespace or commas"
             )
     return ids
 

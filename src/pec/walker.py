@@ -75,12 +75,6 @@ class AliasTable:
         self.accept = np.array(accept)
         self.alias = np.array(alias, dtype=np.int64)
 
-    def draw(self, rng: np.random.Generator) -> int:
-        cell = min(int(rng.random() * self.size), self.size - 1)
-        if rng.random() < self.accept[cell]:
-            return cell
-        return int(self.alias[cell])
-
     def draw_many(self, rng: np.random.Generator, shape) -> np.ndarray:
         """Draws of ``shape``: all cells, then one uniform per cell in flat
         order.  Aliases are resolved in place, a chunk at a time, so the

@@ -262,3 +262,63 @@ def reference_train(corpus, cfg):
                 done += sel.size
         epoch_losses.append(loss_sum / n_pairs)
     return vectors, contexts, tuple(epoch_losses)
+
+
+_REFERENCE_LINKAGES = ("single", "average", "complete")
+
+
+def reference_agglomerate(distances: np.ndarray, linkage: str) -> list[tuple[int, int, float]]:
+    """Full merge history [(cluster_a, cluster_b, distance), ...] by the
+    O(N^3) textbook loop: merge the closest pair, update its distances.
+
+    Input clusters are numbered 0..N-1; merge t creates cluster N+t (as in
+    the usual linkage-matrix convention).  Ties break toward the smallest
+    (a, b) pair.
+    """
+    if linkage not in _REFERENCE_LINKAGES:
+        raise ValueError(f"linkage must be one of {_REFERENCE_LINKAGES}")
+    dist = np.asarray(distances, dtype=float)
+    n = dist.shape[0]
+    if dist.shape != (n, n) or not np.allclose(dist, dist.T):
+        raise ValueError("need a square symmetric distance matrix")
+    active: dict[int, int] = {i: 1 for i in range(n)}  # cluster id -> size
+    pair_dist: dict[tuple[int, int], float] = {
+        (i, j): float(dist[i, j]) for i in range(n) for j in range(i + 1, n)
+    }
+    merges: list[tuple[int, int, float]] = []
+    next_id = n
+    while len(active) > 1:
+        (a, b), d_ab = min(pair_dist.items(), key=lambda kv: (kv[1], kv[0]))
+        merges.append((a, b, d_ab))
+        size_a, size_b = active.pop(a), active.pop(b)
+        del pair_dist[(a, b)]
+        new_dists: dict[int, float] = {}
+        for c in active:
+            key_ac = (a, c) if a < c else (c, a)
+            key_bc = (b, c) if b < c else (c, b)
+            d_ac = pair_dist.pop(key_ac)
+            d_bc = pair_dist.pop(key_bc)
+            if linkage == "single":
+                new_dists[c] = min(d_ac, d_bc)
+            elif linkage == "complete":
+                new_dists[c] = max(d_ac, d_bc)
+            else:
+                new_dists[c] = (size_a * d_ac + size_b * d_bc) / (size_a + size_b)
+        for c, d_new in new_dists.items():
+            pair_dist[(c, next_id)] = d_new
+        active[next_id] = size_a + size_b
+        next_id += 1
+    return merges
+
+
+def reference_hca_labels(distances, linkage, n):
+    """Labels of ``reference_agglomerate`` cut at n clusters, each cluster
+    numbered by the rank of its smallest member."""
+    n_pts = len(distances)
+    members = {i: {i} for i in range(n_pts)}
+    for t, (a, b, _) in enumerate(reference_agglomerate(distances, linkage)[: n_pts - n]):
+        members[n_pts + t] = members.pop(a) | members.pop(b)
+    labels = np.empty(n_pts, dtype=np.int64)
+    for c, rows in enumerate(sorted(members.values(), key=min)):
+        labels[list(rows)] = c
+    return labels

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from oracles import count_components, random_disconnected_graph
+from oracles import count_components, random_disconnected_graph, reference_agglomerate, reference_hca_labels
 
 from pec.baselines import agglomerate, hca, normalized_laplacian, spectral_cluster, spectral_embedding
-from pec.srg import build_srg_from_adjacency
+from pec.srg import build_srg_from_adjacency, build_srg_from_interactions
+from pec.synth import default_metro_spec, metro_network, planted_od
 
 
 # -- spectral embedding ---------------------------------------------------------
@@ -138,3 +139,58 @@ def test_hca_input_validation():
         agglomerate(np.zeros((2, 2)), "centroid")
     with pytest.raises(ValueError, match="n"):
         hca(x=np.zeros((3, 1)), n=4)
+
+
+# -- scipy against the reference merge loop ------------------------------------------
+
+
+def _distances(x):
+    return np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(-1))
+
+
+def _tie_free_inputs(count, seed=61):
+    rng = np.random.default_rng(seed)
+    while count:
+        x = rng.normal(size=(int(rng.integers(2, 26)), int(rng.integers(1, 5))))
+        dist = _distances(x)
+        condensed = dist[np.triu_indices_from(dist, k=1)]
+        if np.unique(condensed).size == condensed.size:
+            count -= 1
+            yield dist, int(rng.integers(1, x.shape[0] + 1))
+
+
+@pytest.mark.parametrize("linkage", ["single", "average", "complete"])
+def test_agglomerate_matches_reference_without_ties(linkage):
+    for dist, n in _tie_free_inputs(200):
+        merges, expected = agglomerate(dist, linkage), reference_agglomerate(dist, linkage)
+        assert [m[:2] for m in merges] == [m[:2] for m in expected]
+        assert np.allclose([m[2] for m in merges], [m[2] for m in expected], rtol=1e-12)
+        labels = hca(distances=dist, linkage=linkage, n=n).labels
+        assert np.array_equal(labels, reference_hca_labels(dist, linkage, n))
+
+
+def _weight_row_cases():
+    # complete linkage on metro rows is left out: its last merges all tie
+    # at 2*sqrt(2), so which partition a cut gives is the tie rule's choice
+    for seed in range(6):
+        g, line_truth, transfer_truth = metro_network(default_metro_spec(seed=seed))
+        for linkage in ("single", "average"):
+            for n in (transfer_truth.n_true, line_truth.n_true):
+                yield g.to_weight_matrix(), linkage, n
+    for seed in range(3):
+        od, truth = planted_od(4, 15, intra_rate=9.0, inter_rate=1.0, seed=seed)
+        for linkage in ("single", "average", "complete"):
+            yield build_srg_from_interactions(od).to_weight_matrix(), linkage, truth.n_true
+
+
+def test_hca_matches_reference_on_metro_and_od_weight_rows():
+    for x, linkage, n in _weight_row_cases():
+        sq = np.sum(x**2, axis=1)
+        dist = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0))
+        labels = hca(x=x, linkage=linkage, n=n).labels
+        assert np.array_equal(labels, reference_hca_labels(dist, linkage, n))
+
+
+def test_agglomerate_fewer_than_two_points():
+    assert agglomerate(np.zeros((1, 1)), "single") == []
+    assert agglomerate(np.zeros((0, 0)), "average") == []

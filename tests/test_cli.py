@@ -96,6 +96,35 @@ def test_select_n_and_louvain(metro_dir, od_dir, tmp_path, capsys):
     assert len(ids) == 4 * 6 - 3
 
 
+def test_select_n_clips_n_max_below_rows(tmp_path):
+    emb = tmp_path / "six.txt"
+    rows = [f"n{i} {i % 3} {i * i}" for i in range(6)]
+    emb.write_text("6 2\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    table = tmp_path / "table.json"
+    assert run_cli("select-n", "--embeddings", emb, "--out", table) == 0
+    assert set(json.loads(table.read_text())["scores"]) == {"2", "3", "4", "5"}
+
+
+def test_pipeline_auto_indices_on_six_nodes(tmp_path):
+    edges = tmp_path / "ring.tsv"
+    ring = ["a", "b", "c", "d", "e", "f"]
+    edges.write_text("".join(f"{u}\t{v}\t1\n" for u, v in zip(ring, ring[1:] + ring[:1])), encoding="utf-8")
+    out = tmp_path / "run"
+    assert run_cli("pipeline", "--edges", edges, "--cluster-mode", "auto-indices", "--dim", 3,
+                   "--epochs", 1, "--out-dir", out) == 0
+    assert set(json.loads((out / "selection.json").read_text())["scores"]) == {"2", "3", "4", "5"}
+
+
+def test_evaluate_rejects_repeated_node(tmp_path, capsys):
+    pred = tmp_path / "pred.csv"
+    pred.write_text("node_id,label\na,0\nb,1\na,1\n", encoding="utf-8")
+    truth = tmp_path / "truth.csv"
+    truth.write_text("node_id,label\na,0\nb,1\n", encoding="utf-8")
+    assert run_cli("evaluate", "--pred", pred, "--truth", truth) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert "pred.csv: line 4" in err["message"]
+
+
 def test_perturb_subcommand(od_dir, tmp_path):
     noisy = tmp_path / "noisy.csv"
     assert (

@@ -107,6 +107,13 @@ def test_labels_csv_round_trip(tmp_path):
     assert truth.name == "demo" and truth.labels.tolist() == [1, 0]
 
 
+def test_labels_csv_repeated_node_names_path_and_line(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("node_id,label\na,0\nb,1\na,1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"labels\.csv: line 4: node 'a' repeats line 2"):
+        load_labels(path)
+
+
 # -- interaction frequency ----------------------------------------------------------------
 
 

@@ -1,0 +1,100 @@
+"""Property tests: every file format reads back what was written, for any
+node identifiers that the graph accepts."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pec.embedder import EmbeddingMatrix, load_embeddings, save_embeddings
+from pec.evaluator import load_labels, save_labels
+from pec.srg import SpaceRelationGraph, _check_node_ids, load_graph, save_graph
+from pec.walker import WalkConfig, WalkCorpus, load_corpus, save_corpus
+
+
+def _accepted(nid: str) -> bool:
+    try:
+        _check_node_ids([nid])
+    except ValueError:
+        return False
+    return True
+
+
+# characters that the file formats treat specially are drawn as often as all others
+node_id = st.text(st.characters() | st.sampled_from("#=,\"' \t"), min_size=1, max_size=6).filter(_accepted)
+node_ids = st.lists(node_id, min_size=1, max_size=8, unique=True)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+SETTINGS = settings(max_examples=100, deadline=None)
+
+
+def _roundtrip(tmp_path_factory, save, load, obj):
+    path = tmp_path_factory.mktemp("roundtrip") / "file"
+    save(obj, path)
+    return load(path)
+
+
+@st.composite
+def graphs(draw):
+    ids = draw(node_ids)
+    pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return SpaceRelationGraph(ids, [(u, v, draw(positive)) for u, v in chosen])
+
+
+@SETTINGS
+@given(g=graphs())
+def test_graph_tsv_round_trip_property(tmp_path_factory, g):
+    loaded = _roundtrip(tmp_path_factory, save_graph, load_graph, g)
+    assert loaded == g and loaded.node_ids == g.node_ids
+
+
+@st.composite
+def corpora(draw):
+    ids = draw(node_ids)
+    walks = draw(st.lists(st.lists(st.sampled_from(ids), min_size=1, max_size=6).map(tuple), max_size=8))
+    cfg = WalkConfig(
+        p=draw(positive),
+        q=draw(positive),
+        walk_length=draw(st.integers(2, 100)),
+        num_walks=draw(st.integers(1, 100)),
+        seed=draw(st.integers(0, 2**63)),
+    )
+    isolated = tuple(x for x in ids if draw(st.booleans()))
+    fingerprint = draw(st.text("0123456789abcdef", min_size=1, max_size=64))
+    return WalkCorpus(tuple(walks), tuple(ids), cfg, fingerprint, isolated)
+
+
+@SETTINGS
+@given(corpus=corpora())
+def test_corpus_round_trip_property(tmp_path_factory, corpus):
+    assert _roundtrip(tmp_path_factory, save_corpus, load_corpus, corpus) == corpus
+
+
+@st.composite
+def embeddings(draw):
+    ids = draw(node_ids)
+    dim = draw(st.integers(1, 4))
+    vectors = np.array(draw(st.lists(finite, min_size=len(ids) * dim, max_size=len(ids) * dim)))
+    vectors = vectors.reshape(len(ids), dim)
+    return EmbeddingMatrix(tuple(ids), vectors, np.zeros_like(vectors))
+
+
+@SETTINGS
+@given(emb=embeddings())
+def test_embeddings_round_trip_property(tmp_path_factory, emb):
+    loaded = _roundtrip(tmp_path_factory, save_embeddings, load_embeddings, emb)
+    assert loaded.node_ids == emb.node_ids
+    assert loaded.vectors.shape == emb.vectors.shape
+    assert np.array_equal(loaded.vectors, emb.vectors)
+    assert np.array_equal(np.signbit(loaded.vectors), np.signbit(emb.vectors))
+
+
+@SETTINGS
+@given(ids=node_ids, data=st.data())
+def test_labels_round_trip_property(tmp_path_factory, ids, data):
+    labels = data.draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=len(ids), max_size=len(ids)))
+    path = tmp_path_factory.mktemp("roundtrip") / "labels.csv"
+    save_labels(ids, np.array(labels), path)
+    loaded_ids, loaded = load_labels(path)
+    assert loaded_ids == tuple(ids) and loaded.tolist() == labels

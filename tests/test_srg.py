@@ -208,6 +208,15 @@ def test_bad_node_ids_rejected():
         SpaceRelationGraph(["a", "b c"], [])
 
 
+def test_node_id_with_leading_hash_rejected():
+    # graph and corpus files read a line starting with '#' as a comment
+    with pytest.raises(ValueError, match="'#a'"):
+        SpaceRelationGraph(["#a", "b", "c"], [("#a", "b", 1.0), ("b", "c", 1.0)])
+    with pytest.raises(ValueError, match="identifier"):
+        build_srg_from_adjacency([("#a", "b")])
+    assert SpaceRelationGraph(["a#", "b"], [("a#", "b", 1.0)]).num_edges == 1
+
+
 def test_weight_matrix_round_trip():
     g = SpaceRelationGraph(["a", "b", "c"], [("a", "b", 0.5), ("b", "c", 0.125)])
     mat = g.to_weight_matrix()
