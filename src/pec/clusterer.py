@@ -109,37 +109,35 @@ def _kmeans_pp_init(x: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarr
     return centroids
 
 
+def _update_means(x: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Move nonempty clusters' centroids to their means, in place; return the empty ones."""
+    counts = np.bincount(labels, minlength=centroids.shape[0])
+    for k in np.flatnonzero(counts):
+        centroids[k] = x[labels == k].mean(axis=0)
+    return np.flatnonzero(counts == 0)
+
+
 def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float):
     history = []
-    labels = np.zeros(x.shape[0], dtype=np.int64)
+    rows = np.arange(x.shape[0])
     for _ in range(max_iter):
         d2 = _sq_distances(x, centroids)
         labels = np.argmin(d2, axis=1)
-        history.append(float(d2[np.arange(x.shape[0]), labels].sum()))
+        to_own = d2[rows, labels]
+        history.append(float(to_own.sum()))
         new_centroids = centroids.copy()
-        for k in range(centroids.shape[0]):
-            members = labels == k
-            if np.any(members):
-                new_centroids[k] = x[members].mean(axis=0)
-            else:
-                # re-seed an empty cluster at the point farthest from its
-                # assigned centroid (smallest index on ties)
-                dist_to_own = d2[np.arange(x.shape[0]), labels]
-                far = int(np.argmax(dist_to_own))
-                new_centroids[k] = x[far]
+        empty = _update_means(x, labels, new_centroids)
+        # re-seed empty clusters at the point farthest from its own centroid
+        # (smallest index on ties)
+        new_centroids[empty] = x[int(np.argmax(to_own))]
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
         if shift < tol:
             break
     # final consistent state: assign, recompute means, measure inertia
-    d2 = _sq_distances(x, centroids)
-    labels = np.argmin(d2, axis=1)
-    for k in range(centroids.shape[0]):
-        members = labels == k
-        if np.any(members):
-            centroids[k] = x[members].mean(axis=0)
-    d2 = _sq_distances(x, centroids)
-    inertia = float(d2[np.arange(x.shape[0]), labels].sum())
+    labels = np.argmin(_sq_distances(x, centroids), axis=1)
+    _update_means(x, labels, centroids)
+    inertia = float(_sq_distances(x, centroids)[rows, labels].sum())
     history.append(inertia)
     return labels, centroids, inertia, history
 
@@ -200,7 +198,7 @@ def validity_indices(x, labels) -> IndexScores:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != x.shape[0]:
         raise ValueError("one label per row required")
-    clusters = np.unique(labels)
+    clusters, own = np.unique(labels, return_inverse=True)
     if clusters.size < 2:
         raise ValueError("need at least 2 nonempty clusters")
     x = x - x.mean(axis=0)  # distances are translation-invariant; centering conditions them
@@ -213,41 +211,31 @@ def validity_indices(x, labels) -> IndexScores:
         [np.linalg.norm(x[m] - centroids[i], axis=1).mean() for i, m in enumerate(members)]
     )
     centroid_dist = _pairwise_distances(centroids)
-    k = clusters.size
-    ratios = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            d = centroid_dist[i, j]
-            ratios[i, j] = np.inf if d == 0.0 else (scatter[i] + scatter[j]) / d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(centroid_dist == 0.0, np.inf, (scatter[:, None] + scatter[None, :]) / centroid_dist)
+    np.fill_diagonal(ratios, 0.0)
     davies_bouldin = float(ratios.max(axis=1).mean())
 
     # Dunn: min inter-cluster point distance / max intra-cluster diameter
-    diameters = [dist[np.ix_(m, m)].max() for m in members]
-    max_diameter = max(diameters)
+    same = labels[:, None] == labels[None, :]
+    max_diameter = dist[same].max()
     if max_diameter == 0.0:
         raise ValueError("all intra-cluster distances are zero; Dunn index undefined")
-    min_inter = min(
-        dist[np.ix_(members[i], members[j])].min()
-        for i in range(k)
-        for j in range(i + 1, k)
-    )
-    dunn = float(min_inter / max_diameter)
+    dunn = float(dist[~same].min() / max_diameter)
 
-    # silhouette: (b - a) / max(a, b) per point
-    sil = np.zeros(x.shape[0])
-    for pos, lab in enumerate(labels):
-        own = members[int(np.searchsorted(clusters, lab))]
-        if own.size == 1:
-            sil[pos] = 0.0
-            continue
-        a = dist[pos, own].sum() / (own.size - 1)
-        b = min(
-            dist[pos, m].mean() for c, m in zip(clusters, members) if c != lab
-        )
-        top = max(a, b)
-        sil[pos] = 0.0 if top == 0.0 else (b - a) / top
+    # silhouette: (b - a) / max(a, b) per point.  Row sums run over a
+    # C-contiguous copy of each cluster's columns, so that each adds in the
+    # order of a sum over one row; the strided block can round differently.
+    sums = np.stack([np.ascontiguousarray(dist[:, m]).sum(axis=1) for m in members], axis=1)
+    sizes = np.array([m.size for m in members])
+    rows = np.arange(x.shape[0])
+    means = sums / sizes
+    means[rows, own] = np.inf
+    b = means.min(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = sums[rows, own] / (sizes[own] - 1)
+        top = np.maximum(a, b)
+        sil = np.where((sizes[own] == 1) | (top == 0.0), 0.0, (b - a) / top)
     return IndexScores(davies_bouldin, dunn, float(sil.mean()))
 
 
@@ -256,7 +244,6 @@ def select_n(
     n_range,
     seed: int = 0,
     restarts: int = ClusterConfig.restarts,
-    max_iter: int = 100,
 ) -> tuple[int, dict[int, IndexScores]]:
     """Score each candidate cluster count and recommend one.
 
@@ -274,16 +261,14 @@ def select_n(
         raise ValueError("degenerate input: all rows identical")
     table: dict[int, IndexScores] = {}
     for n in candidates:
-        assignment = kmeans(x, n, seed=derive_seed(seed, "select", n), restarts=restarts, max_iter=max_iter)
+        assignment = kmeans(x, n, seed=derive_seed(seed, "select", n), restarts=restarts)
         table[n] = validity_indices(x, assignment.labels)
-    db_pick = min(candidates, key=lambda n: (table[n].davies_bouldin, n))
-    dunn_pick = min(candidates, key=lambda n: (-table[n].dunn, n))
-    sil_pick = min(candidates, key=lambda n: (-table[n].silhouette, n))
-    votes = [db_pick, dunn_pick, sil_pick]
-    counts = {n: votes.count(n) for n in set(votes)}
-    top = max(counts.values())
-    recommended = min(n for n, c in counts.items() if c == top)
-    return recommended, table
+    votes = [
+        min(candidates, key=lambda n: (table[n].davies_bouldin, n)),
+        min(candidates, key=lambda n: (-table[n].dunn, n)),
+        min(candidates, key=lambda n: (-table[n].silhouette, n)),
+    ]
+    return min(votes, key=lambda n: (-votes.count(n), n)), table
 
 
 # -- Louvain community detection ---------------------------------------------
@@ -306,7 +291,8 @@ def modularity(g, labels) -> float:
 
 def _louvain_once(adj: list[dict[int, float]], self_loops: list[float],
                   m: float, rng: np.random.Generator) -> list[list[int]]:
-    """One full Louvain run; returns communities as lists of original nodes."""
+    """One full Louvain run; returns communities as lists of original nodes.
+    ``adj`` and ``self_loops`` are only read, so runs can share them."""
     n = len(adj)
     groups: list[list[int]] = [[i] for i in range(n)]  # original nodes per super-node
     min_gain = 1e-9 * m  # gains below are scaled by m relative to Q
@@ -347,10 +333,7 @@ def _louvain_once(adj: list[dict[int, float]], self_loops: list[float],
         if not improved_any:
             return groups
         # aggregate: communities become super-nodes
-        remap: dict[int, int] = {}
-        for c in community:
-            if c not in remap:
-                remap[c] = len(remap)
+        remap = {c: i for i, c in enumerate(dict.fromkeys(community))}  # by first appearance
         new_size = len(remap)
         new_groups: list[list[int]] = [[] for _ in range(new_size)]
         for i, c in enumerate(community):
@@ -384,19 +367,17 @@ def louvain(g, seed: int = 0, runs: int = 5) -> tuple[np.ndarray, int, float]:
     if g.num_edges == 0:
         raise ValueError("community detection needs at least one edge")
     n = g.num_nodes
-    m = sum(w for _, _, w in g.edges())
+    # total edge weight, added left to right over the canonical edge order
+    m = float(np.cumsum(g.weights[g.entry_rows() < g.indices])[-1])
+    adj = [dict(zip(g.neighbor_indices(i).tolist(), g.neighbor_weights(i).tolist())) for i in range(n)]
     best_labels: np.ndarray | None = None
     best_q = -np.inf
     for r in range(runs):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(derive_seed(seed, "louvain", r))))
-        adj = [dict(zip(g.neighbor_indices(i).tolist(), g.neighbor_weights(i).tolist())) for i in range(n)]
         groups = _louvain_once(adj, [0.0] * n, m, rng)
-        labels = np.zeros(n, dtype=np.int64)
+        labels = np.empty(n, dtype=np.int64)
         # canonical labels: communities numbered by their smallest node index
-        for members in groups:
-            members.sort()
-        groups.sort(key=lambda ms: ms[0])
-        for c, members in enumerate(groups):
+        for c, members in enumerate(sorted(groups, key=min)):
             labels[members] = c
         q = modularity(g, labels)
         if q > best_q:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,15 +65,8 @@ class GroundTruth:
     @classmethod
     def from_labels(cls, node_ids, labels, name: str = "truth") -> "GroundTruth":
         """Remap arbitrary label values to contiguous 0..k-1 (sorted order)."""
-        raw = np.asarray(labels)
-        values = sorted(set(raw.tolist()))
-        remap = {v: i for i, v in enumerate(values)}
-        return cls(
-            node_ids=tuple(node_ids),
-            labels=np.array([remap[v] for v in raw.tolist()], dtype=np.int64),
-            n_true=len(values),
-            name=name,
-        )
+        values, inverse = np.unique(np.asarray(labels), return_inverse=True)
+        return cls(node_ids=tuple(node_ids), labels=inverse, n_true=values.size, name=name)
 
 
 @dataclass(frozen=True)
@@ -81,8 +74,6 @@ class EvaluationReport:
     macro_f1: float
     per_class_f1: tuple[float, ...]
     matching: dict
-    repeats: int = 1
-    config: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         """Score, per-class F1 and matching (keys as text) for a JSON report."""
@@ -111,14 +102,13 @@ def macro_f1(pred_labels, truth: GroundTruth, node_ids=None) -> EvaluationReport
     if pred.shape[0] != len(truth.node_ids):
         raise ValueError("one predicted label per node required")
 
-    pred_values = sorted(set(pred.tolist()))
+    pred_values, pred_index = np.unique(pred, return_inverse=True)
+    pred_values = pred_values.tolist()
     n_pred = len(pred_values)
     n_true = truth.n_true
     size = max(n_pred, n_true)
-    pred_index = {v: i for i, v in enumerate(pred_values)}
     counts = np.zeros((size, size))
-    for p, t in zip(pred.tolist(), truth.labels.tolist()):
-        counts[pred_index[p], t] += 1
+    np.add.at(counts, (pred_index, truth.labels), 1.0)
     pred_sizes = counts.sum(axis=1)
     true_sizes = counts.sum(axis=0)
     denom = pred_sizes[:, None] + true_sizes[None, :]
@@ -126,12 +116,9 @@ def macro_f1(pred_labels, truth: GroundTruth, node_ids=None) -> EvaluationReport
         f1 = np.where(denom > 0, 2.0 * counts / np.where(denom > 0, denom, 1.0), 0.0)
     rows, cols = linear_sum_assignment(f1, maximize=True)
     per_class = np.zeros(n_true)
-    matching = {}
-    for r, c in zip(rows, cols):
-        if c < n_true:
-            per_class[c] = f1[r, c]
-        if r < n_pred and c < n_true:
-            matching[pred_values[r]] = int(c)
+    real = cols < n_true  # dummy columns pad the classes
+    per_class[cols[real]] = f1[rows[real], cols[real]]
+    matching = {pred_values[r]: int(c) for r, c in zip(rows, cols) if r < n_pred and c < n_true}
     return EvaluationReport(
         macro_f1=float(per_class.mean()),
         per_class_f1=tuple(float(v) for v in per_class),

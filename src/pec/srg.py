@@ -42,6 +42,10 @@ def _check_node_ids(node_ids) -> tuple[str, ...]:
                 f"invalid node identifier {nid!r}: must be non-empty, "
                 "not start with '#', and have no whitespace or commas"
             )
+        try:
+            nid.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"invalid node identifier {nid!r}: not encodable as UTF-8") from None
     return ids
 
 

@@ -291,17 +291,16 @@ def load_corpus(path) -> WalkCorpus:
             line = line.rstrip("\n")
             if not line.strip():
                 continue
-            if line.startswith("#"):
+            if line.startswith(("# nodes=", "# isolated=")):  # node lists are read whole
+                key, _, val = line[2:].partition("=")
+                header[key] = val
+            elif line.startswith("#"):  # graph and config lines: key=value tokens
                 for token in line[1:].strip().split(" "):
                     if "=" in token:
                         key, _, val = token.partition("=")
                         header.setdefault(key, val)
-                if line.startswith("# nodes="):
-                    header["nodes"] = line[len("# nodes="):]
-                if line.startswith("# isolated="):
-                    header["isolated"] = line[len("# isolated="):]
-                continue
-            walks.append((lineno, tuple(line.split(" "))))
+            else:
+                walks.append((lineno, tuple(line.split(" "))))
     required = ("graph", *(f.name for f in fields(WalkConfig)), "nodes")
     missing = [k for k in required if k not in header]
     if missing:

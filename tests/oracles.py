@@ -8,6 +8,7 @@ import itertools
 
 import numpy as np
 
+from pec.clusterer import IndexScores
 from pec.embedder import sgns_loss_and_grad
 from pec.srg import SpaceRelationGraph
 from pec.walker import AliasTable
@@ -322,3 +323,82 @@ def reference_hca_labels(distances, linkage, n):
     for c, rows in enumerate(sorted(members.values(), key=min)):
         labels[list(rows)] = c
     return labels
+
+
+# -- reference validity indices -----------------------------------------------------
+#
+# The package's validity indices as first written: a Python loop over every
+# point for the silhouette and over every cluster pair for Davies-Bouldin and
+# Dunn.  The package's array version must return the same three floats.
+
+
+def _reference_pairwise_distances(x: np.ndarray) -> np.ndarray:
+    """Exact row-difference distances (no a^2+b^2-2ab cancellation)."""
+    n = x.shape[0]
+    dist = np.empty((n, n))
+    for i in range(n):
+        dist[i] = np.sqrt(((x - x[i]) ** 2).sum(axis=1))
+        dist[i, i] = 0.0
+    return dist
+
+
+def reference_validity_indices(x, labels) -> IndexScores:
+    """Davies-Bouldin, Dunn and mean silhouette for a labeled partition.
+
+    Euclidean distances throughout.  A singleton cluster contributes
+    silhouette 0 for its point.  Raises if fewer than 2 clusters are
+    nonempty or all points coincide (Dunn undefined).
+    """
+    x = np.asarray(x, dtype=float)
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape[0] != x.shape[0]:
+        raise ValueError("one label per row required")
+    clusters = np.unique(labels)
+    if clusters.size < 2:
+        raise ValueError("need at least 2 nonempty clusters")
+    x = x - x.mean(axis=0)  # distances are translation-invariant; centering conditions them
+    dist = _reference_pairwise_distances(x)
+    members = [np.nonzero(labels == c)[0] for c in clusters]
+
+    # Davies-Bouldin: mean over clusters of the worst (s_i + s_j) / d_ij
+    centroids = np.array([x[m].mean(axis=0) for m in members])
+    scatter = np.array(
+        [np.linalg.norm(x[m] - centroids[i], axis=1).mean() for i, m in enumerate(members)]
+    )
+    centroid_dist = _reference_pairwise_distances(centroids)
+    k = clusters.size
+    ratios = np.zeros((k, k))
+    for i in range(k):
+        for j in range(k):
+            if i == j:
+                continue
+            d = centroid_dist[i, j]
+            ratios[i, j] = np.inf if d == 0.0 else (scatter[i] + scatter[j]) / d
+    davies_bouldin = float(ratios.max(axis=1).mean())
+
+    # Dunn: min inter-cluster point distance / max intra-cluster diameter
+    diameters = [dist[np.ix_(m, m)].max() for m in members]
+    max_diameter = max(diameters)
+    if max_diameter == 0.0:
+        raise ValueError("all intra-cluster distances are zero; Dunn index undefined")
+    min_inter = min(
+        dist[np.ix_(members[i], members[j])].min()
+        for i in range(k)
+        for j in range(i + 1, k)
+    )
+    dunn = float(min_inter / max_diameter)
+
+    # silhouette: (b - a) / max(a, b) per point
+    sil = np.zeros(x.shape[0])
+    for pos, lab in enumerate(labels):
+        own = members[int(np.searchsorted(clusters, lab))]
+        if own.size == 1:
+            sil[pos] = 0.0
+            continue
+        a = dist[pos, own].sum() / (own.size - 1)
+        b = min(
+            dist[pos, m].mean() for c, m in zip(clusters, members) if c != lab
+        )
+        top = max(a, b)
+        sil[pos] = 0.0 if top == 0.0 else (b - a) / top
+    return IndexScores(davies_bouldin, dunn, float(sil.mean()))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from oracles import brute_force_kmeans, silhouette_oracle
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import brute_force_kmeans, reference_validity_indices, silhouette_oracle
 
 from pec.clusterer import (
     kmeans,
@@ -149,6 +151,45 @@ def test_identical_points_rejected():
 def test_single_cluster_rejected():
     with pytest.raises(ValueError, match="clusters"):
         validity_indices(FIXTURE_1D, np.zeros(4, dtype=int))
+
+
+def _indices_or_error(fn, x, labels):
+    try:
+        return fn(x, labels)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def labeled_points(draw):
+    """Points with labels of at least 2 clusters.  Small integer coordinates
+    make coincident points, zero-diameter clusters and coincident centroids
+    common, and so are singleton clusters when k is close to N."""
+    n = draw(st.integers(3, 30))
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(2, n))
+    coords = st.integers(-3, 3).map(float) | st.floats(-1e3, 1e3, allow_nan=False)
+    x = np.array(draw(st.lists(coords, min_size=n * d, max_size=n * d))).reshape(n, d)
+    labels = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    if np.unique(labels).size < 2:
+        labels[0] = labels[1] + 1
+    return x, labels
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=labeled_points())
+@example(case=(np.array([[-1.0], [1.0], [0.0]]), np.array([0, 0, 1])))  # coincident centroids
+@example(case=(np.array([[0.0, 0.0], [1.0, 2.0], [5.0, 5.0], [6.0, 7.0]]), np.array([3, 1, 1, 1])))
+def test_validity_indices_equal_reference_property(case):
+    x, labels = case
+    got = _indices_or_error(validity_indices, x, labels)
+    assert got == _indices_or_error(reference_validity_indices, x, labels)
+
+
+def test_coincident_centroids_make_davies_bouldin_infinite():
+    scores = validity_indices(np.array([[-1.0], [1.0], [0.0]]), np.array([0, 0, 1]))
+    assert scores.davies_bouldin == np.inf
+    assert scores.dunn == pytest.approx(0.5, abs=1e-12)
 
 
 # -- cluster count selection ----------------------------------------------------------

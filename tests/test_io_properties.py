@@ -19,8 +19,9 @@ def _accepted(nid: str) -> bool:
     return True
 
 
-# characters that the file formats treat specially are drawn as often as all others
-node_id = st.text(st.characters() | st.sampled_from("#=,\"' \t"), min_size=1, max_size=6).filter(_accepted)
+# characters that the file formats treat specially, and a lone surrogate that
+# UTF-8 cannot encode, are drawn as often as all others
+node_id = st.text(st.characters() | st.sampled_from("#=,\"' \t\ud800"), min_size=1, max_size=6).filter(_accepted)
 node_ids = st.lists(node_id, min_size=1, max_size=8, unique=True)
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)

@@ -217,6 +217,15 @@ def test_node_id_with_leading_hash_rejected():
     assert SpaceRelationGraph(["a#", "b"], [("a#", "b", 1.0)]).num_edges == 1
 
 
+def test_node_id_not_encodable_as_utf8_rejected(tmp_path):
+    # a lone surrogate is a valid str but cannot be written to a UTF-8 file
+    with pytest.raises(ValueError, match=r"'\\ud800'.*UTF-8"):
+        SpaceRelationGraph(["a", "\ud800"], [("a", "\ud800", 1.0)])
+    g = SpaceRelationGraph(["a", "\u00e9\U0001f600"], [("a", "\u00e9\U0001f600", 1.0)])
+    save_graph(g, tmp_path / "g.tsv")
+    assert load_graph(tmp_path / "g.tsv") == g
+
+
 def test_weight_matrix_round_trip():
     g = SpaceRelationGraph(["a", "b", "c"], [("a", "b", 0.5), ("b", "c", 0.125)])
     mat = g.to_weight_matrix()

@@ -1,7 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import reference_draw_many
 
 from pec.srg import SpaceRelationGraph, build_srg_from_adjacency
@@ -262,6 +265,17 @@ def test_corpus_missing_header(tmp_path):
         load_corpus(path)
 
 
+def test_corpus_node_list_is_not_read_as_config(tmp_path):
+    # config line without seed; a node named seed=3 must not fill it
+    path = tmp_path / "corpus.txt"
+    path.write_text(
+        "# graph=abc\n# p=1.0 q=1.0 walk_length=2 num_walks=1\n# nodes=a seed=3\n# isolated=\na seed=3\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match="missing corpus header fields: seed$"):
+        load_corpus(path)
+
+
 def test_corpus_unknown_node_names_path_and_line(tmp_path, weighted_graph):
     path = tmp_path / "c.txt"
     save_corpus(generate_walks(weighted_graph, WalkConfig(walk_length=3, num_walks=1)), path)
@@ -310,6 +324,42 @@ def test_hub_two_step_law_at_low_p(hub_graph, q):
         assert len(third) >= 75_000
         freq = {x: third.count(x) / len(third) for x in set(third)}
         assert _l1(freq, transition_distribution(g, prev, cur, p, q)) <= 0.01
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(3, 7))
+    ids = [f"v{i}" for i in range(n)]
+    pairs = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    return SpaceRelationGraph(ids, [(u, v, draw(st.floats(0.01, 100.0))) for u, v in chosen])
+
+
+def _l1_bound(draws: int, outcomes: int, delta: float = 1e-12) -> float:
+    # Bretagnolle-Huber-Carol: P(L1 >= eps) <= 2^k exp(-n eps^2 / 2)
+    return math.sqrt(2.0 * (outcomes * math.log(2.0) + math.log(1.0 / delta)) / draws)
+
+
+@settings(max_examples=50, deadline=None)
+@given(g=small_graphs(), p=st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
+       q=st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]), seed=st.integers(0, 2**32 - 1))
+def test_two_step_law_on_random_graphs_property(g, p, q, seed):
+    # every (prev, cur) state advances together, as in generate_walks
+    draws = 20_000
+    sampler = build_alias_tables(g, p, q)
+    rows = g.entry_rows()
+    prev = np.repeat(rows, draws)
+    cur = np.repeat(g.indices, draws)
+    nxt = g.indices[sampler.advance(prev, cur, np.random.default_rng(seed))]
+    for s, (pi, ci) in enumerate(zip(rows.tolist(), g.indices.tolist())):
+        law = transition_distribution(g, g.node_ids[pi], g.node_ids[ci], p, q)
+        nbrs = g.neighbor_indices(ci)
+        exact = sampler.step[(pi, ci)].probabilities()
+        assert exact == pytest.approx([law[g.node_ids[x]] for x in nbrs.tolist()], abs=1e-12)
+        counts = np.bincount(nxt[s * draws:(s + 1) * draws], minlength=g.num_nodes)
+        assert counts.sum() == counts[nbrs].sum()  # every move follows an edge
+        freq = {g.node_ids[x]: counts[x] / draws for x in nbrs.tolist()}
+        assert _l1(freq, law) <= _l1_bound(draws, nbrs.size)
 
 
 def test_sampler_memory_linear_in_edges():
