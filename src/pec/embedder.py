@@ -10,9 +10,15 @@ with u the center vector, v the context vector and v_n the sampled
 negative context vectors.  Training is plain SGD with a linearly decaying
 learning rate, applied in small batches; it is single-threaded by design
 so a seed fully determines the result.  Center and context vectors are the
-two halves of one (2N, d) array, and each batch is applied with a single
-1-D ``np.add.at`` on its flat view.  That adds every element's updates in
-input order, so the floats are exactly those of row-wise scatters.
+two halves of one (2N, d) array.  Each batch is one (B, m+2) row block,
+``[center, context + N, negatives + N]`` pair by pair: one gather, one
+(B, m+2, d) step of gradients, and one 1-D ``np.add.at`` on the flat view.
+That adds every element's updates in input order, and center rows (< N)
+never coincide with context rows (>= N), so interleaving them pair by pair
+keeps each element's order: the floats are exactly those of one row-wise
+scatter for the centers and one for the contexts.  The loss takes its
+softplus over a block of batches' scores at once, but is still summed
+batch by batch, so the epoch means are unchanged too.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ __all__ = [
 
 LR_FLOOR_FACTOR = 1e-4  # lr never decays below initial_lr * this
 NEGATIVE_EXPONENT = 0.75  # unigram smoothing for the negative distribution
+LOSS_BLOCK_PAIRS = 1024  # pairs whose scores share one pair of softplus calls
 
 
 class TrainingDiverged(RuntimeError):
@@ -169,6 +176,50 @@ def _negative_table(mat: np.ndarray, n: int) -> AliasTable:
     return AliasTable(weights / weights.sum())
 
 
+def _sgd_epoch(weights, flat_index, cen_all, ctx_all, negs, cfg, done, total_updates) -> float:
+    """One SGD pass over an epoch's pairs, in batches; returns the summed loss.
+
+    ``cen_all`` are center rows of ``weights``, ``ctx_all`` and ``negs``
+    context rows (already shifted by N); ``done`` counts earlier updates.
+    Every array made here is freed on return, before the next epoch draws.
+    """
+    n_pairs, m = negs.shape
+    flat = weights.reshape(-1)
+    bs = min(cfg.batch_size, n_pairs)
+    block = max(1, LOSS_BLOCK_PAIRS // bs) * bs  # whole batches per loss block
+    # per pair: the center gradient, then those of the context and negatives
+    step = np.empty((bs, m + 2, weights.shape[1]))
+    block_scores = np.empty((block, m + 1))
+    loss_sum = 0.0
+    # divergence shows up as non-finite scores; detected and raised by the caller
+    with np.errstate(invalid="ignore", over="ignore"):
+        for first in range(0, n_pairs, block):
+            last = min(first + block, n_pairs)
+            for start in range(first, last, bs):
+                stop = min(start + bs, last)
+                rows = np.concatenate(
+                    [cen_all[start:stop, None], ctx_all[start:stop, None], negs[start:stop]], axis=1
+                )
+                rows_w = weights[rows]  # (B, m+2, d)
+                u, v = rows_w[:, 0], rows_w[:, 1:]
+                scores = np.einsum("bkd,bd->bk", v, u, out=block_scores[start - first:stop - first])
+                coef = _sigmoid(scores)
+                coef[:, 0] -= 1.0
+                lr = cfg.initial_lr * max(1.0 - (done + start) / total_updates, LR_FLOOR_FACTOR)
+                batch_step = step[:stop - start]
+                np.einsum("bk,bkd->bd", coef, v, out=batch_step[:, 0])
+                np.einsum("bk,bd->bkd", coef, u, out=batch_step[:, 1:])
+                batch_step *= -lr
+                # center rows (< N) and context rows (>= N) never coincide, so the
+                # pair-by-pair rows add each element's updates in batch order
+                np.add.at(flat, flat_index[rows].reshape(-1), batch_step.reshape(-1))
+            held = block_scores[:last - first]
+            pos_loss, neg_loss = _softplus(-held[:, 0]), _softplus(held[:, 1:])
+            for at in range(0, last - first, bs):  # summed batch by batch, as the loss is defined
+                loss_sum += float(pos_loss[at:at + bs].sum() + neg_loss[at:at + bs].sum())
+    return loss_sum
+
+
 def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
     """Learn node vectors from the corpus.
 
@@ -194,43 +245,16 @@ def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
         return EmbeddingMatrix(corpus.node_ids, vectors, contexts, ())
 
     neg_table = _negative_table(mat, n)
-    flat = weights.reshape(-1)
-    flat_index = np.arange(flat.size).reshape(weights.shape)
-    m = cfg.negatives
+    flat_index = np.arange(weights.size).reshape(weights.shape)
     total_updates = cfg.epochs * n_pairs
-    done = 0
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         order = rng.permutation(n_pairs)
-        negs = neg_table.draw_many(rng, (n_pairs, m))
+        negs = neg_table.draw_many(rng, (n_pairs, cfg.negatives))
         negs += n
         cen_all = centers_idx[order]
         ctx_all = contexts_idx[order]
         ctx_all += n
-        loss_sum = 0.0
-        # divergence shows up as non-finite scores; detected and raised below
-        with np.errstate(invalid="ignore", over="ignore"):
-            for start in range(0, n_pairs, cfg.batch_size):
-                stop = start + cfg.batch_size
-                cen = cen_all[start:stop]
-                tgt = np.concatenate([ctx_all[start:stop, None], negs[start:stop]], axis=1)
-                u = weights[cen]  # (B, d)
-                v = weights[tgt]  # (B, m+1, d)
-                scores = np.einsum("bkd,bd->bk", v, u)
-                loss_sum += float(
-                    _softplus(-scores[:, 0]).sum() + _softplus(scores[:, 1:]).sum()
-                )
-                coef = _sigmoid(scores)
-                coef[:, 0] -= 1.0
-                lr = cfg.initial_lr * max(1.0 - done / total_updates, LR_FLOOR_FACTOR)
-                # gradients of the center rows, then of the context rows
-                step = np.empty((cen.size + tgt.size, d))
-                np.einsum("bk,bkd->bd", coef, v, out=step[:cen.size])
-                np.multiply(coef[:, :, None], u[:, None, :], out=step[cen.size:].reshape(v.shape))
-                step *= -lr
-                # in input order per element, as row-wise scatters would add them
-                idx = flat_index[np.concatenate([cen, tgt.reshape(-1)])]
-                np.add.at(flat, idx.reshape(-1), step.reshape(-1))
-                done += cen.size
+        loss_sum = _sgd_epoch(weights, flat_index, cen_all, ctx_all, negs, cfg, epoch * n_pairs, total_updates)
         del order, negs, cen_all, ctx_all  # not held while the next epoch draws its own
         mean_loss = loss_sum / n_pairs
         if not np.isfinite(mean_loss):
@@ -262,18 +286,26 @@ def load_embeddings(path) -> EmbeddingMatrix:
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError(f"{path}: line 1: expected header 'N d'")
+    if not all(x.isdecimal() for x in head):
+        raise ValueError(f"{path}: line 1: header 'N d' needs two nonnegative integers, got {lines[0]!r}")
     n, d = int(head[0]), int(head[1])
     if len(lines) - 1 != n:
         raise ValueError(f"{path}: header declares {n} rows, found {len(lines) - 1}")
-    ids, rows = [], []
+    rows = []
+    first_line: dict[str, int] = {}  # node id -> its line, in file order
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(" ")
         if len(parts) != d + 1:
             raise ValueError(f"{path}: line {lineno}: expected {d} values, got {len(parts) - 1}")
-        ids.append(parts[0])
+        if parts[0] in first_line:
+            raise ValueError(f"{path}: line {lineno}: node {parts[0]!r} repeats line {first_line[parts[0]]}")
+        first_line[parts[0]] = lineno
         try:
-            rows.append([float(x) for x in parts[1:]])
+            row = [float(x) for x in parts[1:]]
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: non-numeric vector entry") from None
+        if not np.all(np.isfinite(row)):
+            raise ValueError(f"{path}: line {lineno}: non-finite vector entry")
+        rows.append(row)
     vectors = np.array(rows)
-    return EmbeddingMatrix(tuple(ids), vectors, np.zeros_like(vectors), ())
+    return EmbeddingMatrix(tuple(first_line), vectors, np.zeros_like(vectors), ())

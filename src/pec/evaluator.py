@@ -58,6 +58,11 @@ class GroundTruth:
         object.__setattr__(self, "node_ids", tuple(self.node_ids))
         if labels.shape[0] != len(self.node_ids):
             raise ValueError("one label per node required")
+        seen: set[str] = set()
+        for nid in self.node_ids:
+            if nid in seen:
+                raise ValueError(f"node {nid!r} repeats in ground truth {self.name!r}")
+            seen.add(nid)
         present = np.unique(labels)
         if not np.array_equal(present, np.arange(self.n_true)):
             raise ValueError("labels must be contiguous integers 0..n_true-1, all present")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import reference_pair_indices, reference_train, sgns_finite_difference_error
 
 from pec.embedder import (
+    LOSS_BLOCK_PAIRS,
     EmbeddingMatrix,
     TrainConfig,
     TrainingDiverged,
@@ -17,6 +19,7 @@ from pec.embedder import (
     train,
 )
 from pec.srg import build_srg_from_adjacency
+from pec.synth import default_metro_spec, metro_network
 from pec.walker import WalkConfig, WalkCorpus, generate_walks
 
 
@@ -192,6 +195,47 @@ def test_train_matches_reference_byte_for_byte(cfg):
     assert emb.epoch_mean_loss == losses
 
 
+@pytest.fixture(scope="module")
+def metro_corpus():
+    """The metro fixture at walk length 12 x 5 walks: 45,000 pairs at window 5."""
+    g, _, _ = metro_network(default_metro_spec())
+    return corpus_for(g, walk_length=12, num_walks=5, seed=1)
+
+
+@pytest.mark.parametrize("cfg", [
+    TrainConfig(dim=16, epochs=2, batch_size=61, seed=12),
+    TrainConfig(dim=64, epochs=1, seed=13),
+], ids=["dim-16-batch-61", "dim-64"])
+def test_train_matches_reference_on_metro_corpus(metro_corpus, cfg):
+    # tens of loss blocks per epoch, a ragged last batch and a ragged last block
+    n_pairs = len(extract_pairs(metro_corpus, cfg.window))
+    block = LOSS_BLOCK_PAIRS // cfg.batch_size * cfg.batch_size
+    assert n_pairs >= 40_000 and n_pairs % cfg.batch_size and n_pairs % block
+    emb = train(metro_corpus, cfg)
+    vectors, contexts, losses = reference_train(metro_corpus, cfg)
+    assert emb.vectors.tobytes() == vectors.tobytes()
+    assert emb.context_vectors.tobytes() == contexts.tobytes()
+    assert emb.epoch_mean_loss == losses
+
+
+@pytest.mark.parametrize("dim, walk_length, num_walks, epochs", [(5, 12, 6, 2), (64, 20, 10, 1)])
+def test_train_memory_per_pair(dim, walk_length, num_walks, epochs):
+    # 54,000 and 170,000 pairs; at dim 64 the per-batch buffers need the larger
+    # corpus to fall under the bound.  With two epochs, nothing of the first
+    # may be held while the second draws.
+    g, _, _ = metro_network(default_metro_spec())
+    corpus = corpus_for(g, walk_length=walk_length, num_walks=num_walks, seed=2)
+    n_pairs = len(extract_pairs(corpus, 5))
+    assert n_pairs >= 50_000
+    tracemalloc.start()
+    try:
+        train(corpus, TrainConfig(dim=dim, epochs=epochs, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 90 * n_pairs
+
+
 @pytest.mark.parametrize("walks", [[["a"], ["b"], ["a"]], []], ids=["single-node-walks", "no-walks"])
 def test_train_without_pairs_returns_initialization(walks):
     corpus = corpus_of(walks, "abc")
@@ -297,4 +341,27 @@ def test_embeddings_row_count_mismatch(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("3 2\na 0.0 1.0\nb 2.0 3.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="3 rows"):
+        load_embeddings(path)
+
+
+@pytest.mark.parametrize("header", ["2 x", "-2 3", "2.0 3"])
+def test_embeddings_bad_header_names_path_and_line(tmp_path, header):
+    path = tmp_path / "emb.txt"
+    path.write_text(f"{header}\na 0.0 1.0 2.0\nb 3.0 4.0 5.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"emb\.txt: line 1: .*nonnegative integers"):
+        load_embeddings(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_embeddings_non_finite_entry_names_path_and_line(tmp_path, value):
+    path = tmp_path / "emb.txt"
+    path.write_text(f"2 2\na 0.0 1.0\nb {value} 4.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"emb\.txt: line 3: non-finite"):
+        load_embeddings(path)
+
+
+def test_embeddings_repeated_node_names_path_and_line(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("3 1\na 0.0\nb 1.0\na 2.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"emb\.txt: line 4: node 'a' repeats line 2"):
         load_embeddings(path)

@@ -92,6 +92,11 @@ def test_ground_truth_contiguity_enforced():
         GroundTruth(("a", "b"), np.array([0, 2]), 3)
 
 
+def test_ground_truth_repeated_node_id_rejected():
+    with pytest.raises(ValueError, match="node 'a' repeats"):
+        GroundTruth(("a", "a", "b"), [0, 1, 1], 2)
+
+
 def test_ground_truth_from_labels_remaps():
     truth = GroundTruth.from_labels(["a", "b", "c"], [10, -5, 10])
     assert truth.n_true == 2
