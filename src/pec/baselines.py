@@ -15,6 +15,7 @@ import numpy as np
 from scipy.spatial.distance import squareform
 
 from .clusterer import ClusterAssignment, ClusterConfig, kmeans
+from .util import sq_distances
 
 __all__ = [
     "SpectralEmbedding",
@@ -127,10 +128,7 @@ def hca(
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:
             raise ValueError("x must be a 2-D matrix")
-        sq = np.sum(x**2, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-        np.maximum(d2, 0.0, out=d2)
-        dist = np.sqrt(d2)
+        dist = np.sqrt(sq_distances(x, x))
         n_pts = x.shape[0]
     else:
         dist = np.asarray(distances, dtype=float)

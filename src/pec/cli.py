@@ -63,10 +63,12 @@ class PipelineError(RuntimeError):
 
 def _parse_noise_entry(entry: str) -> tuple[str, float]:
     kind, _, level = entry.partition(":")
-    if kind not in ("gaussian", "poisson") or not level:
+    try:
+        spec = NoiseSpec(kind, float(level))
+    except ValueError as exc:
         # argparse prints the message of this error type as it is
-        raise argparse.ArgumentTypeError(f"bad noise entry {entry!r}; expected kind:level")
-    return kind, float(level)
+        raise argparse.ArgumentTypeError(f"bad noise entry {entry!r}; expected kind:level; {exc}") from None
+    return spec.kind, spec.level
 
 
 # The PipelineConfig field that holds each stage's hyperparameters.
@@ -109,7 +111,7 @@ class PipelineConfig:
     # run options
     out_dir: str = "pec-run"
     seed: int = 0
-    workers: int = 1
+    workers: int = 1  # validated and echoed; runs are serial
     geojson: bool = field(default=False, metadata={"parse": lambda s: s.lower() in ("1", "true", "yes")})
 
     def __post_init__(self) -> None:
@@ -121,6 +123,8 @@ class PipelineConfig:
                 raise ValueError(f"input file not found: {path}")
         if self.repeats < 1 or self.workers < 1:
             raise ValueError("repeats and workers must be at least 1")
+        if self.noise and not self.truth_paths:
+            raise ValueError("noise curves need a ground truth: give --truth with --noise")
 
 
 def _fields(cls, names=None) -> list:
@@ -180,21 +184,19 @@ def read_config_file(path) -> dict:
     return out
 
 
-def grid_geojson(node_ids, labels, cell_size: float = 500.0) -> dict:
+CELL_SIZE = 500.0  # side of one square of grid_geojson's lattice
+
+
+def grid_geojson(node_ids, labels) -> dict:
     """Cluster labels over an abstract square lattice (row-major layout)."""
     n = len(node_ids)
     cols = max(1, math.ceil(math.sqrt(n)))
     features = []
     for i, (nid, lab) in enumerate(zip(node_ids, np.asarray(labels).tolist())):
         row, col = divmod(i, cols)
-        x0, y0 = col * cell_size, -row * cell_size
-        ring = [
-            [x0, y0],
-            [x0 + cell_size, y0],
-            [x0 + cell_size, y0 - cell_size],
-            [x0, y0 - cell_size],
-            [x0, y0],
-        ]
+        x0, y0 = col * CELL_SIZE, -row * CELL_SIZE
+        x1, y1 = x0 + CELL_SIZE, y0 - CELL_SIZE
+        ring = [[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]]
         features.append(
             {
                 "type": "Feature",
@@ -286,7 +288,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         save_graph(graph, artifact("graph.tsv"))
 
         stage = "walks"
-        corpus = generate_walks(graph, replace(cfg.walk, seed=stage_seeds["walks"]), workers=cfg.workers)
+        corpus = generate_walks(graph, replace(cfg.walk, seed=stage_seeds["walks"]))
         save_corpus(corpus, artifact("corpus.txt"))
 
         stage = "embed"
@@ -331,7 +333,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                         repeats=cfg.repeats,
                         seed=stage_seeds["evaluate"],
                         mode=cfg.noise_mode,
-                        workers=cfg.workers,
                     )
                     noise_rep.save_csv(artifact(f"noise_{truth.name}.csv"))
                     reports[truth.name]["noise"] = noise_rep.to_json()
@@ -365,7 +366,7 @@ def _cmd_build_graph(args) -> int:
 
 def _cmd_walks(args) -> int:
     g = load_graph(args.graph)
-    corpus = generate_walks(g, WalkConfig(**_given(args, _names(WalkConfig))), workers=args.workers)
+    corpus = generate_walks(g, WalkConfig(**_given(args, _names(WalkConfig))))
     save_corpus(corpus, args.out)
     print(f"wrote {args.out}: {len(corpus.walks)} walks")
     return 0
@@ -438,6 +439,8 @@ def _parse_grid(entries) -> dict:
 
 
 def _cmd_sweep(args) -> int:
+    if args.workers < 1:  # kept for scripts that pass it; runs are serial
+        raise ValueError("workers must be at least 1")
     g = load_graph(args.graph)
     truths = [load_ground_truth(t) for t in args.truth]
     grid = _parse_grid(args.grid)
@@ -451,7 +454,6 @@ def _cmd_sweep(args) -> int:
         repeats=args.repeats,
         seed=args.seed,
         include_baselines=args.baselines,
-        workers=args.workers,
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -571,7 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("walks", help="sample the biased second-order walk corpus")
     w.add_argument("--graph", required=True)
     _add_flags(w, _fields(WalkConfig))
-    w.add_argument("--workers", type=int, default=1)
     w.add_argument("--out", required=True)
     w.set_defaults(func=_cmd_walks)
 

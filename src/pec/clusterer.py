@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import derive_seed
+from .util import derive_seed, sq_distances
 
 __all__ = [
     "ClusterConfig",
@@ -27,6 +27,8 @@ __all__ = [
 
 
 CLUSTER_MODES = ("fixed", "auto-indices", "auto-louvain")
+MAX_ITER = 100  # Lloyd iterations per k-means run
+TOL = 1e-9  # Lloyd stops once no centroid moves this far
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,8 @@ class ClusterConfig:
     restarts: int = 10
 
     def __post_init__(self) -> None:
+        if self.n_clusters is not None and self.n_clusters < 2:
+            raise ValueError(f"n_clusters must be at least 2, got {self.n_clusters}")
         if self.cluster_mode not in CLUSTER_MODES:
             raise ValueError(f"unknown cluster mode {self.cluster_mode!r}")
         if not 2 <= self.n_min <= self.n_max:
@@ -82,22 +86,12 @@ class IndexScores:
     silhouette: float  # in [-1, 1], higher is better
 
 
-def _sq_distances(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.sum(x**2, axis=1)[:, None]
-        + np.sum(c**2, axis=1)[None, :]
-        - 2.0 * (x @ c.T)
-    )
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
 def _kmeans_pp_init(x: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     n_pts = x.shape[0]
     centroids = np.empty((n, x.shape[1]))
     first = int(rng.integers(n_pts))
     centroids[0] = x[first]
-    d2 = _sq_distances(x, centroids[:1]).ravel()
+    d2 = sq_distances(x, centroids[:1]).ravel()
     for k in range(1, n):
         total = d2.sum()
         if total <= 0.0:
@@ -105,7 +99,7 @@ def _kmeans_pp_init(x: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarr
         else:
             idx = int(rng.choice(n_pts, p=d2 / total))
         centroids[k] = x[idx]
-        d2 = np.minimum(d2, _sq_distances(x, centroids[k:k + 1]).ravel())
+        d2 = np.minimum(d2, sq_distances(x, centroids[k:k + 1]).ravel())
     return centroids
 
 
@@ -117,11 +111,11 @@ def _update_means(x: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> n
     return np.flatnonzero(counts == 0)
 
 
-def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float):
+def _lloyd(x: np.ndarray, centroids: np.ndarray):
     history = []
     rows = np.arange(x.shape[0])
-    for _ in range(max_iter):
-        d2 = _sq_distances(x, centroids)
+    for _ in range(MAX_ITER):
+        d2 = sq_distances(x, centroids)
         labels = np.argmin(d2, axis=1)
         to_own = d2[rows, labels]
         history.append(float(to_own.sum()))
@@ -132,12 +126,12 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float):
         new_centroids[empty] = x[int(np.argmax(to_own))]
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
-        if shift < tol:
+        if shift < TOL:
             break
     # final consistent state: assign, recompute means, measure inertia
-    labels = np.argmin(_sq_distances(x, centroids), axis=1)
+    labels = np.argmin(sq_distances(x, centroids), axis=1)
     _update_means(x, labels, centroids)
-    inertia = float(_sq_distances(x, centroids)[rows, labels].sum())
+    inertia = float(sq_distances(x, centroids)[rows, labels].sum())
     history.append(inertia)
     return labels, centroids, inertia, history
 
@@ -146,15 +140,14 @@ def kmeans(
     x,
     n: int,
     seed: int = 0,
-    max_iter: int = 100,
-    tol: float = 1e-9,
     restarts: int = ClusterConfig.restarts,
 ) -> ClusterAssignment:
     """Best-of-``restarts`` k-means with k-means++ initialization.
 
     Lloyd iterations stop when the largest centroid shift falls under
-    ``tol``.  A cluster emptied during iteration is re-seeded at the
-    point farthest from its assigned centroid.
+    ``TOL``, or after ``MAX_ITER`` of them.  A cluster emptied during
+    iteration is re-seeded at the point farthest from its assigned
+    centroid.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -170,7 +163,7 @@ def kmeans(
     for r in range(restarts):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(derive_seed(seed, "kmeans", r))))
         init = _kmeans_pp_init(x, n, rng)
-        labels, centroids, inertia, history = _lloyd(x, init, max_iter, tol)
+        labels, centroids, inertia, history = _lloyd(x, init)
         if best is None or inertia < best[2]:
             best = (labels, centroids, inertia, history)
     labels, centroids, inertia, history = best

@@ -21,7 +21,7 @@ from .clusterer import ClusterConfig, kmeans
 from .embedder import TrainConfig, TrainingDiverged, train
 from .srg import InteractionMatrix, build_srg_from_interactions
 from .util import derive_seed, field_parser, knobs
-from .walker import WalkConfig, build_alias_tables, generate_walks
+from .walker import WalkConfig, generate_walks
 
 __all__ = [
     "GroundTruth",
@@ -160,8 +160,7 @@ def _resolve_params(params: dict | None = None) -> tuple[WalkConfig, TrainConfig
     )
 
 
-def run_embedding_clustering(g, n: int, params: dict | None = None, seed: int = 0,
-                             sampler=None):
+def run_embedding_clustering(g, n: int, params: dict | None = None, seed: int = 0):
     """Walks -> skip-gram training -> k-means; returns (labels, embedding).
 
     ``params`` maps EXPERIMENT_PARAMS names to values (see
@@ -169,7 +168,7 @@ def run_embedding_clustering(g, n: int, params: dict | None = None, seed: int = 
     stage seeds derive from ``seed``, so a run is fully reproducible.
     """
     wcfg, tcfg, ccfg = _resolve_params(params)
-    corpus = generate_walks(g, replace(wcfg, seed=derive_seed(seed, "walks")), sampler=sampler)
+    corpus = generate_walks(g, replace(wcfg, seed=derive_seed(seed, "walks")))
     emb = train(corpus, replace(tcfg, seed=derive_seed(seed, "train")))
     assignment = kmeans(emb.vectors, n, seed=derive_seed(seed, "kmeans"), restarts=ccfg.restarts)
     return assignment.labels, emb
@@ -250,7 +249,6 @@ def sweep(
     repeats: int = 20,
     seed: int = 0,
     include_baselines: bool = False,
-    workers: int = 1,
 ) -> SweepReport:
     """Mean Macro-F1 over ``repeats`` seeded runs for every grid cell.
 
@@ -260,15 +258,14 @@ def sweep(
     clustering and average-linkage HCA are scored per cell at the same
     embedding dimension.  A cell whose values are out of range or whose
     training diverges is recorded and skipped; an unknown parameter name
-    raises ValueError up front.  Runs are serial; ``workers`` is only
-    validated.
+    raises ValueError up front.  Runs are serial, in cell order.
     """
     truths = list(truths)
     names = [t.name for t in truths]
     if len(set(names)) != len(names):
         raise ValueError("ground truths must have distinct names")
-    if repeats < 1 or workers < 1:
-        raise ValueError("repeats and workers must be at least 1")
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
     _check_param_names([*(base_params or {}), *grid])
     param_names = tuple(grid.keys())
     if not param_names:
@@ -281,14 +278,13 @@ def sweep(
         par = dict(base_params or {})
         par.update(dict(zip(param_names, values)))
         try:
-            wcfg, tcfg, _ = _resolve_params(par)
-            sampler = build_alias_tables(g, wcfg.p, wcfg.q)
+            _, tcfg, _ = _resolve_params(par)
             arr = np.zeros((repeats, len(truths)))
             for rep in range(repeats):
                 run_seed = derive_seed(seed, "cell", cell_idx, rep)
                 for i, truth in enumerate(truths):
                     labels, _ = run_embedding_clustering(
-                        g, truth.n_true, params=par, seed=derive_seed(run_seed, truth.name), sampler=sampler
+                        g, truth.n_true, params=par, seed=derive_seed(run_seed, truth.name)
                     )
                     arr[rep, i] = macro_f1(labels, truth, node_ids=g.node_ids).macro_f1
             scores = {
@@ -341,8 +337,8 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian", "poisson"):
             raise ValueError("kind must be 'gaussian' or 'poisson'")
-        if not (self.level >= 0.0):
-            raise ValueError("noise level must be nonnegative")
+        if not (np.isfinite(self.level) and self.level >= 0.0):
+            raise ValueError(f"noise level must be finite and nonnegative, got {self.level!r}")
 
     @property
     def label(self) -> str:
@@ -411,7 +407,6 @@ def noise_robustness(
     repeats: int = 20,
     seed: int = 0,
     mode: str = "scale-noise",
-    workers: int = 1,
 ) -> NoiseReport:
     """Macro-F1 of the full pipeline on noise-perturbed weight matrices.
 
@@ -420,10 +415,11 @@ def noise_robustness(
     rebuilds the graph from the noisy volumes and runs the embedding
     pipeline.  The unperturbed pipeline is run with the same repeat seeds
     as the reference.  ``params`` is as for :func:`run_embedding_clustering`.
-    Runs are serial; ``workers`` is only validated.
+    Every (kind, level) is checked before the first run.  Runs are serial.
     """
-    if repeats < 1 or workers < 1:
-        raise ValueError("repeats and workers must be at least 1")
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
+    curve_names = [NoiseSpec(kind, level).label for kind, level in noise]
     weight = g.to_weight_matrix()
     node_ids = g.node_ids
 
@@ -448,7 +444,7 @@ def noise_robustness(
     curves = {}
     for si, (kind, level) in enumerate(noise):
         vals = np.array([noisy_run(si, rep) for rep in range(repeats)])
-        curves[NoiseSpec(kind, level).label] = {
+        curves[curve_names[si]] = {
             "kind": kind,
             "level": float(level),
             "mean": float(vals.mean()),

@@ -15,6 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .util import sq_distances
+
 __all__ = [
     "FeatureMatrix",
     "InteractionMatrix",
@@ -227,10 +229,7 @@ class SpaceRelationGraph:
 
 
 def _gaussian_similarity(values: np.ndarray, sigma: float) -> np.ndarray:
-    sq = np.sum(values**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (values @ values.T)
-    np.maximum(d2, 0.0, out=d2)
-    return np.exp(-d2 / (2.0 * sigma**2))
+    return np.exp(-sq_distances(values, values) / (2.0 * sigma**2))
 
 def _cosine_similarity(values: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(values, axis=1)

@@ -1,4 +1,5 @@
-"""Shared plumbing: seed derivation, hashing, canonical JSON, config fields."""
+"""Shared plumbing: seed derivation, hashing, canonical JSON, config fields,
+squared distances."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import hashlib
 import json
 import typing
 from pathlib import Path
+
+import numpy as np
 
 
 def knobs(cls) -> tuple[dataclasses.Field, ...]:
@@ -48,3 +51,10 @@ def write_json(obj, path) -> None:
         json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n",
         encoding="utf-8",
     )
+
+
+def sq_distances(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``x`` and of ``c``,
+    as |x|^2 + |c|^2 - 2 x.c clamped at 0."""
+    d2 = np.sum(x**2, axis=1)[:, None] + np.sum(c**2, axis=1)[None, :] - 2.0 * (x @ c.T)
+    return np.maximum(d2, 0.0, out=d2)

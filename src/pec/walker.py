@@ -231,23 +231,17 @@ def build_alias_tables(g, p: float, q: float) -> WalkSampler:
     return WalkSampler(g, p, q)
 
 
-def generate_walks(g, cfg: WalkConfig, sampler: WalkSampler | None = None,
-                   workers: int = 1) -> WalkCorpus:
+def generate_walks(g, cfg: WalkConfig) -> WalkCorpus:
     """Sample ``num_walks`` walks from every node.
 
     All walks advance together, drawing from one random stream seeded by
     ``cfg.seed``, so the corpus depends on the graph and ``cfg`` alone.
-    ``workers`` must be at least 1 and has no effect on the walks.  The
-    corpus is node-major: walk j from node i is walk i * num_walks + j.
-    Walks from isolated nodes are single-node sequences, listed in
-    ``isolated_nodes``.
+    The sampler is built per call; it costs O(edges), far less than the
+    walks.  The corpus is node-major: walk j from node i is walk
+    i * num_walks + j.  Walks from isolated nodes are single-node
+    sequences, listed in ``isolated_nodes``.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if sampler is None:
-        sampler = build_alias_tables(g, cfg.p, cfg.q)
-    elif sampler.graph is not g or sampler.p != cfg.p or sampler.q != cfg.q:
-        raise ValueError("sampler does not match this graph and (p, q) setting")
+    sampler = build_alias_tables(g, cfg.p, cfg.q)
     rng = np.random.default_rng(cfg.seed)
     starts = np.repeat(np.arange(g.num_nodes), cfg.num_walks)
     moving = np.flatnonzero(np.diff(g.indptr)[starts] > 0)

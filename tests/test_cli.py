@@ -363,10 +363,17 @@ def test_stage_error_names_stage(od_dir, tmp_path, capsys):
     assert (tmp_path / "y" / "embeddings.txt").exists()
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(od_dir, tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["walks", "--graph"])  # missing value
     assert excinfo.value.code == 2
+    for entry in ("gaussian:-1", "gaussian:nan", "gaussian:inf"):  # noise levels are read up front
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pipeline", "--od", str(od_dir / "od.csv"), "--n-clusters", "2",
+                  "--truth", str(od_dir / "block-membership.csv"), "--noise", entry,
+                  "--out-dir", str(tmp_path / "never")])
+        assert excinfo.value.code == 2
+    assert not (tmp_path / "never").exists()
 
 
 def test_unknown_subcommand_exit_code():

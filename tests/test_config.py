@@ -128,6 +128,15 @@ def test_sweep_cli_unknown_grid_key(tmp_path, capsys):
     assert not (tmp_path / "sw").exists()
 
 
+def test_sweep_cli_rejects_workers_below_one(tmp_path, capsys):
+    assert run_cli("synth", "metro", "--lines", 3, "--stations", 4, "--out-dir", tmp_path) == 0
+    code = run_cli("sweep", "--graph", tmp_path / "edges.tsv", "--truth", tmp_path / "line-membership.csv",
+                   "--grid", "p=1", "--repeats", 1, "--workers", 0, "--out-dir", tmp_path / "sw")
+    assert code == 1
+    assert "workers" in error_of(capsys)["message"]
+    assert not (tmp_path / "sw").exists()
+
+
 def test_sweep_grid_values_keep_their_field_types(tmp_path):
     assert run_cli("synth", "metro", "--lines", 3, "--stations", 4, "--out-dir", tmp_path) == 0
     out = tmp_path / "sw"
@@ -155,6 +164,8 @@ def test_unknown_config_key_names_key_and_line(od_dir, tmp_path, capsys):
         (["--n-clusters", 2, "--truth", "TRUTH", "--noise", "gaussian:1", "--repeats", 0], "repeats"),
         (["--n-clusters", 2, "--workers", 0], "workers"),
         (["--cluster-mode", "auto-indices", "--n-min", 5, "--n-max", 3], "n_min"),
+        (["--n-clusters", -5], "n_clusters"),
+        (["--n-clusters", 2, "--noise", "gaussian:1"], "--truth"),
     ],
 )
 def test_pipeline_rejects_bad_settings_before_any_stage(od_dir, tmp_path, capsys, flags, match):
@@ -196,10 +207,11 @@ def test_sweep_propagates_programming_errors(tiny_metro, monkeypatch):
 
 
 def test_config_file_value_outside_choices_fails_before_any_stage(od_dir, tmp_path, capsys):
-    cfg = tmp_path / "mode.cfg"
-    cfg.write_text(f"od_path = {od_dir / 'od.csv'}\nnoise_mode = foo\n", encoding="utf-8")
     out = tmp_path / "never"
-    assert run_cli("pipeline", "--config", cfg, "--n-clusters", 2, "--out-dir", out) == 1
-    message = error_of(capsys)["message"]
-    assert "line 2" in message and "noise_mode" in message
-    assert not out.exists()
+    for key, value in (("noise_mode", "foo"), ("noise", "gaussian:inf")):
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"od_path = {od_dir / 'od.csv'}\n{key} = {value}\n", encoding="utf-8")
+        assert run_cli("pipeline", "--config", cfg, "--n-clusters", 2, "--out-dir", out) == 1
+        message = error_of(capsys)["message"]
+        assert str(cfg) in message and "line 2" in message and key in message
+        assert not out.exists()

