@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .baselines import hca, spectral_cluster
 from .clusterer import ClusterConfig, kmeans
@@ -93,9 +93,9 @@ def macro_f1(pred_labels, truth: GroundTruth, node_ids=None) -> EvaluationReport
     """Macro-averaged F1 after optimal cluster-to-class matching.
 
     Predicted labels are arbitrary cluster names; the one-to-one matching
-    maximizing summed per-class F1 is found by an assignment solve (dummy
-    rows/columns pad unequal counts).  The score is the unweighted mean of
-    per-class F1 over the truth classes.
+    maximizing summed per-class F1 is found by :func:`_max_assignment`
+    (dummy rows/columns pad unequal counts).  The score is the unweighted
+    mean of per-class F1 over the truth classes.
     """
     pred = np.asarray(pred_labels)
     if node_ids is not None:
@@ -119,7 +119,7 @@ def macro_f1(pred_labels, truth: GroundTruth, node_ids=None) -> EvaluationReport
     denom = pred_sizes[:, None] + true_sizes[None, :]
     with np.errstate(invalid="ignore"):
         f1 = np.where(denom > 0, 2.0 * counts / np.where(denom > 0, denom, 1.0), 0.0)
-    rows, cols = linear_sum_assignment(f1, maximize=True)
+    rows, cols = _max_assignment(f1)
     per_class = np.zeros(n_true)
     real = cols < n_true  # dummy columns pad the classes
     per_class[cols[real]] = f1[rows[real], cols[real]]
@@ -129,6 +129,61 @@ def macro_f1(pred_labels, truth: GroundTruth, node_ids=None) -> EvaluationReport
         per_class_f1=tuple(float(v) for v in per_class),
         matching=matching,
     )
+
+
+def _max_assignment(f1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of a maximum-sum assignment of the square matrix ``f1``.
+
+    A line-for-line port of scipy's ``linear_sum_assignment(f1, maximize=True)``:
+    Crouse's shortest augmenting path (IEEE TAES 2016) as in scipy's
+    ``rectangular_lsap.cpp``, on the negated costs.  Python floats are IEEE
+    doubles, so every comparison, ties included, and hence the assignment
+    come out as in scipy.  ``f1`` must be finite.
+    """
+    cost = (-np.asarray(f1, dtype=float)).tolist()
+    n = len(cost)
+    u, v = [0.0] * n, [0.0] * n
+    path, col4row, row4col = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        # shortest augmenting path from row ``cur`` to a column with no row
+        shortest = [math.inf] * n
+        seen_rows, seen_cols = [False] * n, [False] * n
+        remaining = list(range(n - 1, -1, -1))  # reversed: constant costs give the identity
+        min_val, i, sink = 0.0, cur, -1
+        while sink == -1:
+            seen_rows[i] = True
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + cost[i][j] - u[i] - v[j]
+                if r < shortest[j]:
+                    path[j], shortest[j] = i, r
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    lowest, index = shortest[j], it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # dual update, then augment along the path
+        u[cur] += min_val
+        for i in range(n):
+            if seen_rows[i] and i != cur:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in range(n):
+            if seen_cols[j]:
+                v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return np.arange(n), np.array(col4row, dtype=np.int64)
 
 
 # -- the embedding-and-clustering pipeline used by experiments ----------------
@@ -345,6 +400,11 @@ class NoiseSpec:
         return f"{self.kind}({self.level:g})"
 
 
+def _check_noise_mode(mode: str) -> None:
+    if mode not in ("scale-noise", "clip-result"):
+        raise ValueError("mode must be 'scale-noise' or 'clip-result'")
+
+
 def perturb(matrix, spec: NoiseSpec, mode: str = "scale-noise") -> np.ndarray:
     """Add a seeded noise matrix, processed into [0, 1].
 
@@ -353,6 +413,7 @@ def perturb(matrix, spec: NoiseSpec, mode: str = "scale-noise") -> np.ndarray:
     added and the *result* is clipped into [0, 1].  Entries that end up
     at or below zero drop the corresponding edge when a graph is rebuilt.
     """
+    _check_noise_mode(mode)
     mat = np.asarray(matrix, dtype=float)
     if not np.all(np.isfinite(mat)):
         raise ValueError("input matrix must be finite")
@@ -365,9 +426,7 @@ def perturb(matrix, spec: NoiseSpec, mode: str = "scale-noise") -> np.ndarray:
         lo, hi = noise.min(), noise.max()
         scaled = (noise - lo) / (hi - lo) if hi > lo else np.zeros(mat.shape)
         return mat + scaled
-    if mode == "clip-result":
-        return np.clip(mat + noise, 0.0, 1.0)
-    raise ValueError("mode must be 'scale-noise' or 'clip-result'")
+    return np.clip(mat + noise, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -415,10 +474,12 @@ def noise_robustness(
     rebuilds the graph from the noisy volumes and runs the embedding
     pipeline.  The unperturbed pipeline is run with the same repeat seeds
     as the reference.  ``params`` is as for :func:`run_embedding_clustering`.
-    Every (kind, level) is checked before the first run.  Runs are serial.
+    ``mode`` and every (kind, level) are checked before the first run.
+    Runs are serial.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
+    _check_noise_mode(mode)
     curve_names = [NoiseSpec(kind, level).label for kind, level in noise]
     weight = g.to_weight_matrix()
     node_ids = g.node_ids

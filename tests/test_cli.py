@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,23 @@ def od_dir(tmp_path_factory):
         == 0
     )
     return out
+
+
+def test_import_and_scoring_load_no_scipy_subpackage():
+    code = (
+        "import sys, pec.cli\n"
+        "from pec.evaluator import GroundTruth, macro_f1\n"
+        "macro_f1([1, 0, 0], GroundTruth(('a', 'b', 'c'), [0, 1, 1], 2))\n"
+        "print('\\n'.join(sys.modules))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    heavy = ("scipy.optimize", "scipy.spatial", "scipy.sparse", "scipy.linalg", "scipy.cluster")
+    loaded = [m for m in out if any(m == h or m.startswith(h + ".") for h in heavy)]
+    assert "pec.cli" in out and loaded == []
 
 
 def test_synth_metro_writes_three_files(metro_dir):

@@ -50,6 +50,42 @@ def test_matching_matches_brute_force():
         assert ours == pytest.approx(oracle, abs=1e-12)
 
 
+def _contingency_f1(rng, size):
+    """F1 matrix of random predictions against random classes, zero-padded to square."""
+    n_pred, n_true = int(rng.integers(1, size + 1)), int(rng.integers(1, size + 1))
+    nodes = int(rng.integers(1, 40))
+    counts = np.zeros((size, size))
+    np.add.at(counts, (rng.integers(0, n_pred, nodes), rng.integers(0, n_true, nodes)), 1.0)
+    denom = counts.sum(axis=1)[:, None] + counts.sum(axis=0)[None, :]
+    return np.where(denom > 0, 2.0 * counts / np.where(denom > 0, denom, 1.0), 0.0)
+
+
+def test_max_assignment_equals_scipy():
+    from scipy.optimize import linear_sum_assignment  # the oracle only
+
+    def padded_rows(rng, n):
+        m = rng.random((n, n))
+        m[int(rng.integers(0, n)):] = 0.0
+        return m
+
+    kinds = {
+        "uniform": lambda rng, n: rng.random((n, n)),
+        "small-int": lambda rng, n: rng.integers(0, 3, (n, n)).astype(float),
+        "zero": lambda rng, n: np.zeros((n, n)),
+        "constant": lambda rng, n: np.full((n, n), rng.random()),
+        "padded-rows": padded_rows,
+        "contingency-f1": _contingency_f1,
+    }
+    rng = np.random.default_rng(11)
+    for kind, make in kinds.items():
+        for trial in range(900):
+            m = make(rng, 1 + trial % 12)
+            rows, cols = pec.evaluator._max_assignment(m)
+            want_rows, want_cols = linear_sum_assignment(m, maximize=True)
+            assert rows.tolist() == want_rows.tolist(), (kind, m)
+            assert cols.tolist() == want_cols.tolist(), (kind, m)
+
+
 def test_prediction_permutation_invariance():
     rng = np.random.default_rng(5)
     truth_labels = rng.integers(0, 3, size=10)
@@ -215,6 +251,8 @@ def test_noise_spec_validation(tiny_metro, monkeypatch):
     monkeypatch.setattr(pec.evaluator, "run_embedding_clustering", no_run)
     with pytest.raises(ValueError, match="finite and nonnegative"):
         noise_robustness(g, transfer_t, [("gaussian", 1.0), ("gaussian", float("inf"))], repeats=1)
+    with pytest.raises(ValueError, match="mode"):
+        noise_robustness(g, transfer_t, [("gaussian", 1.0)], repeats=3, mode="bad")
 
 
 # -- sweep -------------------------------------------------------------------------------
