@@ -215,16 +215,21 @@ def _resolve_params(params: dict | None = None) -> tuple[WalkConfig, TrainConfig
     )
 
 
+def _embed(g, wcfg: WalkConfig, tcfg: TrainConfig, seed: int):
+    """The embed step: walks, then skip-gram training, seeded from ``seed`` as "walks" and "train"."""
+    corpus = generate_walks(g, replace(wcfg, seed=derive_seed(seed, "walks")))
+    return train(corpus, replace(tcfg, seed=derive_seed(seed, "train")))
+
+
 def run_embedding_clustering(g, n: int, params: dict | None = None, seed: int = 0):
-    """Walks -> skip-gram training -> k-means; returns (labels, embedding).
+    """The embed step (:func:`_embed`) then k-means; returns (labels, embedding).
 
     ``params`` maps EXPERIMENT_PARAMS names to values (see
     :func:`_resolve_params`).  Labels are aligned to ``g.node_ids``.  All
     stage seeds derive from ``seed``, so a run is fully reproducible.
     """
     wcfg, tcfg, ccfg = _resolve_params(params)
-    corpus = generate_walks(g, replace(wcfg, seed=derive_seed(seed, "walks")))
-    emb = train(corpus, replace(tcfg, seed=derive_seed(seed, "train")))
+    emb = _embed(g, wcfg, tcfg, seed)
     assignment = kmeans(emb.vectors, n, seed=derive_seed(seed, "kmeans"), restarts=ccfg.restarts)
     return assignment.labels, emb
 
@@ -235,7 +240,7 @@ def run_embedding_clustering(g, n: int, params: dict | None = None, seed: int = 
 @dataclass(frozen=True)
 class SweepCell:
     params: dict
-    scores: dict  # truth name -> {"mean": float, "std": float}
+    scores: dict  # truth name -> {"mean": float, "std": float, "sem": float | None}
     baselines: dict  # truth name -> {"sc": float, "hca": float}
     error: str | None = None
 
@@ -247,13 +252,38 @@ class SweepReport:
     repeats: int
     truth_names: tuple[str, ...]
 
+    def _ranked(self, truth_name: str) -> list[SweepCell]:
+        """Successful cells by mean Macro-F1, best first; ties keep cell order."""
+        scored = [c for c in self.cells if c.error is None and truth_name in c.scores]
+        return sorted(scored, key=lambda c: -c.scores[truth_name]["mean"])
+
     def best_cell(self, truth_name: str) -> dict:
         """Grid point with the highest mean Macro-F1 for one ground truth."""
-        scored = [c for c in self.cells if c.error is None and truth_name in c.scores]
-        if not scored:
+        ranked = self._ranked(truth_name)
+        if not ranked:
             raise ValueError(f"no successful cells for truth {truth_name!r}")
-        best = max(scored, key=lambda c: c.scores[truth_name]["mean"])
-        return dict(best.params)
+        return dict(ranked[0].params)
+
+    def lead(self, truth_name: str) -> dict | None:
+        """The best cell, the runner-up and the best cell's lead over it.
+
+        ``lead_se`` is the lead in standard errors of the difference of the
+        two means, sqrt(sem_best**2 + sem_runner_up**2); cells are seeded
+        independently.  It is None with one repeat or when that SE is 0;
+        ``runner_up`` and ``lead`` are None with one successful cell, and
+        the whole entry is None with none.
+        """
+        ranked = self._ranked(truth_name)
+        if not ranked:
+            return None
+        out = {"best": dict(ranked[0].params), "runner_up": None, "lead": None, "lead_se": None}
+        if len(ranked) > 1:
+            best, second = ranked[0].scores[truth_name], ranked[1].scores[truth_name]
+            out.update(runner_up=dict(ranked[1].params), lead=best["mean"] - second["mean"])
+            se = math.hypot(best["sem"], second["sem"]) if best["sem"] is not None else 0.0
+            if se > 0:
+                out["lead_se"] = out["lead"] / se
+        return out
 
     def to_json(self) -> dict:
         tables = {}
@@ -272,6 +302,7 @@ class SweepReport:
             "param_names": list(self.param_names),
             "repeats": self.repeats,
             "tables": tables,
+            "leads": {truth: self.lead(truth) for truth in self.truth_names},
         }
 
     def save_csv(self, path) -> None:
@@ -309,11 +340,16 @@ def sweep(
 
     ``grid`` maps parameter names (p, q, dim, walk_length, num_walks,
     window, ...) to candidate values; cells are their cartesian product
-    applied over ``base_params``.  With ``include_baselines``, spectral
-    clustering and average-linkage HCA are scored per cell at the same
-    embedding dimension.  A cell whose values are out of range or whose
-    training diverges is recorded and skipped; an unknown parameter name
-    raises ValueError up front.  Runs are serial, in cell order.
+    applied over ``base_params``.  Each (cell, repeat) trains one embedding
+    from ``run_seed = derive_seed(seed, "cell", cell_idx, rep)`` (:func:`_embed`)
+    and scores it against every truth: k-means at the truth's class count,
+    seeded ``derive_seed(run_seed, truth.name, "kmeans")``.  A score's ``sem``
+    is its std (ddof=1) over sqrt(repeats), None with one repeat.  With
+    ``include_baselines``, spectral clustering and average-linkage HCA are
+    scored per cell at the same embedding dimension.  A cell whose values
+    are out of range or whose training diverges is recorded and skipped; an
+    unknown parameter name raises ValueError up front.  Runs are serial, in
+    cell order.
     """
     truths = list(truths)
     names = [t.name for t in truths]
@@ -330,20 +366,23 @@ def sweep(
     baseline_cache: dict[tuple, dict] = {}
 
     for cell_idx, values in enumerate(cells_values):
-        par = dict(base_params or {})
-        par.update(dict(zip(param_names, values)))
+        cell_params = dict(zip(param_names, values))
         try:
-            _, tcfg, _ = _resolve_params(par)
+            wcfg, tcfg, ccfg = _resolve_params({**(base_params or {}), **cell_params})
             arr = np.zeros((repeats, len(truths)))
             for rep in range(repeats):
                 run_seed = derive_seed(seed, "cell", cell_idx, rep)
+                vectors = _embed(g, wcfg, tcfg, run_seed).vectors
                 for i, truth in enumerate(truths):
-                    labels, _ = run_embedding_clustering(
-                        g, truth.n_true, params=par, seed=derive_seed(run_seed, truth.name)
-                    )
+                    km_seed = derive_seed(run_seed, truth.name, "kmeans")
+                    labels = kmeans(vectors, truth.n_true, seed=km_seed, restarts=ccfg.restarts).labels
                     arr[rep, i] = macro_f1(labels, truth, node_ids=g.node_ids).macro_f1
             scores = {
-                t.name: {"mean": float(arr[:, i].mean()), "std": float(arr[:, i].std())}
+                t.name: {
+                    "mean": float(arr[:, i].mean()),
+                    "std": float(arr[:, i].std()),
+                    "sem": float(arr[:, i].std(ddof=1) / math.sqrt(repeats)) if repeats > 1 else None,
+                }
                 for i, t in enumerate(truths)
             }
             baselines: dict[str, dict] = {}
@@ -351,11 +390,9 @@ def sweep(
                 if tcfg.dim not in baseline_cache:
                     baseline_cache[tcfg.dim] = _baseline_scores(g, truths, tcfg.dim, repeats, seed)
                 baselines = baseline_cache[tcfg.dim]
-            cells.append(SweepCell(dict(zip(param_names, values)), scores, baselines))
+            cells.append(SweepCell(cell_params, scores, baselines))
         except (ValueError, TrainingDiverged) as exc:  # record the failure, keep sweeping
-            cells.append(
-                SweepCell(dict(zip(param_names, values)), {}, {}, error=f"{type(exc).__name__}: {exc}")
-            )
+            cells.append(SweepCell(cell_params, {}, {}, error=f"{type(exc).__name__}: {exc}"))
     return SweepReport(param_names, tuple(cells), repeats, tuple(names))
 
 
@@ -484,10 +521,8 @@ def noise_robustness(
     weight = g.to_weight_matrix()
     node_ids = g.node_ids
 
-    def clean_run(rep: int) -> float:
-        labels, _ = run_embedding_clustering(
-            g, truth.n_true, params=params, seed=derive_seed(seed, "clean", rep)
-        )
+    def score(graph, run_seed: int) -> float:
+        labels, _ = run_embedding_clustering(graph, truth.n_true, params=params, seed=run_seed)
         return macro_f1(labels, truth, node_ids=node_ids).macro_f1
 
     def noisy_run(spec_idx: int, rep: int) -> float:
@@ -496,12 +531,9 @@ def noise_robustness(
             weight, NoiseSpec(kind, level, seed=derive_seed(seed, "noise", spec_idx, rep)), mode=mode
         )
         g_noisy = build_srg_from_interactions(InteractionMatrix(node_ids, noisy))
-        labels, _ = run_embedding_clustering(
-            g_noisy, truth.n_true, params=params, seed=derive_seed(seed, "run", spec_idx, rep)
-        )
-        return macro_f1(labels, truth, node_ids=node_ids).macro_f1
+        return score(g_noisy, derive_seed(seed, "run", spec_idx, rep))
 
-    clean = [clean_run(r) for r in range(repeats)]
+    clean = [score(g, derive_seed(seed, "clean", r)) for r in range(repeats)]
     curves = {}
     for si, (kind, level) in enumerate(noise):
         vals = np.array([noisy_run(si, rep) for rep in range(repeats)])

@@ -1,11 +1,18 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from oracles import brute_force_macro_f1
 
 import pec.evaluator
+from pec.clusterer import kmeans
+from pec.embedder import train
 from pec.evaluator import (
     GroundTruth,
     NoiseSpec,
+    SweepCell,
+    SweepReport,
     interaction_frequency_report,
     load_ground_truth,
     load_labels,
@@ -16,7 +23,9 @@ from pec.evaluator import (
     sweep,
 )
 from pec.srg import InteractionMatrix
-from pec.synth import metro_network, MetroSpec, planted_od
+from pec.synth import default_metro_spec, metro_network, MetroSpec, planted_od
+from pec.util import derive_seed
+from pec.walker import generate_walks
 
 
 def truth_of(labels, name="t"):
@@ -336,6 +345,112 @@ def test_sweep_csv_output(tmp_path, tiny_metro):
     lines = path.read_text().splitlines()
     assert lines[0] == "p,truth,method,macro_f1_mean,macro_f1_std,repeats,error"
     assert len(lines) == 2
+
+
+def test_sweep_trains_once_per_cell_and_repeat(tiny_metro, monkeypatch):
+    g, line_t, transfer_t = tiny_metro
+    calls = []
+    real_train = pec.evaluator.train
+
+    def counting_train(corpus, cfg):
+        calls.append(cfg.seed)
+        return real_train(corpus, cfg)
+
+    monkeypatch.setattr(pec.evaluator, "train", counting_train)
+    report = sweep(
+        g, [line_t, transfer_t], grid={"p": [0.5, 2.0]}, base_params=FAST_PARAMS, repeats=2, seed=3
+    )
+    assert all(cell.error is None for cell in report.cells)
+    assert len(calls) == 2 * 2  # cells x repeats, whatever the number of truths
+    assert len(set(calls)) == 4
+
+
+def test_sweep_seed_scheme():
+    """A cell's score is k-means on the embed step's output from
+    run_seed = derive_seed(seed, "cell", cell_idx, rep), seeded per truth.
+
+    On the 100-node metro fixture with one k-means restart, the k-means
+    seed changes both truths' scores, so the test pins the seed labels."""
+    g, line_t, transfer_t = metro_network(default_metro_spec())
+    params = {"walk_length": 6, "num_walks": 2, "dim": 4, "window": 2, "epochs": 1, "restarts": 1}
+    report = sweep(g, [line_t, transfer_t], grid={"p": [0.5, 2.0]}, base_params=params, repeats=1, seed=8)
+    wcfg, tcfg, ccfg = pec.evaluator._resolve_params({**params, "p": 2.0})
+    run_seed = derive_seed(8, "cell", 1, 0)
+    corpus = generate_walks(g, replace(wcfg, seed=derive_seed(run_seed, "walks")))
+    vectors = train(corpus, replace(tcfg, seed=derive_seed(run_seed, "train"))).vectors
+    assert np.array_equal(vectors, pec.evaluator._embed(g, wcfg, tcfg, run_seed).vectors)
+    for truth in (line_t, transfer_t):
+        labels = kmeans(
+            vectors, truth.n_true, seed=derive_seed(run_seed, truth.name, "kmeans"),
+            restarts=ccfg.restarts,
+        ).labels
+        expected = macro_f1(labels, truth, node_ids=g.node_ids).macro_f1
+        assert report.cells[1].scores[truth.name]["mean"] == expected
+        assert report.cells[1].scores[truth.name]["std"] == 0.0
+
+
+def test_sweep_baselines_do_not_depend_on_the_embedding_stream(tiny_metro):
+    # Recorded before the sweep shared one embedding between truths; SC and
+    # HCA are seeded from the sweep seed and the truth alone.
+    g, line_t, transfer_t = tiny_metro
+    report = sweep(
+        g,
+        [line_t, transfer_t],
+        grid={"p": [0.5, 2.0], "dim": [2, 4]},
+        base_params=FAST_PARAMS,
+        repeats=2,
+        seed=1,
+        include_baselines=True,
+    )
+    expected = {
+        2: {"line-membership": {"sc": 0.8831168831168831, "hca": 0.5},
+            "transfer-vs-not": {"sc": 0.41558441558441556, "hca": 1.0}},
+        4: {"line-membership": {"sc": 0.8888888888888888, "hca": 0.5},
+            "transfer-vs-not": {"sc": 0.45779220779220775, "hca": 1.0}},
+    }
+    assert [cell.baselines for cell in report.cells] == [expected[2], expected[4]] * 2
+
+
+def test_sweep_sem_and_leads(tiny_metro):
+    g, line_t, transfer_t = tiny_metro
+    report = sweep(
+        g, [line_t, transfer_t], grid={"p": [0.5, 2.0, 4.0]}, base_params=FAST_PARAMS, repeats=3, seed=2
+    )
+    payload = report.to_json()
+    json.dumps(payload, allow_nan=False)
+    for truth in (line_t.name, transfer_t.name):
+        for cell in report.cells:
+            score = cell.scores[truth]
+            assert score["sem"] == pytest.approx(score["std"] * np.sqrt(3 / 2) / np.sqrt(3))
+        means = [cell.scores[truth]["mean"] for cell in report.cells]
+        order = sorted(range(3), key=lambda i: -means[i])
+        lead = payload["leads"][truth]
+        assert lead["best"] == report.best_cell(truth) == report.cells[order[0]].params
+        assert lead["runner_up"] == report.cells[order[1]].params
+        assert lead["lead"] == means[order[0]] - means[order[1]]
+        sems = [report.cells[i].scores[truth]["sem"] for i in order[:2]]
+        if np.hypot(*sems) > 0:
+            assert lead["lead_se"] == pytest.approx(lead["lead"] / np.hypot(*sems))
+        else:
+            assert lead["lead_se"] is None
+
+    single = sweep(g, [line_t], grid={"p": [0.5, 2.0]}, base_params=FAST_PARAMS, repeats=1, seed=2)
+    assert all(cell.scores[line_t.name]["sem"] is None for cell in single.cells)
+    lead = single.to_json()["leads"][line_t.name]
+    assert lead["runner_up"] is not None and lead["lead_se"] is None
+
+
+def test_sweep_leads_when_undefined():
+    cell = SweepCell({"p": 1.0}, {"t": {"mean": 0.5, "std": 0.0, "sem": 0.0}}, {})
+    failed = SweepCell({"p": 2.0}, {}, {}, error="ValueError: bad")
+    tied = SweepCell({"p": 3.0}, {"t": {"mean": 0.5, "std": 0.0, "sem": 0.0}}, {})
+    assert SweepReport(("p",), (failed,), 2, ("t",)).to_json()["leads"] == {"t": None}
+    assert SweepReport(("p",), (cell, failed), 2, ("t",)).lead("t") == {
+        "best": {"p": 1.0}, "runner_up": None, "lead": None, "lead_se": None
+    }
+    assert SweepReport(("p",), (cell, failed, tied), 2, ("t",)).lead("t") == {
+        "best": {"p": 1.0}, "runner_up": {"p": 3.0}, "lead": 0.0, "lead_se": None
+    }
 
 
 # -- noise robustness harness ----------------------------------------------------------------
