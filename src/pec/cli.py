@@ -111,7 +111,6 @@ class PipelineConfig:
     # run options
     out_dir: str = "pec-run"
     seed: int = 0
-    workers: int = 1  # validated and echoed; runs are serial
     geojson: bool = field(default=False, metadata={"parse": lambda s: s.lower() in ("1", "true", "yes")})
 
     def __post_init__(self) -> None:
@@ -121,8 +120,8 @@ class PipelineConfig:
         for path in inputs + list(self.truth_paths):
             if path is not None and not Path(path).exists():
                 raise ValueError(f"input file not found: {path}")
-        if self.repeats < 1 or self.workers < 1:
-            raise ValueError("repeats and workers must be at least 1")
+        if self.repeats < 1:
+            raise ValueError("repeats must be at least 1")
         if self.noise and not self.truth_paths:
             raise ValueError("noise curves need a ground truth: give --truth with --noise")
 
@@ -509,6 +508,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    if args.workers < 1:  # kept for scripts that pass it; runs are serial and it is not recorded
+        raise ValueError("workers must be at least 1")
     settings = read_config_file(args.config) if args.config else {}
     for name, value in _given(args, [f.name for _, f in _settings()]).items():
         # a repeated flag adds to the config file's list; others replace its value
@@ -661,6 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("pipeline", help="run the whole pipeline with a manifest")
     pl.add_argument("--config")
     _add_flags(pl, _settings(), required=("out_dir",))
+    pl.add_argument("--workers", type=int, default=1)
     pl.set_defaults(func=_cmd_pipeline)
     return parser
 

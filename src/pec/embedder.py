@@ -11,14 +11,15 @@ negative context vectors.  Training is plain SGD with a linearly decaying
 learning rate, applied in small batches; it is single-threaded by design
 so a seed fully determines the result.  Center and context vectors are the
 two halves of one (2N, d) array.  Each batch is one (B, m+2) row block,
-``[center, context + N, negatives + N]`` pair by pair: one gather, one
-(B, m+2, d) step of gradients, and one 1-D ``np.add.at`` on the flat view.
-That adds every element's updates in input order, and center rows (< N)
-never coincide with context rows (>= N), so interleaving them pair by pair
-keeps each element's order: the floats are exactly those of one row-wise
-scatter for the centers and one for the contexts.  The loss takes its
-softplus over a block of batches' scores at once, but is still summed
-batch by batch, so the epoch means are unchanged too.
+``[center, context + N, negatives + N]`` pair by pair: one gather, one call
+of ``_scores_and_grad``, the only place where the gradient is computed
+(``sgns_loss_and_grad`` is that kernel at B = 1), and one 1-D ``np.add.at``
+of its (B, m+2, d) step on the flat view.  That adds every element's updates
+in input order, and center rows (< N) never coincide with context rows
+(>= N), so interleaving them pair by pair keeps each element's order: the
+floats are exactly those of one row-wise scatter for the centers and one for
+the contexts.  The loss takes its softplus over a block of batches' scores
+at once, but is still summed batch by batch, so the epoch means are unchanged.
 """
 
 from __future__ import annotations
@@ -148,27 +149,30 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0 / t, e / t)
 
 
+def _scores_and_grad(rows_w, scores, grad) -> None:
+    """On a gathered (B, m+2, d) block ``[center, context, negatives...]``, write
+    u . v_k into ``scores`` (B, m+1) and, into ``grad`` (B, m+2, d), the
+    gradient of each pair's loss with respect to each of its rows."""
+    u, v = rows_w[:, 0], rows_w[:, 1:]
+    np.einsum("bkd,bd->bk", v, u, out=scores)
+    coef = _sigmoid(scores)
+    coef[:, 0] -= 1.0
+    np.einsum("bk,bkd->bd", coef, v, out=grad[:, 0])
+    np.einsum("bk,bd->bkd", coef, u, out=grad[:, 1:])
+
+
 def sgns_loss_and_grad(center_vec, context_vec, negative_vecs):
     """Loss and exact gradients for one (center, context, negatives) sample.
 
     Returns (loss, grad_center, grad_context, grad_negatives); the sigmoid
     is evaluated in an overflow-safe form, so the loss is finite for any
-    finite inputs.
+    finite inputs.  A 1-D ``negative_vecs`` is one negative.
     """
-    u = np.asarray(center_vec, dtype=float)
-    v = np.asarray(context_vec, dtype=float)
-    negs = np.asarray(negative_vecs, dtype=float)
-    if negs.ndim == 1:
-        negs = negs.reshape(1, -1)
-    pos_score = float(u @ v)
-    neg_scores = negs @ u
-    loss = float(_softplus(-pos_score) + _softplus(neg_scores).sum())
-    sig_pos = float(_sigmoid(np.array([pos_score]))[0])
-    sig_neg = _sigmoid(neg_scores)
-    grad_center = (sig_pos - 1.0) * v + sig_neg @ negs
-    grad_context = (sig_pos - 1.0) * u
-    grad_negatives = sig_neg[:, None] * u[None, :]
-    return loss, grad_center, grad_context, grad_negatives
+    rows_w = np.vstack([center_vec, context_vec, negative_vecs], dtype=float)[None]
+    scores, grad = np.empty((1, rows_w.shape[1] - 1)), np.empty_like(rows_w)
+    _scores_and_grad(rows_w, scores, grad)
+    loss = float(_softplus(-scores[0, 0]) + _softplus(scores[0, 1:]).sum())
+    return loss, grad[0, 0], grad[0, 1], grad[0, 2:]
 
 
 def _negative_table(mat: np.ndarray, n: int) -> AliasTable:
@@ -187,7 +191,6 @@ def _sgd_epoch(weights, flat_index, cen_all, ctx_all, negs, cfg, done, total_upd
     flat = weights.reshape(-1)
     bs = min(cfg.batch_size, n_pairs)
     block = max(1, LOSS_BLOCK_PAIRS // bs) * bs  # whole batches per loss block
-    # per pair: the center gradient, then those of the context and negatives
     step = np.empty((bs, m + 2, weights.shape[1]))
     block_scores = np.empty((block, m + 1))
     loss_sum = 0.0
@@ -200,15 +203,9 @@ def _sgd_epoch(weights, flat_index, cen_all, ctx_all, negs, cfg, done, total_upd
                 rows = np.concatenate(
                     [cen_all[start:stop, None], ctx_all[start:stop, None], negs[start:stop]], axis=1
                 )
-                rows_w = weights[rows]  # (B, m+2, d)
-                u, v = rows_w[:, 0], rows_w[:, 1:]
-                scores = np.einsum("bkd,bd->bk", v, u, out=block_scores[start - first:stop - first])
-                coef = _sigmoid(scores)
-                coef[:, 0] -= 1.0
-                lr = cfg.initial_lr * max(1.0 - (done + start) / total_updates, LR_FLOOR_FACTOR)
                 batch_step = step[:stop - start]
-                np.einsum("bk,bkd->bd", coef, v, out=batch_step[:, 0])
-                np.einsum("bk,bd->bkd", coef, u, out=batch_step[:, 1:])
+                _scores_and_grad(weights[rows], block_scores[start - first:stop - first], batch_step)
+                lr = cfg.initial_lr * max(1.0 - (done + start) / total_updates, LR_FLOOR_FACTOR)
                 batch_step *= -lr
                 # center rows (< N) and context rows (>= N) never coincide, so the
                 # pair-by-pair rows add each element's updates in batch order

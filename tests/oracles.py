@@ -117,6 +117,29 @@ def sgns_finite_difference_error(rng, d=5, m=3, h=1e-5):
     return worst
 
 
+def reference_batch_loss(weights, centers, contexts, negatives):
+    """Summed SGNS loss of a batch of pairs whose vectors are rows of one
+    weight matrix, term by term from the definition."""
+    total = 0.0
+    for c, x, negs in zip(centers, contexts, negatives):
+        u = weights[c]
+        total += np.logaddexp(0.0, -(u @ weights[x]))
+        for k in negs:
+            total += np.logaddexp(0.0, u @ weights[k])
+    return total
+
+
+def central_difference_gradient(loss, x, h=1e-5):
+    """Gradient of ``loss`` at the array ``x``, one central difference per
+    element."""
+    grad = np.zeros_like(x)
+    for idx in np.ndindex(x.shape):
+        step = np.zeros_like(x)
+        step[idx] = h
+        grad[idx] = (loss(x + step) - loss(x - step)) / (2 * h)
+    return grad
+
+
 def random_disconnected_graph(rng, with_isolated=True):
     """Components built from random spanning trees plus extra edges."""
     n_components = int(rng.integers(2, 5))

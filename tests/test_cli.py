@@ -203,6 +203,18 @@ def test_pipeline_determinism(od_dir, tmp_path):
             "frequency.csv"} <= set(m1["outputs"])
 
 
+def test_workers_flag_leaves_the_manifest_unchanged(od_dir, tmp_path):
+    args = [
+        "pipeline", "--od", od_dir / "od.csv", "--n-clusters", 3,
+        "--walk-length", 6, "--num-walks", 2, "--dim", 3, "--epochs", 1, "--out-dir", tmp_path,
+    ]
+    assert run_cli(*args) == 0
+    first = (tmp_path / "manifest.json").read_bytes()
+    assert run_cli(*args, "--workers", 4) == 0
+    assert (tmp_path / "manifest.json").read_bytes() == first
+    assert "workers" not in json.loads(first)["config"]
+
+
 def test_pipeline_composability(od_dir, tmp_path):
     """Chaining the subcommands with the manifest's stage seeds reproduces
     the pipeline artifacts byte for byte."""

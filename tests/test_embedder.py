@@ -5,13 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_pair_indices, reference_train, sgns_finite_difference_error
+from oracles import (
+    central_difference_gradient,
+    reference_batch_loss,
+    reference_pair_indices,
+    reference_train,
+    sgns_finite_difference_error,
+)
 
 from pec.embedder import (
     LOSS_BLOCK_PAIRS,
     EmbeddingMatrix,
     TrainConfig,
     TrainingDiverged,
+    _sgd_epoch,
     extract_pairs,
     load_embeddings,
     save_embeddings,
@@ -151,6 +158,25 @@ def test_gradients_match_finite_differences():
     rng = np.random.default_rng(17)
     for _ in range(20):
         assert sgns_finite_difference_error(rng) <= 1e-4
+
+
+def test_batch_step_is_the_gradient_of_the_summed_batch_loss():
+    # one batch of three pairs over four nodes: center 0 repeats, and the
+    # negatives repeat rows, hit their own pair's context and other pairs' contexts
+    n, d, lr = 4, 3, 2.0**-20
+    cen = np.array([0, 1, 0])
+    ctx = np.array([1, 2, 3]) + n
+    negs = np.array([[1, 1, 2], [2, 0, 3], [3, 1, 1]]) + n
+    before = np.random.default_rng(31).normal(scale=0.5, size=(2 * n, d))
+    weights = before.copy()
+    cfg = TrainConfig(dim=d, initial_lr=lr, negatives=3, batch_size=cen.size)
+    flat_index = np.arange(weights.size).reshape(weights.shape)
+    loss = _sgd_epoch(weights, flat_index, cen, ctx, negs, cfg, 0, cen.size)  # one batch, lr = initial_lr
+    assert loss == pytest.approx(reference_batch_loss(before, cen, ctx, negs), rel=1e-12)
+    step = (weights - before) / -lr
+    numeric = central_difference_gradient(lambda w: reference_batch_loss(w, cen, ctx, negs), before)
+    denom = np.maximum(np.maximum(np.abs(step), np.abs(numeric)), 1e-8)
+    assert np.max(np.abs(step - numeric) / denom) <= 1e-4
 
 
 # -- training ----------------------------------------------------------------------------

@@ -331,7 +331,7 @@ def test_sweep_records_failures_and_continues(tiny_metro):
     assert report.cells[1].error is None
 
 
-def test_sweep_workers_match_serial(tiny_metro):
+def test_sweep_is_deterministic(tiny_metro):
     g, line_t, _ = tiny_metro
     kwargs = dict(grid={"p": [1.0]}, base_params=FAST_PARAMS, repeats=3, seed=9)
     assert sweep(g, [line_t], **kwargs).to_json() == sweep(g, [line_t], **kwargs).to_json()
