@@ -22,9 +22,11 @@ __all__ = [
     "SpectralEmbedding",
     "normalized_laplacian",
     "spectral_embedding",
+    "spectral_rows",
     "spectral_cluster",
     "hca",
     "agglomerate",
+    "cut",
 ]
 
 
@@ -67,17 +69,22 @@ def spectral_embedding(g, d: int) -> SpectralEmbedding:
     )
 
 
-def spectral_cluster(g, d: int, n: int, seed: int = 0,
-                     restarts: int = ClusterConfig.restarts) -> ClusterAssignment:
-    """k-means on row-normalized spectral coordinates.
+def spectral_rows(g, d: int) -> np.ndarray:
+    """Spectral coordinates (:func:`spectral_embedding`), each row scaled to unit length.
 
     Rows of isolated nodes can be identically zero; they are left at the
-    origin and end up sharing whatever cluster claims it.
+    origin.
     """
-    emb = spectral_embedding(g, d)
-    norms = np.linalg.norm(emb.vectors, axis=1)
-    rows = emb.vectors / np.where(norms > 0.0, norms, 1.0)[:, None]
-    return kmeans(rows, n, seed=seed, restarts=restarts)
+    vectors = spectral_embedding(g, d).vectors
+    norms = np.linalg.norm(vectors, axis=1)
+    return vectors / np.where(norms > 0.0, norms, 1.0)[:, None]
+
+
+def spectral_cluster(g, d: int, n: int, seed: int = 0,
+                     restarts: int = ClusterConfig.restarts) -> ClusterAssignment:
+    """k-means on :func:`spectral_rows`; zero rows end up sharing whatever
+    cluster claims the origin."""
+    return kmeans(spectral_rows(g, d), n, seed=seed, restarts=restarts)
 
 
 # -- agglomerative hierarchical clustering ------------------------------------
@@ -134,22 +141,25 @@ def hca(
     else:
         dist = np.asarray(distances, dtype=float)
         n_pts = dist.shape[0]
-    if not (1 <= n <= n_pts):
-        raise ValueError(f"need 1 <= n <= {n_pts}, got n={n}")
-
-    merges = agglomerate(dist, linkage)[: n_pts - n]
-    members: dict[int, list[int]] = {i: [i] for i in range(n_pts)}
-    next_id = n_pts
-    for a, b, _ in merges:
-        members[next_id] = members.pop(a) + members.pop(b)
-        next_id += 1
-    # label clusters by their smallest member index
-    clusters = sorted(members.values(), key=min)
-    labels = np.zeros(n_pts, dtype=np.int64)
-    for c, rows in enumerate(clusters):
-        labels[rows] = c
+    labels, clusters = cut(agglomerate(dist, linkage), n_pts, n)
     if x is not None:
         centroids = np.array([x[rows].mean(axis=0) for rows in clusters])
         inertia = float(sum(((x[rows] - centroids[c]) ** 2).sum() for c, rows in enumerate(clusters)))
         return ClusterAssignment(labels, centroids, inertia, n)
     return ClusterAssignment(labels, None, 0.0, n)
+
+
+def cut(merges, n_pts: int, n: int) -> tuple[np.ndarray, list[list[int]]]:
+    """Labels and member lists of the ``n`` clusters left after the first
+    ``n_pts - n`` merges of an :func:`agglomerate` history; clusters are
+    numbered by their smallest member index."""
+    if not (1 <= n <= n_pts):
+        raise ValueError(f"need 1 <= n <= {n_pts}, got n={n}")
+    members: dict[int, list[int]] = {i: [i] for i in range(n_pts)}
+    for t, (a, b, _) in enumerate(merges[: n_pts - n]):
+        members[n_pts + t] = members.pop(a) + members.pop(b)
+    clusters = sorted(members.values(), key=min)
+    labels = np.zeros(n_pts, dtype=np.int64)
+    for c, rows in enumerate(clusters):
+        labels[rows] = c
+    return labels, clusters

@@ -319,20 +319,19 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
         stage = "evaluate"
         if cfg.truth_paths:
-            reports = {}
-            for tpath in cfg.truth_paths:
-                truth = load_ground_truth(tpath)
-                reports[truth.name] = macro_f1(labels, truth, node_ids=graph.node_ids).to_json()
-                if cfg.noise:
-                    noise_rep = noise_robustness(
-                        graph,
-                        truth,
-                        list(cfg.noise),
-                        params={name: manifest["config"][name] for name in EXPERIMENT_PARAMS},
-                        repeats=cfg.repeats,
-                        seed=stage_seeds["evaluate"],
-                        mode=cfg.noise_mode,
-                    )
+            truths = [load_ground_truth(tpath) for tpath in cfg.truth_paths]
+            reports = {t.name: macro_f1(labels, t, node_ids=graph.node_ids).to_json() for t in truths}
+            if cfg.noise:  # one embedding per noise run, scored against every truth
+                noise_reps = noise_robustness(
+                    graph,
+                    truths,
+                    list(cfg.noise),
+                    params={name: manifest["config"][name] for name in EXPERIMENT_PARAMS},
+                    repeats=cfg.repeats,
+                    seed=stage_seeds["evaluate"],
+                    mode=cfg.noise_mode,
+                )
+                for truth, noise_rep in zip(truths, noise_reps):
                     noise_rep.save_csv(artifact(f"noise_{truth.name}.csv"))
                     reports[truth.name]["noise"] = noise_rep.to_json()
             write_json(reports, artifact("report.json"))

@@ -19,7 +19,15 @@ in input order, and center rows (< N) never coincide with context rows
 (>= N), so interleaving them pair by pair keeps each element's order: the
 floats are exactly those of one row-wise scatter for the centers and one for
 the contexts.  The loss takes its softplus over a block of batches' scores
-at once, but is still summed batch by batch, so the epoch means are unchanged.
+at once and sums each batch's share with one reshape-and-sum; the batch
+totals are then added left to right, so the epoch means are unchanged.
+
+Memory: node indices are below 2N, so the walk matrix, the pair indices and
+the negatives are int32, and each epoch frees its permutation before it
+draws the negatives.  An epoch holds ~36 bytes per (center, context) pair at
+m = 5 negatives: the pair indices (8), their shuffled copies (8) and the
+negatives (4m); the traced peak of ``train`` is that plus ~1.5 MB of chunk
+and batch buffers.
 """
 
 from __future__ import annotations
@@ -109,7 +117,7 @@ def _walk_matrix(corpus: WalkCorpus) -> np.ndarray:
     """Node indices of the walks, one row per walk, padded with -1."""
     index = {nid: i for i, nid in enumerate(corpus.node_ids)}
     lengths = np.fromiter(map(len, corpus.walks), dtype=np.int64, count=len(corpus.walks))
-    mat = np.full((lengths.size, int(lengths.max(initial=0))), -1, dtype=np.int64)
+    mat = np.full((lengths.size, int(lengths.max(initial=0))), -1, dtype=np.int32)
     mat[np.arange(mat.shape[1]) < lengths[:, None]] = [index[nid] for walk in corpus.walks for nid in walk]
     return mat
 
@@ -119,7 +127,7 @@ def _pair_indices(mat: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]
     by ascending offset from -window to +window."""
     w = min(window, mat.shape[1] - 1)
     if w < 1:  # no walk has two nodes
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=mat.dtype), np.zeros(0, dtype=mat.dtype)
     padded = np.pad(mat, ((0, 0), (w, w)), constant_values=-1)
     ctx = np.lib.stride_tricks.sliding_window_view(padded, 2 * w + 1, axis=1)  # (walks, pos, offset)
     cen = mat[:, :, None]
@@ -212,8 +220,14 @@ def _sgd_epoch(weights, flat_index, cen_all, ctx_all, negs, cfg, done, total_upd
                 np.add.at(flat, flat_index[rows].reshape(-1), batch_step.reshape(-1))
             held = block_scores[:last - first]
             pos_loss, neg_loss = _softplus(-held[:, 0]), _softplus(held[:, 1:])
-            for at in range(0, last - first, bs):  # summed batch by batch, as the loss is defined
-                loss_sum += float(pos_loss[at:at + bs].sum() + neg_loss[at:at + bs].sum())
+            whole = len(held) // bs * bs  # pairs in whole batches; only the epoch's last has a tail
+            totals = (
+                pos_loss[:whole].reshape(-1, bs).sum(axis=1) + neg_loss[:whole].reshape(-1, bs * m).sum(axis=1)
+            ).tolist()
+            if whole < len(held):
+                totals.append(float(pos_loss[whole:].sum() + neg_loss[whole:].sum()))
+            for total in totals:  # summed batch by batch, left to right, as the loss is defined
+                loss_sum += total
     return loss_sum
 
 
@@ -246,13 +260,14 @@ def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
     total_updates = cfg.epochs * n_pairs
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_pairs)
-        negs = neg_table.draw_many(rng, (n_pairs, cfg.negatives))
-        negs += n
         cen_all = centers_idx[order]
         ctx_all = contexts_idx[order]
+        del order  # freed before the negatives, the largest block, are drawn
         ctx_all += n
+        negs = neg_table.draw_many(rng, (n_pairs, cfg.negatives))
+        negs += n
         loss_sum = _sgd_epoch(weights, flat_index, cen_all, ctx_all, negs, cfg, epoch * n_pairs, total_updates)
-        del order, negs, cen_all, ctx_all  # not held while the next epoch draws its own
+        del negs, cen_all, ctx_all  # not held while the next epoch draws its own
         mean_loss = loss_sum / n_pairs
         if not np.isfinite(mean_loss):
             raise TrainingDiverged(

@@ -16,11 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import hca, spectral_cluster
+from .baselines import agglomerate, cut, spectral_rows
 from .clusterer import ClusterConfig, kmeans
 from .embedder import TrainConfig, TrainingDiverged, train
 from .srg import InteractionMatrix, build_srg_from_interactions
-from .util import derive_seed, field_parser, knobs
+from .util import derive_seed, field_parser, knobs, sq_distances
 from .walker import WalkConfig, generate_walks
 
 __all__ = [
@@ -397,19 +397,25 @@ def sweep(
 
 
 def _baseline_scores(g, truths, dim: int, repeats: int, seed: int) -> dict:
-    """Spectral-clustering and HCA Macro-F1, per ground truth."""
-    out: dict[str, dict] = {}
+    """Spectral-clustering and HCA Macro-F1, per ground truth.
+
+    The spectral rows and the average-linkage merge history of the weight
+    rows are computed once; k-means runs per truth and repeat, and the
+    history is cut at each truth's class count.
+    """
+    rows = spectral_rows(g, min(dim, g.num_nodes))
     weight_rows = g.to_weight_matrix()
-    dim = min(dim, g.num_nodes)
+    merges = agglomerate(np.sqrt(sq_distances(weight_rows, weight_rows)), "average")
+    out: dict[str, dict] = {}
     for truth in truths:
         sc_scores = []
         for rep in range(repeats):
-            sc = spectral_cluster(g, dim, truth.n_true, seed=derive_seed(seed, "sc", truth.name, rep))
+            sc = kmeans(rows, truth.n_true, seed=derive_seed(seed, "sc", truth.name, rep))
             sc_scores.append(macro_f1(sc.labels, truth, node_ids=g.node_ids).macro_f1)
-        agg = hca(x=weight_rows, linkage="average", n=truth.n_true)
+        hca_labels, _ = cut(merges, g.num_nodes, truth.n_true)
         out[truth.name] = {
             "sc": float(np.mean(sc_scores)),
-            "hca": macro_f1(agg.labels, truth, node_ids=g.node_ids).macro_f1,
+            "hca": macro_f1(hca_labels, truth, node_ids=g.node_ids).macro_f1,
         }
     return out
 
@@ -497,13 +503,13 @@ class NoiseReport:
 
 def noise_robustness(
     g,
-    truth: GroundTruth,
+    truth: GroundTruth | list[GroundTruth],
     noise: list[tuple[str, float]],
     params: dict | None = None,
     repeats: int = 20,
     seed: int = 0,
     mode: str = "scale-noise",
-) -> NoiseReport:
+) -> NoiseReport | tuple[NoiseReport, ...]:
     """Macro-F1 of the full pipeline on noise-perturbed weight matrices.
 
     For every (kind, level) in ``noise``, each repeat draws a fresh noise
@@ -511,45 +517,63 @@ def noise_robustness(
     rebuilds the graph from the noisy volumes and runs the embedding
     pipeline.  The unperturbed pipeline is run with the same repeat seeds
     as the reference.  ``params`` is as for :func:`run_embedding_clustering`.
-    ``mode`` and every (kind, level) are checked before the first run.
-    Runs are serial.
+    ``mode``, ``params`` and every (kind, level) are checked before the
+    first run.  Runs are serial.
+
+    ``truth`` is one GroundTruth, which gives one NoiseReport, or a sequence
+    of them, which gives a tuple of reports in the same order.  Each run
+    trains one embedding (:func:`_embed`) and scores it against every truth:
+    k-means at the truth's class count, seeded ``derive_seed(run_seed,
+    "kmeans")``, so each report equals that of a single-truth call.
     """
+    truths = (truth,) if isinstance(truth, GroundTruth) else tuple(truth)
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     _check_noise_mode(mode)
     curve_names = [NoiseSpec(kind, level).label for kind, level in noise]
+    wcfg, tcfg, ccfg = _resolve_params(params)
     weight = g.to_weight_matrix()
     node_ids = g.node_ids
 
-    def score(graph, run_seed: int) -> float:
-        labels, _ = run_embedding_clustering(graph, truth.n_true, params=params, seed=run_seed)
-        return macro_f1(labels, truth, node_ids=node_ids).macro_f1
+    def scores(graph, run_seed: int) -> list[float]:
+        vectors = _embed(graph, wcfg, tcfg, run_seed).vectors
+        km_seed = derive_seed(run_seed, "kmeans")
+        labels = [kmeans(vectors, t.n_true, seed=km_seed, restarts=ccfg.restarts).labels for t in truths]
+        return [macro_f1(lab, t, node_ids=node_ids).macro_f1 for lab, t in zip(labels, truths)]
 
-    def noisy_run(spec_idx: int, rep: int) -> float:
+    def noisy_run(spec_idx: int, rep: int) -> list[float]:
         kind, level = noise[spec_idx]
         noisy = perturb(
             weight, NoiseSpec(kind, level, seed=derive_seed(seed, "noise", spec_idx, rep)), mode=mode
         )
         g_noisy = build_srg_from_interactions(InteractionMatrix(node_ids, noisy))
-        return score(g_noisy, derive_seed(seed, "run", spec_idx, rep))
+        return scores(g_noisy, derive_seed(seed, "run", spec_idx, rep))
 
-    clean = [score(g, derive_seed(seed, "clean", r)) for r in range(repeats)]
-    curves = {}
+    def per_truth(runs) -> np.ndarray:  # (truths, repeats), one contiguous row per truth
+        return np.ascontiguousarray(np.array(runs).T)
+
+    clean = per_truth([scores(g, derive_seed(seed, "clean", r)) for r in range(repeats)])
+    curves: list[dict] = [{} for _ in truths]
     for si, (kind, level) in enumerate(noise):
-        vals = np.array([noisy_run(si, rep) for rep in range(repeats)])
-        curves[curve_names[si]] = {
-            "kind": kind,
-            "level": float(level),
-            "mean": float(vals.mean()),
-            "std": float(vals.std()),
-        }
-    return NoiseReport(
-        truth_name=truth.name,
-        baseline_mean=float(np.mean(clean)),
-        curves=curves,
-        repeats=repeats,
-        mode=mode,
+        vals = per_truth([noisy_run(si, rep) for rep in range(repeats)])
+        for ti, row in enumerate(vals):
+            curves[ti][curve_names[si]] = {
+                "kind": kind,
+                "level": float(level),
+                "mean": float(row.mean()),
+                "std": float(row.std()),
+            }
+    reports = tuple(
+        NoiseReport(
+            truth_name=t.name,
+            baseline_mean=float(np.mean(clean[ti])),
+            curves=curves[ti],
+            repeats=repeats,
+            mode=mode,
+        )
+        for ti, t in enumerate(truths)
     )
+    return reports[0] if isinstance(truth, GroundTruth) else reports
 
 
 # -- interaction frequency ------------------------------------------------------

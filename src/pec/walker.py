@@ -76,10 +76,12 @@ class AliasTable:
         self.alias = np.array(alias, dtype=np.int64)
 
     def draw_many(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """Draws of ``shape``: all cells, then one uniform per cell in flat
-        order.  Aliases are resolved in place, a chunk at a time, so the
-        result is the only full-size array."""
-        cells = rng.integers(0, self.size, size=shape)
+        """Draws of ``shape`` as int32: all cells, then one uniform per cell in
+        flat order.  Aliases are resolved in place, a chunk at a time, so the
+        result, 4 bytes per draw, is the only full-size array.  For up to 2**31
+        outcomes numpy draws int32 and int64 cells from the same 32-bit words,
+        so both give the same values and leave the stream at the same place."""
+        cells = rng.integers(0, self.size, size=shape, dtype=np.int32)
         flat = cells.reshape(-1)
         for start in range(0, flat.size, self.DRAW_CHUNK):
             chunk = flat[start:start + self.DRAW_CHUNK]

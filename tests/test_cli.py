@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pec.cli
+import pec.evaluator
 from pec.cli import main, read_config_file
 from pec.evaluator import load_labels
 from pec.srg import load_graph
@@ -201,6 +203,36 @@ def test_pipeline_determinism(od_dir, tmp_path):
         assert sha256_file(out2 / name) == m1["outputs"][name]
     assert {"graph.tsv", "corpus.txt", "embeddings.txt", "labels.csv", "report.json",
             "frequency.csv"} <= set(m1["outputs"])
+
+
+def test_two_truth_noise_pipeline_trains_each_embedding_once(metro_dir, tmp_path, monkeypatch):
+    calls = []
+
+    def counting(real):
+        def train(corpus, cfg):
+            calls.append(cfg.seed)
+            return real(corpus, cfg)
+        return train
+
+    monkeypatch.setattr(pec.cli, "train", counting(pec.cli.train))
+    monkeypatch.setattr(pec.evaluator, "train", counting(pec.evaluator.train))
+    truths = ["line-membership", "transfer-vs-not"]
+    noise, repeats = ["gaussian:1", "poisson:4"], 2
+    args = [
+        "pipeline", "--edges", metro_dir / "edges.tsv", "--n-clusters", 2, "--walk-length", 6,
+        "--num-walks", 2, "--dim", 3, "--epochs", 1, "--repeats", repeats, "--seed", 4,
+        *[a for level in noise for a in ("--noise", level)],
+    ]
+    both = tmp_path / "both"
+    assert run_cli(*args, *[a for t in truths for a in ("--truth", metro_dir / f"{t}.csv")],
+                   "--out-dir", both) == 0
+    assert len(calls) == 1 + (1 + len(noise)) * repeats  # the pipeline's own, then one per noise run
+    report = json.loads((both / "report.json").read_text())
+    for t in truths:
+        alone = tmp_path / t
+        assert run_cli(*args, "--truth", metro_dir / f"{t}.csv", "--out-dir", alone) == 0
+        assert (both / f"noise_{t}.csv").read_bytes() == (alone / f"noise_{t}.csv").read_bytes()
+        assert report[t] == json.loads((alone / "report.json").read_text())[t]
 
 
 def test_workers_flag_leaves_the_manifest_unchanged(od_dir, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -260,6 +261,58 @@ def test_train_memory_per_pair(dim, walk_length, num_walks, epochs):
     finally:
         tracemalloc.stop()
     assert peak <= 90 * n_pairs
+
+
+# Held per pair while an epoch trains: int32 center and context indices (8 bytes),
+# their shuffled copies (8) and m = 5 int32 negatives (20), plus the int32 walk
+# matrix, ~0.4 bytes per pair at window 5.  The allowance covers what does not
+# grow with the corpus: draw_many's chunk buffers (~1.2 MB) and the per-batch
+# blocks (~0.2 MB at dim 64).  Measured: 36.4 bytes per pair above 1.2-1.4 MB.
+TRAIN_BYTES_PER_PAIR = 37
+TRAIN_FIXED_BYTES = 2_000_000
+
+
+@pytest.mark.parametrize(
+    "dim, walk_length, num_walks, epochs", [(5, 12, 6, 2), (64, 20, 10, 1), (5, 40, 10, 1)]
+)
+def test_train_memory_slope_per_pair(dim, walk_length, num_walks, epochs):
+    # 54,000, 170,000 and 370,000 pairs.  The permutation is freed before the
+    # negatives are drawn; 64-bit indices or a held permutation need 80+ bytes.
+    g, _, _ = metro_network(default_metro_spec())
+    corpus = corpus_for(g, walk_length=walk_length, num_walks=num_walks, seed=2)
+    n_pairs = len(extract_pairs(corpus, 5))
+    tracemalloc.start()
+    try:
+        train(corpus, TrainConfig(dim=dim, epochs=epochs, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= TRAIN_BYTES_PER_PAIR * n_pairs + TRAIN_FIXED_BYTES
+
+
+# 128 walks of length 9 over 20 nodes; at window 9 (>= the walk length) each
+# walk gives 72 pairs, 9,216 in all: nine whole loss blocks at batch size 64.
+GOLDEN_WALKS = [[f"n{(7 * i + 3 * j * j + i * j) % 20}" for j in range(9)] for i in range(128)]
+
+
+@pytest.mark.parametrize("cfg, digest", [
+    (TrainConfig(dim=5, window=9, epochs=1, batch_size=1, seed=31),
+     "1d9080eb34c89757d25ecd62d53b472ce3f95d3cc241c6eb7fed8cbcf0b795d4"),
+    (TrainConfig(dim=16, window=9, epochs=3, batch_size=61, seed=32),
+     "03f85d8c83355f243437bebfc854c1569c7e450ae81b51edf5e38cdd7f710f58"),
+    (TrainConfig(dim=8, window=9, epochs=3, batch_size=10_000, initial_lr=0.002, seed=33),
+     "70e91dec9ae56eebbe6f130297c50c6e4d20c3a9d1bd9ee2d7df3b1714e1cbd4"),
+    (TrainConfig(dim=3, window=9, epochs=3, batch_size=64, seed=34),
+     "b1582d946f2a5f9fff8be4f52a0fc371cfded4c5b0922f8e15694a2f41f709ea"),
+], ids=["batch-1", "batch-61", "batch-over-pairs", "whole-loss-blocks"])
+def test_train_output_bytes_are_golden(cfg, digest):
+    # Digests of train's output recorded with 64-bit indices and per-batch loss
+    # sums (numpy 2.4, x86-64); the int32 indices and block-wise sums keep them.
+    corpus = corpus_of(GOLDEN_WALKS, [f"n{i}" for i in range(20)])
+    assert len(extract_pairs(corpus, cfg.window)) == 9 * LOSS_BLOCK_PAIRS
+    emb = train(corpus, cfg)
+    payload = emb.vectors.tobytes() + emb.context_vectors.tobytes() + repr(emb.epoch_mean_loss).encode()
+    assert hashlib.sha256(payload).hexdigest() == digest
 
 
 @pytest.mark.parametrize("walks", [[["a"], ["b"], ["a"]], []], ids=["single-node-walks", "no-walks"])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from oracles import brute_force_macro_f1
 
+import pec.baselines
 import pec.evaluator
 from pec.clusterer import kmeans
 from pec.embedder import train
@@ -409,6 +410,47 @@ def test_sweep_baselines_do_not_depend_on_the_embedding_stream(tiny_metro):
             "transfer-vs-not": {"sc": 0.45779220779220775, "hca": 1.0}},
     }
     assert [cell.baselines for cell in report.cells] == [expected[2], expected[4]] * 2
+
+
+def test_sweep_baselines_build_one_spectral_embedding_and_one_tree_per_dim(tiny_metro, monkeypatch):
+    g, line_t, transfer_t = tiny_metro
+    calls = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(pec.baselines, "spectral_embedding")
+    counting(pec.evaluator, "agglomerate")
+    report = sweep(
+        g, [line_t, transfer_t], grid={"dim": [2, 4]}, base_params=FAST_PARAMS, repeats=2, seed=1,
+        include_baselines=True,
+    )
+    assert all(cell.error is None for cell in report.cells)
+    # one of each per dim; two truths x two repeats made four spectral embeddings and two trees
+    assert calls == ["spectral_embedding", "agglomerate"] * 2
+
+
+def test_noise_robustness_of_two_truths_equals_each_alone(tiny_metro, monkeypatch):
+    g, line_t, transfer_t = tiny_metro
+    calls = []
+    real_train = pec.evaluator.train
+
+    def counting_train(corpus, cfg):
+        calls.append(cfg.seed)
+        return real_train(corpus, cfg)
+
+    monkeypatch.setattr(pec.evaluator, "train", counting_train)
+    kwargs = dict(noise=[("gaussian", 1.0), ("poisson", 2.0)], params=FAST_PARAMS, repeats=2, seed=8)
+    both = noise_robustness(g, [line_t, transfer_t], **kwargs)
+    assert len(calls) == (1 + 2) * 2
+    assert [r.truth_name for r in both] == [line_t.name, transfer_t.name]
+    for report, truth in zip(both, (line_t, transfer_t)):
+        assert report == noise_robustness(g, truth, **kwargs)
 
 
 def test_sweep_sem_and_leads(tiny_metro):

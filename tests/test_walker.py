@@ -137,6 +137,17 @@ def test_alias_draw_many_matches_reference(shape):
     assert rng.random() == ref_rng.random()  # the stream is left where the reference leaves it
 
 
+def test_alias_draw_many_is_int32_and_matches_reference_across_chunks():
+    table = AliasTable(np.random.default_rng(5).dirichlet(np.ones(100)))
+    shape = (AliasTable.DRAW_CHUNK // 3 + 7, 3)  # the flat draws straddle the first chunk's end
+    assert np.prod(shape) > AliasTable.DRAW_CHUNK
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    draws = table.draw_many(rng, shape)
+    assert draws.dtype == np.int32
+    assert np.array_equal(draws, reference_draw_many(table, ref_rng, shape))
+    assert rng.random() == ref_rng.random()
+
+
 def test_alias_draw_many_memory_bound():
     table = AliasTable(np.random.default_rng(4).dirichlet(np.ones(100)))
     draws = 10**6
