@@ -13,18 +13,20 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .clusterer import ClusterConfig, kmeans, louvain, select_n
+from .clusterer import ClusterConfig, check_cluster_count, cluster, kmeans, louvain, selection
 from .embedder import TrainConfig, load_embeddings, save_embeddings, train
 from .evaluator import (
     EXPERIMENT_PARAMS,
+    STAGES,
     NoiseSpec,
+    check_truth,
     interaction_frequency_report,
     load_ground_truth,
     load_labels,
@@ -32,6 +34,7 @@ from .evaluator import (
     noise_robustness,
     perturb,
     save_labels,
+    stage_configs,
     sweep,
 )
 from .srg import (
@@ -69,10 +72,6 @@ def _parse_noise_entry(entry: str) -> tuple[str, float]:
         # argparse prints the message of this error type as it is
         raise argparse.ArgumentTypeError(f"bad noise entry {entry!r}; expected kind:level; {exc}") from None
     return spec.kind, spec.level
-
-
-# The PipelineConfig field that holds each stage's hyperparameters.
-_STAGES = {"walk": WalkConfig, "train": TrainConfig, "cluster": ClusterConfig}
 
 
 @dataclass(frozen=True)
@@ -134,23 +133,13 @@ def _fields(cls, names=None) -> list:
 def _settings() -> list:
     """(class, field) of every flat pipeline setting: PipelineConfig's own
     fields, then each stage's hyperparameters."""
-    own = [name for name in PipelineConfig.__dataclass_fields__ if name not in _STAGES]
-    return _fields(PipelineConfig, own) + [(cls, f) for cls in _STAGES.values() for f in knobs(cls)]
-
-
-def _pipeline_config(settings: dict) -> PipelineConfig:
-    """PipelineConfig from flat settings keyed by field name."""
-    settings = dict(settings)
-    stages = {
-        name: cls(**{f.name: settings.pop(f.name) for f in knobs(cls) if f.name in settings})
-        for name, cls in _STAGES.items()
-    }
-    return PipelineConfig(**stages, **settings)
+    own = [name for name in PipelineConfig.__dataclass_fields__ if name not in STAGES]
+    return _fields(PipelineConfig, own) + [(cls, f) for cls in STAGES.values() for f in knobs(cls)]
 
 
 def _echo(cfg: PipelineConfig) -> dict:
     """Every flat setting of ``cfg`` by field name, tuples as lists."""
-    owners = {PipelineConfig: cfg, **{cls: getattr(cfg, name) for name, cls in _STAGES.items()}}
+    owners = {PipelineConfig: cfg, **{cls: getattr(cfg, name) for name, cls in STAGES.items()}}
     values = {f.name: getattr(owners[cls], f.name) for cls, f in _settings()}
     return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
@@ -226,15 +215,6 @@ def _load_input(cfg: PipelineConfig):
     return load_graph(cfg.edges_path), None
 
 
-def _selection(vectors, cfg: ClusterConfig, seed: int) -> dict:
-    """select_n's recommended count and each candidate's validity indices
-    over n_min..n_max, with n_max clipped to one less than the number of
-    rows (N clusters are all singletons, whose Dunn index is undefined)."""
-    n_range = range(cfg.n_min, min(cfg.n_max, len(vectors) - 1) + 1)
-    recommended, table = select_n(vectors, n_range, seed=seed, restarts=cfg.restarts)
-    return {"recommended": recommended, "scores": {str(n): asdict(s) for n, s in table.items()}}
-
-
 # -- pipeline -------------------------------------------------------------------
 
 
@@ -246,10 +226,12 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     Artifacts that an earlier run's manifest in ``out_dir`` lists and this
     run did not write are deleted; no other file is touched.
     Raises PipelineError naming the failed stage; artifacts of completed
-    stages are retained.
+    stages are retained.  The graph stage also checks that every ground
+    truth labels exactly the graph's nodes (in two classes or more with
+    noise curves) and that a fixed cluster count fits the graph, so that
+    no such run starts training.
     """
-    if cfg.cluster.cluster_mode == "fixed" and cfg.cluster.n_clusters is None:
-        raise ValueError("fixed clustering needs --n-clusters")
+    check_cluster_count(cfg.cluster)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stage_seeds = {
@@ -285,6 +267,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     try:
         graph, od = _load_input(cfg)
         save_graph(graph, artifact("graph.tsv"))
+        classes = 2 if cfg.noise else 1  # noise curves run k-means at each truth's class count
+        truths = [check_truth(graph, load_ground_truth(p), p, min_classes=classes) for p in cfg.truth_paths]
+        check_cluster_count(cfg.cluster, graph.num_nodes)
 
         stage = "walks"
         corpus = generate_walks(graph, replace(cfg.walk, seed=stage_seeds["walks"]))
@@ -295,31 +280,16 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         save_embeddings(emb, artifact("embeddings.txt"))
 
         stage = "cluster"
-        ccfg = cfg.cluster
-        if ccfg.cluster_mode == "fixed":
-            n_clusters = ccfg.n_clusters
-        elif ccfg.cluster_mode == "auto-louvain":
-            _, n_clusters, modularity_q = louvain(graph, seed=stage_seeds["cluster"])
-            manifest["louvain"] = {"communities": n_clusters, "modularity": modularity_q}
-        else:
-            selection = _selection(emb.vectors, ccfg, stage_seeds["cluster"])
-            write_json(selection, artifact("selection.json"))
-            n_clusters = selection["recommended"]
-        manifest["n_clusters"] = n_clusters
-        if n_clusters < 2:  # louvain can legitimately report one community
-            labels = np.zeros(graph.num_nodes, dtype=np.int64)
-        else:
-            assignment = kmeans(
-                emb.vectors, n_clusters, seed=stage_seeds["cluster"], restarts=ccfg.restarts
-            )
-            labels = assignment.labels
+        labels, record = cluster(emb.vectors, graph, cfg.cluster, stage_seeds["cluster"])
+        if "selection" in record:
+            write_json(record.pop("selection"), artifact("selection.json"))
+        manifest.update(record)
         save_labels(graph.node_ids, labels, artifact("labels.csv"))
         if cfg.geojson:
             write_json(grid_geojson(graph.node_ids, labels), artifact("clusters.geojson"))
 
         stage = "evaluate"
-        if cfg.truth_paths:
-            truths = [load_ground_truth(tpath) for tpath in cfg.truth_paths]
+        if truths:
             reports = {t.name: macro_f1(labels, t, node_ids=graph.node_ids).to_json() for t in truths}
             if cfg.noise:  # one embedding per noise run, scored against every truth
                 noise_reps = noise_robustness(
@@ -392,7 +362,7 @@ def _cmd_cluster(args) -> int:
 def _cmd_select_n(args) -> int:
     emb = load_embeddings(args.embeddings)
     cfg = ClusterConfig(**_given(args, _names(ClusterConfig)))
-    payload = _selection(emb.vectors, cfg, args.seed)
+    payload = selection(emb.vectors, cfg, args.seed)
     write_json(payload, args.out)
     print(f"recommended n = {payload['recommended']}")
     return 0
@@ -419,9 +389,7 @@ def _cmd_evaluate(args) -> int:
 def _parse_grid(entries) -> dict:
     """``name=v1,v2,...`` entries, each value read by its field's parser;
     an unknown name keeps its values as text for ``sweep`` to reject."""
-    parsers = {
-        f.name: field_parser(cls, f) for cls in (WalkConfig, TrainConfig, ClusterConfig) for f in knobs(cls)
-    }
+    parsers = {f.name: field_parser(cls, f) for cls in STAGES.values() for f in knobs(cls)}
     grid = {}
     for entry in entries or []:
         key, _, values = entry.partition("=")
@@ -440,7 +408,7 @@ def _cmd_sweep(args) -> int:
     if args.workers < 1:  # kept for scripts that pass it; runs are serial
         raise ValueError("workers must be at least 1")
     g = load_graph(args.graph)
-    truths = [load_ground_truth(t) for t in args.truth]
+    truths = [check_truth(g, load_ground_truth(path), source=path) for path in args.truth]
     grid = _parse_grid(args.grid)
     if not grid:
         raise ValueError("give at least one --grid name=v1,v2,...")
@@ -513,7 +481,7 @@ def _cmd_pipeline(args) -> int:
     for name, value in _given(args, [f.name for _, f in _settings()]).items():
         # a repeated flag adds to the config file's list; others replace its value
         settings[name] = settings.get(name, ()) + value if isinstance(value, tuple) else value
-    manifest = run_pipeline(_pipeline_config(settings))
+    manifest = run_pipeline(PipelineConfig(**stage_configs(settings)))
     print(f"wrote {Path(manifest['config']['out_dir']) / 'manifest.json'} "
           f"({len(manifest['outputs'])} artifacts)")
     return 0
@@ -614,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--graph", required=True)
     sw.add_argument("--truth", action="append", required=True)
     sw.add_argument("--grid", action="append", metavar="NAME=V1,V2,...")
-    _add_flags(sw, [pair for cls in _STAGES.values() for pair in _fields(cls, EXPERIMENT_PARAMS)])
+    _add_flags(sw, [pair for cls in STAGES.values() for pair in _fields(cls, EXPERIMENT_PARAMS)])
     sw.add_argument("--repeats", type=int, default=20)
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--baselines", action="store_true")

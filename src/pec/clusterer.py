@@ -8,7 +8,7 @@ estimates a community count directly from the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,6 +23,9 @@ __all__ = [
     "select_n",
     "louvain",
     "modularity",
+    "check_cluster_count",
+    "selection",
+    "cluster",
 ]
 
 
@@ -378,3 +381,39 @@ def louvain(g, seed: int = 0, runs: int = 5) -> tuple[np.ndarray, int, float]:
             best_labels = labels
     count = int(best_labels.max()) + 1
     return best_labels, count, float(best_q)
+
+
+def check_cluster_count(cfg: ClusterConfig, n_pts: int | None = None) -> None:
+    """Raise ValueError if mode "fixed" has no ``n_clusters``, or, given the
+    number of points to cluster, more clusters than points."""
+    if cfg.cluster_mode == "fixed" and cfg.n_clusters is None:
+        raise ValueError("fixed clustering needs --n-clusters")
+    if cfg.cluster_mode == "fixed" and n_pts is not None and cfg.n_clusters > n_pts:
+        raise ValueError(f"n_clusters={cfg.n_clusters} exceeds the {n_pts} nodes to cluster")
+
+
+def selection(vectors, cfg: ClusterConfig, seed: int) -> dict:
+    """select_n's recommended count and each candidate's validity indices
+    over n_min..n_max, with n_max clipped to one less than the number of
+    rows (N clusters are all singletons, whose Dunn index is undefined)."""
+    n_range = range(cfg.n_min, min(cfg.n_max, len(vectors) - 1) + 1)
+    recommended, table = select_n(vectors, n_range, seed=seed, restarts=cfg.restarts)
+    return {"recommended": recommended, "scores": {str(n): asdict(s) for n, s in table.items()}}
+
+
+def cluster(vectors, g, cfg: ClusterConfig, seed: int) -> tuple[np.ndarray, dict]:
+    """The cluster stage: labels for the rows of ``vectors`` (one per node of
+    ``g``) by k-means, seeded by ``seed``, at the count of ``cfg.cluster_mode``
+    (all zero for one Louvain community), and a record of "n_clusters" plus
+    "louvain" (communities, modularity) or "selection" (:func:`selection`)."""
+    if cfg.cluster_mode == "fixed":
+        record = {"n_clusters": cfg.n_clusters}
+    elif cfg.cluster_mode == "auto-louvain":
+        _, count, q = louvain(g, seed=seed)
+        record = {"n_clusters": count, "louvain": {"communities": count, "modularity": q}}
+    else:
+        chosen = selection(vectors, cfg, seed)
+        record = {"n_clusters": chosen["recommended"], "selection": chosen}
+    if record["n_clusters"] < 2:  # louvain can legitimately report one community
+        return np.zeros(len(vectors), dtype=np.int64), record
+    return kmeans(vectors, record["n_clusters"], seed=seed, restarts=cfg.restarts).labels, record

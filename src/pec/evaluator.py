@@ -29,7 +29,10 @@ __all__ = [
     "NoiseSpec",
     "macro_f1",
     "run_embedding_clustering",
+    "check_truth",
+    "STAGES",
     "EXPERIMENT_PARAMS",
+    "stage_configs",
     "sweep",
     "SweepReport",
     "perturb",
@@ -188,9 +191,22 @@ def _max_assignment(f1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # -- the embedding-and-clustering pipeline used by experiments ----------------
 
+# The stage configs of a run, by the PipelineConfig field that holds each.
+STAGES = {"walk": WalkConfig, "train": TrainConfig, "cluster": ClusterConfig}
+
 # The cluster count of an experiment run is the ground truth's class count,
 # so of ClusterConfig's knobs only ``restarts`` applies.
 EXPERIMENT_PARAMS = tuple(f.name for f in knobs(WalkConfig) + knobs(TrainConfig)) + ("restarts",)
+
+
+def stage_configs(settings: dict) -> dict:
+    """Flat settings keyed by field name, with each stage's knobs gathered
+    into its config under its STAGES name.  Values are read by each field's
+    parser; a knob left out keeps its default."""
+    out = dict(settings)
+    for name, cls in STAGES.items():
+        out[name] = cls(**{f.name: field_parser(cls, f)(out.pop(f.name)) for f in knobs(cls) if f.name in out})
+    return out
 
 
 def _check_param_names(names) -> None:
@@ -201,24 +217,47 @@ def _check_param_names(names) -> None:
         )
 
 
-def _resolve_params(params: dict | None = None) -> tuple[WalkConfig, TrainConfig, ClusterConfig]:
-    """Split a flat dict of EXPERIMENT_PARAMS over the three stage configs.
+def _resolve_params(params: dict | None = None) -> tuple:
+    """The stage configs of a flat dict of EXPERIMENT_PARAMS, in STAGES
+    order (see :func:`stage_configs`).  An unknown name raises ValueError."""
+    _check_param_names(params or {})
+    configs = stage_configs(params or {})
+    return tuple(configs[name] for name in STAGES)
 
-    Values are converted to each field's type; a knob left out keeps its
-    config's default.  An unknown name raises ValueError.
-    """
-    params = dict(params or {})
-    _check_param_names(params)
-    return tuple(
-        cls(**{f.name: field_parser(cls, f)(params[f.name]) for f in knobs(cls) if f.name in params})
-        for cls in (WalkConfig, TrainConfig, ClusterConfig)
-    )
+
+def check_truth(g, truth: GroundTruth, source=None, min_classes: int = 2) -> GroundTruth:
+    """``truth``, once checked to label exactly the nodes of ``g`` in at least
+    ``min_classes`` classes; else ValueError naming ``source`` (default: the
+    truth's name).  Experiments run k-means at the class count, so need two."""
+    where = source if source is not None else f"ground truth {truth.name!r}"
+    graph_ids, truth_ids = set(g.node_ids), set(truth.node_ids)
+    if graph_ids != truth_ids:
+        raise ValueError(
+            f"{where}: node set does not match the graph: {len(graph_ids - truth_ids)} of its "
+            f"{g.num_nodes} nodes unlabeled, {len(truth_ids - graph_ids)} labeled nodes not in it"
+        )
+    if truth.n_true < min_classes:
+        raise ValueError(f"{where}: {truth.n_true} class(es), need at least {min_classes}")
+    return truth
 
 
 def _embed(g, wcfg: WalkConfig, tcfg: TrainConfig, seed: int):
     """The embed step: walks, then skip-gram training, seeded from ``seed`` as "walks" and "train"."""
     corpus = generate_walks(g, replace(wcfg, seed=derive_seed(seed, "walks")))
     return train(corpus, replace(tcfg, seed=derive_seed(seed, "train")))
+
+
+def _score_runs(runs, truths, wcfg: WalkConfig, tcfg: TrainConfig, restarts: int) -> np.ndarray:
+    """Macro-F1 of every run against every truth, one contiguous row per truth.
+    A run is (graph, run seed, one k-means seed per truth): one embedding
+    (:func:`_embed`), then k-means at each truth's class count.  ``runs`` is
+    read one run at a time, so it can build each graph lazily."""
+    scores = []
+    for g, run_seed, km_seeds in runs:
+        vectors = _embed(g, wcfg, tcfg, run_seed).vectors
+        labels = [kmeans(vectors, t.n_true, seed=s, restarts=restarts).labels for t, s in zip(truths, km_seeds)]
+        scores.append([macro_f1(lab, t, node_ids=g.node_ids).macro_f1 for lab, t in zip(labels, truths)])
+    return np.ascontiguousarray(np.array(scores).T)
 
 
 def run_embedding_clustering(g, n: int, params: dict | None = None, seed: int = 0):
@@ -345,11 +384,12 @@ def sweep(
     and scores it against every truth: k-means at the truth's class count,
     seeded ``derive_seed(run_seed, truth.name, "kmeans")``.  A score's ``sem``
     is its std (ddof=1) over sqrt(repeats), None with one repeat.  With
-    ``include_baselines``, spectral clustering and average-linkage HCA are
-    scored per cell at the same embedding dimension.  A cell whose values
-    are out of range or whose training diverges is recorded and skipped; an
-    unknown parameter name raises ValueError up front.  Runs are serial, in
-    cell order.
+    ``include_baselines``, spectral clustering is scored once per embedding
+    dimension and average-linkage HCA once per sweep, and every cell carries
+    both.  A cell whose values are out of range or whose training diverges
+    is recorded and skipped; an unknown parameter name, or a truth that does
+    not fit the graph (:func:`check_truth`), raises ValueError up front.
+    Runs are serial, in cell order.
     """
     truths = list(truths)
     names = [t.name for t in truths]
@@ -358,66 +398,65 @@ def sweep(
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     _check_param_names([*(base_params or {}), *grid])
+    for truth in truths:
+        check_truth(g, truth)
     param_names = tuple(grid.keys())
     if not param_names:
         return SweepReport((), (), repeats, tuple(names))
     cells_values = list(itertools.product(*[list(grid[k]) for k in param_names]))
     cells: list[SweepCell] = []
-    baseline_cache: dict[tuple, dict] = {}
+    sc_scores: dict[int, dict] = {}  # per dim
+    hca_scores: dict[str, float] = {}  # the tree depends on the graph alone
 
     for cell_idx, values in enumerate(cells_values):
         cell_params = dict(zip(param_names, values))
         try:
             wcfg, tcfg, ccfg = _resolve_params({**(base_params or {}), **cell_params})
-            arr = np.zeros((repeats, len(truths)))
-            for rep in range(repeats):
-                run_seed = derive_seed(seed, "cell", cell_idx, rep)
-                vectors = _embed(g, wcfg, tcfg, run_seed).vectors
-                for i, truth in enumerate(truths):
-                    km_seed = derive_seed(run_seed, truth.name, "kmeans")
-                    labels = kmeans(vectors, truth.n_true, seed=km_seed, restarts=ccfg.restarts).labels
-                    arr[rep, i] = macro_f1(labels, truth, node_ids=g.node_ids).macro_f1
+            run_seeds = [derive_seed(seed, "cell", cell_idx, rep) for rep in range(repeats)]
+            runs = ((g, s, [derive_seed(s, name, "kmeans") for name in names]) for s in run_seeds)
             scores = {
-                t.name: {
-                    "mean": float(arr[:, i].mean()),
-                    "std": float(arr[:, i].std()),
-                    "sem": float(arr[:, i].std(ddof=1) / math.sqrt(repeats)) if repeats > 1 else None,
+                name: {
+                    "mean": float(row.mean()),
+                    "std": float(row.std()),
+                    "sem": float(row.std(ddof=1) / math.sqrt(repeats)) if repeats > 1 else None,
                 }
-                for i, t in enumerate(truths)
+                for name, row in zip(names, _score_runs(runs, truths, wcfg, tcfg, ccfg.restarts))
             }
             baselines: dict[str, dict] = {}
             if include_baselines:
-                if tcfg.dim not in baseline_cache:
-                    baseline_cache[tcfg.dim] = _baseline_scores(g, truths, tcfg.dim, repeats, seed)
-                baselines = baseline_cache[tcfg.dim]
+                if tcfg.dim not in sc_scores:
+                    sc_scores[tcfg.dim] = _sc_scores(g, truths, tcfg.dim, repeats, seed)
+                hca_scores = hca_scores or _hca_scores(g, truths)
+                baselines = {t: {"sc": sc_scores[tcfg.dim][t], "hca": hca_scores[t]} for t in names}
             cells.append(SweepCell(cell_params, scores, baselines))
         except (ValueError, TrainingDiverged) as exc:  # record the failure, keep sweeping
             cells.append(SweepCell(cell_params, {}, {}, error=f"{type(exc).__name__}: {exc}"))
     return SweepReport(param_names, tuple(cells), repeats, tuple(names))
 
 
-def _baseline_scores(g, truths, dim: int, repeats: int, seed: int) -> dict:
-    """Spectral-clustering and HCA Macro-F1, per ground truth.
-
-    The spectral rows and the average-linkage merge history of the weight
-    rows are computed once; k-means runs per truth and repeat, and the
-    history is cut at each truth's class count.
-    """
+def _sc_scores(g, truths, dim: int, repeats: int, seed: int) -> dict[str, float]:
+    """Spectral-clustering Macro-F1 per ground truth, the mean over repeats:
+    the spectral rows are computed once, k-means runs per truth and repeat."""
     rows = spectral_rows(g, min(dim, g.num_nodes))
-    weight_rows = g.to_weight_matrix()
-    merges = agglomerate(np.sqrt(sq_distances(weight_rows, weight_rows)), "average")
-    out: dict[str, dict] = {}
+    out = {}
     for truth in truths:
-        sc_scores = []
+        scores = []
         for rep in range(repeats):
             sc = kmeans(rows, truth.n_true, seed=derive_seed(seed, "sc", truth.name, rep))
-            sc_scores.append(macro_f1(sc.labels, truth, node_ids=g.node_ids).macro_f1)
-        hca_labels, _ = cut(merges, g.num_nodes, truth.n_true)
-        out[truth.name] = {
-            "sc": float(np.mean(sc_scores)),
-            "hca": macro_f1(hca_labels, truth, node_ids=g.node_ids).macro_f1,
-        }
+            scores.append(macro_f1(sc.labels, truth, node_ids=g.node_ids).macro_f1)
+        out[truth.name] = float(np.mean(scores))
     return out
+
+
+def _hca_scores(g, truths) -> dict[str, float]:
+    """Average-linkage HCA Macro-F1 per ground truth: one merge history of
+    the weight rows, cut at each truth's class count."""
+    weight_rows = g.to_weight_matrix()
+    merges = agglomerate(np.sqrt(sq_distances(weight_rows, weight_rows)), "average")
+    return {
+        truth.name: macro_f1(cut(merges, g.num_nodes, truth.n_true)[0], truth, node_ids=g.node_ids).macro_f1
+        for truth in truths
+    }
 
 
 # -- additive noise ------------------------------------------------------------
@@ -517,8 +556,9 @@ def noise_robustness(
     rebuilds the graph from the noisy volumes and runs the embedding
     pipeline.  The unperturbed pipeline is run with the same repeat seeds
     as the reference.  ``params`` is as for :func:`run_embedding_clustering`.
-    ``mode``, ``params`` and every (kind, level) are checked before the
-    first run.  Runs are serial.
+    ``mode``, ``params``, every (kind, level) and every truth (as in
+    :func:`check_truth`) are checked before the first run.  Runs are serial;
+    each noisy graph is built when its run starts.
 
     ``truth`` is one GroundTruth, which gives one NoiseReport, or a sequence
     of them, which gives a tuple of reports in the same order.  Each run
@@ -532,46 +572,33 @@ def noise_robustness(
     _check_noise_mode(mode)
     curve_names = [NoiseSpec(kind, level).label for kind, level in noise]
     wcfg, tcfg, ccfg = _resolve_params(params)
+    for t in truths:
+        check_truth(g, t)
     weight = g.to_weight_matrix()
-    node_ids = g.node_ids
 
-    def scores(graph, run_seed: int) -> list[float]:
-        vectors = _embed(graph, wcfg, tcfg, run_seed).vectors
-        km_seed = derive_seed(run_seed, "kmeans")
-        labels = [kmeans(vectors, t.n_true, seed=km_seed, restarts=ccfg.restarts).labels for t in truths]
-        return [macro_f1(lab, t, node_ids=node_ids).macro_f1 for lab, t in zip(labels, truths)]
+    def runs():  # the clean runs, then each noise setting's; each graph is built when its run starts
+        for si, rep in itertools.product([None, *range(len(noise))], range(repeats)):
+            if si is None:
+                graph, run_seed = g, derive_seed(seed, "clean", rep)
+            else:
+                spec = NoiseSpec(*noise[si], seed=derive_seed(seed, "noise", si, rep))
+                graph = build_srg_from_interactions(InteractionMatrix(g.node_ids, perturb(weight, spec, mode)))
+                run_seed = derive_seed(seed, "run", si, rep)
+            yield graph, run_seed, [derive_seed(run_seed, "kmeans")] * len(truths)
 
-    def noisy_run(spec_idx: int, rep: int) -> list[float]:
-        kind, level = noise[spec_idx]
-        noisy = perturb(
-            weight, NoiseSpec(kind, level, seed=derive_seed(seed, "noise", spec_idx, rep)), mode=mode
-        )
-        g_noisy = build_srg_from_interactions(InteractionMatrix(node_ids, noisy))
-        return scores(g_noisy, derive_seed(seed, "run", spec_idx, rep))
-
-    def per_truth(runs) -> np.ndarray:  # (truths, repeats), one contiguous row per truth
-        return np.ascontiguousarray(np.array(runs).T)
-
-    clean = per_truth([scores(g, derive_seed(seed, "clean", r)) for r in range(repeats)])
-    curves: list[dict] = [{} for _ in truths]
-    for si, (kind, level) in enumerate(noise):
-        vals = per_truth([noisy_run(si, rep) for rep in range(repeats)])
-        for ti, row in enumerate(vals):
-            curves[ti][curve_names[si]] = {
-                "kind": kind,
-                "level": float(level),
-                "mean": float(row.mean()),
-                "std": float(row.std()),
-            }
+    scores = _score_runs(runs(), truths, wcfg, tcfg, ccfg.restarts)
     reports = tuple(
         NoiseReport(
             truth_name=t.name,
-            baseline_mean=float(np.mean(clean[ti])),
-            curves=curves[ti],
+            baseline_mean=float(rows[0].mean()),
+            curves={
+                label: dict(kind=kind, level=float(level), mean=float(row.mean()), std=float(row.std()))
+                for (kind, level), label, row in zip(noise, curve_names, rows[1:])
+            },
             repeats=repeats,
             mode=mode,
         )
-        for ti, t in enumerate(truths)
+        for t, rows in zip(truths, scores.reshape(len(truths), 1 + len(noise), repeats))
     )
     return reports[0] if isinstance(truth, GroundTruth) else reports
 

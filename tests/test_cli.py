@@ -414,10 +414,12 @@ def test_error_json_on_missing_input(tmp_path, capsys):
     assert "nope.csv" in err["message"]
 
 
-def test_stage_error_names_stage(od_dir, tmp_path, capsys):
-    # n_clusters larger than the node count fails in the cluster stage
+def test_stage_error_names_stage(tmp_path, capsys):
+    # Louvain on a graph without edges can only fail in the cluster stage
+    edges = tmp_path / "nodes-only.tsv"
+    edges.write_text("".join(f"#node\tv{i}\n" for i in range(6)), encoding="utf-8")
     code = run_cli(
-        "pipeline", "--od", od_dir / "od.csv", "--n-clusters", 999,
+        "pipeline", "--edges", edges, "--cluster-mode", "auto-louvain",
         "--walk-length", 6, "--num-walks", 2, "--dim", 4, "--epochs", 1,
         "--out-dir", tmp_path / "y",
     )
@@ -426,6 +428,34 @@ def test_stage_error_names_stage(od_dir, tmp_path, capsys):
     assert err["stage"] == "cluster"
     # artifacts from completed stages are retained
     assert (tmp_path / "y" / "embeddings.txt").exists()
+
+
+def test_inputs_that_do_not_fit_the_graph_fail_before_the_walks(od_dir, metro_dir, tmp_path, capsys):
+    od = ["--od", od_dir / "od.csv", "--walk-length", 6, "--num-walks", 2, "--dim", 3, "--epochs", 1]
+    foreign = metro_dir / "line-membership.csv"
+    one_class = tmp_path / "one-class.csv"
+    ids, _ = load_labels(od_dir / "block-membership.csv")
+    one_class.write_text("node_id,label\n" + "".join(f"{i},0\n" for i in ids), encoding="utf-8")
+    cases = [
+        (["--n-clusters", 999], "n_clusters=999 exceeds the 18 nodes"),
+        (["--n-clusters", 3, "--truth", foreign], f"{foreign}: node set does not match the graph"),
+        (["--n-clusters", 3, "--truth", one_class, "--noise", "gaussian:1"], f"{one_class}: 1 class"),
+    ]
+    for i, (flags, message) in enumerate(cases):
+        out = tmp_path / f"run{i}"
+        assert run_cli("pipeline", *od, *flags, "--out-dir", out) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["stage"] == "graph" and message in err["message"]
+        assert not (out / "corpus.txt").exists()
+    # without noise curves one class is a valid truth to score against
+    assert run_cli("pipeline", *od, "--n-clusters", 3, "--truth", one_class, "--out-dir", tmp_path / "ok") == 0
+    code = run_cli(
+        "sweep", "--graph", metro_dir / "edges.tsv", "--truth", od_dir / "block-membership.csv",
+        "--grid", "p=1", "--repeats", 1, "--out-dir", tmp_path / "sw",
+    )
+    assert code == 1
+    assert f"{od_dir / 'block-membership.csv'}: node set" in json.loads(capsys.readouterr().err)["message"]
+    assert not (tmp_path / "sw").exists()
 
 
 def test_usage_error_exit_code(od_dir, tmp_path):
@@ -445,3 +475,41 @@ def test_unknown_subcommand_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+# Digests recorded before sweep and noise_robustness shared one scored-run
+# path (numpy 2.4, x86-64).  With nine repeats each mean and std goes
+# through numpy's unrolled pairwise summation (eight partial sums from eight
+# values on), so the digests pin every bit of the reported figures however
+# the runner lays the scores out.
+GOLDEN_SWEEP = {
+    "sweep.json": "674299c997ea2683f3d1150c682d5b8a32cede470dc568c0a921bae13fb14ea9",
+    "sweep.csv": "75063cbb5952a7f9fac089d1b92d4c5eb77fe5ca0a0dfd85a74ecf1876ca13ab",
+}
+GOLDEN_NOISE = {
+    "report.json": "8ca817138b5419ca5b33957940d229751a6d3c2a88be9dc9bc4ff99777842ff2",
+    "noise_line-membership.csv": "6c972d4cad3cab33d3ef8702c02cd2bf293e0e5a1ae05c523c8315acf5802a47",
+    "noise_transfer-vs-not.csv": "e9897d7f07c66198f840c2378a1f8b98722535a2bd094746e74d2940c04a423f",
+}
+
+
+def test_sweep_output_bytes_are_golden(metro_dir, tmp_path):
+    out = tmp_path / "sweep"
+    assert run_cli(
+        "sweep", "--graph", metro_dir / "edges.tsv",
+        "--truth", metro_dir / "line-membership.csv", "--truth", metro_dir / "transfer-vs-not.csv",
+        "--grid", "dim=2,4", "--walk-length", 6, "--num-walks", 2, "--epochs", 1, "--restarts", 2,
+        "--repeats", 9, "--seed", 5, "--baselines", "--out-dir", out,
+    ) == 0
+    assert {name: sha256_file(out / name) for name in GOLDEN_SWEEP} == GOLDEN_SWEEP
+
+
+def test_noise_pipeline_output_bytes_are_golden(metro_dir, tmp_path):
+    out = tmp_path / "noise"
+    assert run_cli(
+        "pipeline", "--edges", metro_dir / "edges.tsv", "--n-clusters", 2,
+        "--truth", metro_dir / "line-membership.csv", "--truth", metro_dir / "transfer-vs-not.csv",
+        "--noise", "gaussian:1", "--noise", "poisson:4", "--walk-length", 6, "--num-walks", 2,
+        "--dim", 3, "--epochs", 1, "--restarts", 2, "--repeats", 9, "--seed", 6, "--out-dir", out,
+    ) == 0
+    assert {name: sha256_file(out / name) for name in GOLDEN_NOISE} == GOLDEN_NOISE

@@ -258,7 +258,7 @@ def test_noise_spec_validation(tiny_metro, monkeypatch):
         raise AssertionError("a run started before every noise setting was checked")
 
     g, _, transfer_t = tiny_metro
-    monkeypatch.setattr(pec.evaluator, "run_embedding_clustering", no_run)
+    monkeypatch.setattr(pec.evaluator, "train", no_run)
     with pytest.raises(ValueError, match="finite and nonnegative"):
         noise_robustness(g, transfer_t, [("gaussian", 1.0), ("gaussian", float("inf"))], repeats=1)
     with pytest.raises(ValueError, match="mode"):
@@ -282,6 +282,22 @@ FAST_PARAMS = {
     "epochs": 2,
     "restarts": 3,
 }
+
+
+def test_experiments_check_every_truth_before_any_training(tiny_metro, monkeypatch):
+    g, line_t, transfer_t = tiny_metro
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before every truth was checked")
+
+    monkeypatch.setattr(pec.evaluator, "train", no_run)
+    foreign = truth_of([0, 1] * (g.num_nodes // 2), name="foreign")
+    one_class = GroundTruth.from_labels(g.node_ids, [0] * g.num_nodes, name="flat")
+    for bad, message in ((foreign, "'foreign': node set does not match"), (one_class, "'flat': 1 class")):
+        with pytest.raises(ValueError, match=message):
+            sweep(g, [line_t, bad], grid={"p": [1.0]}, base_params=FAST_PARAMS, repeats=1)
+        with pytest.raises(ValueError, match=message):
+            noise_robustness(g, [transfer_t, bad], [("gaussian", 1.0)], params=FAST_PARAMS, repeats=1)
 
 
 def test_sweep_empty_grid():
@@ -412,7 +428,7 @@ def test_sweep_baselines_do_not_depend_on_the_embedding_stream(tiny_metro):
     assert [cell.baselines for cell in report.cells] == [expected[2], expected[4]] * 2
 
 
-def test_sweep_baselines_build_one_spectral_embedding_and_one_tree_per_dim(tiny_metro, monkeypatch):
+def test_sweep_baselines_build_one_spectral_embedding_per_dim_and_one_tree(tiny_metro, monkeypatch):
     g, line_t, transfer_t = tiny_metro
     calls = []
 
@@ -431,8 +447,9 @@ def test_sweep_baselines_build_one_spectral_embedding_and_one_tree_per_dim(tiny_
         include_baselines=True,
     )
     assert all(cell.error is None for cell in report.cells)
-    # one of each per dim; two truths x two repeats made four spectral embeddings and two trees
-    assert calls == ["spectral_embedding", "agglomerate"] * 2
+    # one spectral embedding per dim and one tree per sweep; two truths x two
+    # repeats made four spectral embeddings, and each dim its own tree
+    assert calls == ["spectral_embedding", "agglomerate", "spectral_embedding"]
 
 
 def test_noise_robustness_of_two_truths_equals_each_alone(tiny_metro, monkeypatch):
