@@ -49,7 +49,7 @@ from .srg import (
     InteractionMatrix,
 )
 from .synth import blobs, default_metro_spec, metro_network, planted_od
-from .util import derive_seed, field_parser, knobs, sha256_file, write_json
+from .util import derive_seed, field_parser, knobs, parse_fields, read_lines, sha256_file, write_json
 from .walker import WalkConfig, generate_walks, load_corpus, save_corpus
 
 __all__ = ["PipelineConfig", "PipelineError", "run_pipeline", "main"]
@@ -150,7 +150,7 @@ def read_config_file(path) -> dict:
     list settings take comma-separated values."""
     by_key = {f.metadata.get("key", f.name): (cls, f) for cls, f in _settings()}
     out: dict = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in read_lines(path):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -161,11 +161,9 @@ def read_config_file(path) -> dict:
         if key not in by_key:
             raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
         cls, f = by_key[key]
-        parse = field_parser(cls, f)
-        try:
-            out[f.name] = tuple(map(parse, raw.split(","))) if isinstance(f.default, tuple) else parse(raw)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ValueError(f"{path}: line {lineno}: {key}: {exc}") from None
+        many = isinstance(f.default, tuple)
+        values = parse_fields(path, lineno, field_parser(cls, f), raw.split(",") if many else [raw], key)
+        out[f.name] = tuple(values) if many else values[0]
         choices = f.metadata.get("choices")
         if choices and out[f.name] not in choices:
             raise ValueError(f"{path}: line {lineno}: {key} must be one of {', '.join(choices)}")

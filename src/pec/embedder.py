@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .util import parse_rows, read_lines, write_lines
 from .walker import AliasTable, WalkCorpus
 
 __all__ = [
@@ -282,42 +283,29 @@ def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
 
 def save_embeddings(emb: EmbeddingMatrix, path) -> None:
     """Text format: ``N d`` header, then ``node_id v1 ... vd`` per node."""
-    n, d = emb.vectors.shape
-    lines = [f"{n} {d}"]
-    for nid, row in zip(emb.node_ids, emb.vectors):
-        lines.append(nid + " " + " ".join(f"{x:.17g}" for x in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = (nid + " " + " ".join(f"{x:.17g}" for x in row) for nid, row in zip(emb.node_ids, emb.vectors))
+    write_lines(path, ["{} {}".format(*emb.vectors.shape), *rows])
 
 
 def load_embeddings(path) -> EmbeddingMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    lines = list(read_lines(path))
     if not lines:
         raise ValueError(f"{path}: empty embedding file")
-    head = lines[0].split()
+    (head_line, head_text), body = lines[0], lines[1:]
+    head = head_text.split()
     if len(head) != 2:
-        raise ValueError(f"{path}: line 1: expected header 'N d'")
+        raise ValueError(f"{path}: line {head_line}: expected header 'N d'")
     if not all(x.isdecimal() for x in head):
-        raise ValueError(f"{path}: line 1: header 'N d' needs two nonnegative integers, got {lines[0]!r}")
+        raise ValueError(
+            f"{path}: line {head_line}: header 'N d' needs two nonnegative integers, got {head_text!r}"
+        )
     n, d = int(head[0]), int(head[1])
-    if len(lines) - 1 != n:
-        raise ValueError(f"{path}: header declares {n} rows, found {len(lines) - 1}")
-    rows = []
-    first_line: dict[str, int] = {}  # node id -> its line, in file order
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(" ")
-        if len(parts) != d + 1:
-            raise ValueError(f"{path}: line {lineno}: expected {d} values, got {len(parts) - 1}")
-        if parts[0] in first_line:
-            raise ValueError(f"{path}: line {lineno}: node {parts[0]!r} repeats line {first_line[parts[0]]}")
-        first_line[parts[0]] = lineno
-        try:
-            row = [float(x) for x in parts[1:]]
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: non-numeric vector entry") from None
-        if not np.all(np.isfinite(row)):
-            raise ValueError(f"{path}: line {lineno}: non-finite vector entry")
-        rows.append(row)
-    vectors = np.array(rows)
-    return EmbeddingMatrix(tuple(first_line), vectors, np.zeros_like(vectors), ())
+    if len(body) != n:
+        raise ValueError(f"{path}: header declares {n} rows, found {len(body)}")
+    split = [(lineno, text.split(" ")) for lineno, text in body]
+    ids, rows = parse_rows(path, split, d + 1, float, "vector entry")
+    vectors = np.array(rows).reshape(n, d)
+    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: line {body[bad[0]][0]}: non-finite vector entry")
+    return EmbeddingMatrix(ids, vectors, np.zeros_like(vectors), ())

@@ -8,7 +8,6 @@ interaction frequency tables.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -20,7 +19,7 @@ from .baselines import agglomerate, cut, spectral_rows
 from .clusterer import ClusterConfig, kmeans
 from .embedder import TrainConfig, TrainingDiverged, train
 from .srg import InteractionMatrix, build_srg_from_interactions
-from .util import derive_seed, field_parser, knobs, sq_distances
+from .util import derive_seed, field_parser, knobs, parse_rows, prefixed, read_csv, sq_distances, write_csv
 from .walker import WalkConfig, generate_walks
 
 __all__ = [
@@ -66,8 +65,8 @@ class GroundTruth:
             if nid in seen:
                 raise ValueError(f"node {nid!r} repeats in ground truth {self.name!r}")
             seen.add(nid)
-        present = np.unique(labels)
-        if not np.array_equal(present, np.arange(self.n_true)):
+        in_range = labels.size == 0 or (labels.min() >= 0 and labels.max() < self.n_true)
+        if not (in_range and np.all(np.bincount(labels, minlength=self.n_true))):
             raise ValueError("labels must be contiguous integers 0..n_true-1, all present")
 
     @classmethod
@@ -202,10 +201,12 @@ EXPERIMENT_PARAMS = tuple(f.name for f in knobs(WalkConfig) + knobs(TrainConfig)
 def stage_configs(settings: dict) -> dict:
     """Flat settings keyed by field name, with each stage's knobs gathered
     into its config under its STAGES name.  Values are read by each field's
-    parser; a knob left out keeps its default."""
+    parser, and one it rejects raises ValueError naming the knob; a knob
+    left out keeps its default."""
     out = dict(settings)
     for name, cls in STAGES.items():
-        out[name] = cls(**{f.name: field_parser(cls, f)(out.pop(f.name)) for f in knobs(cls) if f.name in out})
+        given = [f for f in knobs(cls) if f.name in out]
+        out[name] = cls(**{f.name: prefixed(f.name, field_parser(cls, f), out.pop(f.name)) for f in given})
     return out
 
 
@@ -345,25 +346,19 @@ class SweepReport:
         }
 
     def save_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                list(self.param_names)
-                + ["truth", "method", "macro_f1_mean", "macro_f1_std", "repeats", "error"]
-            )
-            for cell in self.cells:
-                base = [repr(cell.params[k]) for k in self.param_names]
-                for truth in self.truth_names:
-                    if cell.error is not None:
-                        writer.writerow(base + [truth, "pem", "", "", self.repeats, cell.error])
-                        continue
-                    score = cell.scores[truth]
-                    writer.writerow(
-                        base
-                        + [truth, "pem", repr(score["mean"]), repr(score["std"]), self.repeats, ""]
-                    )
-                    for method, value in sorted(cell.baselines.get(truth, {}).items()):
-                        writer.writerow(base + [truth, method, repr(value), "", self.repeats, ""])
+        rows = []
+        for cell in self.cells:
+            base = [repr(cell.params[k]) for k in self.param_names]
+            for truth in self.truth_names:
+                if cell.error is not None:
+                    rows.append(base + [truth, "pem", "", "", self.repeats, cell.error])
+                    continue
+                score = cell.scores[truth]
+                rows.append(base + [truth, "pem", repr(score["mean"]), repr(score["std"]), self.repeats, ""])
+                for method, value in sorted(cell.baselines.get(truth, {}).items()):
+                    rows.append(base + [truth, method, repr(value), "", self.repeats, ""])
+        header = ["truth", "method", "macro_f1_mean", "macro_f1_std", "repeats", "error"]
+        write_csv(path, [*self.param_names, *header], rows)
 
 
 def sweep(
@@ -529,15 +524,10 @@ class NoiseReport:
         }
 
     def save_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["kind", "level", "macro_f1_mean", "macro_f1_std", "repeats"])
-            writer.writerow(["none", "0", repr(self.baseline_mean), "", self.repeats])
-            for label in sorted(self.curves):
-                cur = self.curves[label]
-                writer.writerow(
-                    [cur["kind"], repr(cur["level"]), repr(cur["mean"]), repr(cur["std"]), self.repeats]
-                )
+        rows = [["none", "0", repr(self.baseline_mean), "", self.repeats]]
+        for cur in (self.curves[label] for label in sorted(self.curves)):
+            rows.append([cur["kind"], repr(cur["level"]), repr(cur["mean"]), repr(cur["std"]), self.repeats])
+        write_csv(path, ["kind", "level", "macro_f1_mean", "macro_f1_std", "repeats"], rows)
 
 
 def noise_robustness(
@@ -615,11 +605,9 @@ class FrequencyReport:
     flagged_rows: tuple[int, ...]  # regions with zero outgoing volume
 
     def save_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["region"] + [f"r{lab}" for lab in self.region_labels])
-            for lab, row in zip(self.region_labels, self.matrix):
-                writer.writerow([f"r{lab}"] + [repr(float(x)) for x in row])
+        names = [f"r{lab}" for lab in self.region_labels]
+        rows = ([name] + [repr(float(x)) for x in row] for name, row in zip(names, self.matrix))
+        write_csv(path, ["region", *names], rows)
 
 
 def interaction_frequency_report(od: InteractionMatrix, labels) -> FrequencyReport:
@@ -632,7 +620,7 @@ def interaction_frequency_report(od: InteractionMatrix, labels) -> FrequencyRepo
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != len(od.node_ids):
         raise ValueError("one label per node required")
-    regions = [int(v) for v in np.unique(labels)]
+    regions = sorted(set(labels.tolist()))
     volumes = od.volumes.copy()
     np.fill_diagonal(volumes, 0.0)
     r = len(regions)
@@ -657,34 +645,16 @@ def interaction_frequency_report(od: InteractionMatrix, labels) -> FrequencyRepo
 
 
 def save_labels(node_ids, labels, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["node_id", "label"])
-        for nid, lab in zip(node_ids, np.asarray(labels).tolist()):
-            writer.writerow([nid, int(lab)])
+    rows = ([nid, int(lab)] for nid, lab in zip(node_ids, np.asarray(labels).tolist()))
+    write_csv(path, ["node_id", "label"], rows)
 
 
 def load_labels(path) -> tuple[tuple[str, ...], np.ndarray]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["node_id", "label"]:
+    header, rows = read_csv(path)
+    if header != ["node_id", "label"]:
         raise ValueError(f"{path}: expected header 'node_id,label'")
-    ids, labels = [], []
-    first_line: dict[str, int] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ValueError(f"{path}: line {lineno}: expected 2 fields")
-        if row[0] in first_line:
-            raise ValueError(f"{path}: line {lineno}: node {row[0]!r} repeats line {first_line[row[0]]}")
-        first_line[row[0]] = lineno
-        ids.append(row[0])
-        try:
-            labels.append(int(row[1]))
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: non-integer label {row[1]!r}") from None
-    return tuple(ids), np.array(labels, dtype=np.int64)
+    ids, labels = parse_rows(path, rows, 2, int, "label")
+    return ids, np.array(labels, dtype=np.int64).reshape(-1)
 
 
 def load_ground_truth(path, name: str | None = None) -> GroundTruth:

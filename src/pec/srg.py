@@ -8,14 +8,15 @@ interaction volumes such as an origin-destination matrix (SRG-II).
 
 from __future__ import annotations
 
-import csv
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .util import sq_distances
+from .util import (check_unique, parse_fields, parse_rows, prefixed, read_csv, read_lines, sq_distances,
+                   write_csv, write_lines)
 
 __all__ = [
     "FeatureMatrix",
@@ -347,9 +348,7 @@ def save_graph(g: SpaceRelationGraph, path) -> None:
     per line.  ``#node`` directives preserve node order and isolated nodes.
     """
     lines = [f"#node\t{nid}" for nid in g.node_ids]
-    lines += [f"{u}\t{v}\t{w!r}" for u, v, w in g.edges()]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines + [f"{u}\t{v}\t{w!r}" for u, v, w in g.edges()])
 
 
 def load_graph(path) -> SpaceRelationGraph:
@@ -358,89 +357,61 @@ def load_graph(path) -> SpaceRelationGraph:
     comments)."""
     declared: list[str] = []
     raw_edges: list[tuple[str, str, float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                if line.startswith("#node\t"):
-                    declared.append(line.split("\t", 1)[1])
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 tab-separated fields")
-            u, v, wtext = parts
-            try:
-                w = float(wtext)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: bad weight {wtext!r}") from None
-            if not np.isfinite(w) or w <= 0.0:
-                raise ValueError(f"{path}: line {lineno}: weight must be positive, got {wtext}")
-            if u == v:
-                raise ValueError(f"{path}: line {lineno}: self-loop on {u!r}")
-            raw_edges.append((u, v, w))
+    for lineno, line in read_lines(path):
+        if line.startswith("#"):
+            if line.startswith("#node\t"):
+                declared.append(line.split("\t", 1)[1])
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ValueError(f"{path}: line {lineno}: expected 3 tab-separated fields")
+        u, v, wtext = parts
+        (w,) = parse_fields(path, lineno, float, [wtext], "weight")
+        if not 0.0 < w < math.inf:
+            raise ValueError(f"{path}: line {lineno}: weight must be positive and finite, got {wtext}")
+        if u == v:
+            raise ValueError(f"{path}: line {lineno}: self-loop on {u!r}")
+        raw_edges.append((u, v, w))
     ids = declared or list(dict.fromkeys(x for u, v, _ in raw_edges for x in (u, v)))
     try:
         return SpaceRelationGraph(ids, raw_edges)
     except ValueError as exc:
+        # the graph names a repeated edge without its lines; only then is the file read again for them
+        edges = ((n, tuple(sorted(ln.split("\t")[:2]))) for n, ln in read_lines(path) if not ln.startswith("#"))
+        check_unique(path, edges, "edge")
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _volume(text: str) -> float:
+    x = float(text)
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"must be nonnegative and finite, got {text}")
+    return x
+
+
 def save_feature_csv(features: FeatureMatrix, path) -> None:
-    n_feat = features.values.shape[1]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["node"] + [f"f{i + 1}" for i in range(n_feat)])
-        for nid, row in zip(features.node_ids, features.values):
-            writer.writerow([nid] + [repr(float(x)) for x in row])
+    rows = ([nid] + [repr(float(x)) for x in row] for nid, row in zip(features.node_ids, features.values))
+    write_csv(path, ["node"] + [f"f{i + 1}" for i in range(features.values.shape[1])], rows)
 
 
 def load_feature_csv(path) -> FeatureMatrix:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or len(rows[0]) < 2 or rows[0][0] != "node":
+    header, rows = read_csv(path)
+    if len(header) < 2 or header[0] != "node":
         raise ValueError(f"{path}: expected header 'node,<f1>,...'")
-    width = len(rows[0])
-    ids, values = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != width:
-            raise ValueError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
-        ids.append(row[0])
-        try:
-            values.append([float(x) for x in row[1:]])
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: non-numeric feature value") from None
-    return FeatureMatrix(ids, np.array(values))
+    ids, values = parse_rows(path, rows, len(header), float, "feature value")
+    return prefixed(path, FeatureMatrix, ids, np.array(values))
 
 
 def save_od_csv(od: InteractionMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["od"] + list(od.node_ids))
-        for nid, row in zip(od.node_ids, od.volumes):
-            writer.writerow([nid] + [repr(float(x)) for x in row])
+    rows = ([nid] + [repr(float(x)) for x in row] for nid, row in zip(od.node_ids, od.volumes))
+    write_csv(path, ["od", *od.node_ids], rows)
 
 
 def load_od_csv(path) -> InteractionMatrix:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or len(rows[0]) < 2:
+    header, rows = read_csv(path)
+    if len(header) < 2:
         raise ValueError(f"{path}: expected a header row with node identifiers")
-    col_ids = rows[0][1:]
-    ids, values = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(col_ids) + 1:
-            raise ValueError(f"{path}: line {lineno}: row width does not match header")
-        ids.append(row[0])
-        try:
-            values.append([float(x) for x in row[1:]])
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: non-numeric volume") from None
-    if ids != col_ids:
+    ids, values = parse_rows(path, rows, len(header), _volume, "volume")
+    if list(ids) != header[1:]:
         raise ValueError(f"{path}: row identifiers do not match header identifiers")
-    return InteractionMatrix(ids, np.array(values))
+    return prefixed(path, InteractionMatrix, ids, np.array(values))

@@ -1,8 +1,12 @@
-"""Shared plumbing: seed derivation, hashing, canonical JSON, config fields,
-squared distances."""
+"""Shared plumbing: seed derivation, hashing, config fields, squared
+distances, and the text-file layer that every artifact is written and read
+through (UTF-8, '\\n' line ends, errors that name the file and the physical
+line)."""
 
 from __future__ import annotations
 
+import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -23,7 +27,15 @@ def field_parser(cls, f: dataclasses.Field):
     (``X | None`` and ``tuple[X, ...]`` give X)."""
     hint = typing.get_type_hints(cls)[f.name]
     args = [a for a in typing.get_args(hint) if a not in (type(None), Ellipsis)]
-    return f.metadata.get("parse", args[0] if args else hint)
+    parse = f.metadata.get("parse", args[0] if args else hint)
+    return whole_number if parse is int else parse
+
+
+def whole_number(value) -> int:
+    """An int setting from an int, its text or a whole float; never truncated."""
+    if isinstance(value, (str, int)) or float(value).is_integer():
+        return int(value)
+    raise ValueError(f"expected a whole number, got {value!r}")
 
 
 def derive_seed(master: int, *labels) -> int:
@@ -47,10 +59,79 @@ def sha256_file(path) -> str:
 
 def write_json(obj, path) -> None:
     """Canonical JSON: sorted keys, fixed separators, trailing newline."""
-    Path(path).write_text(
-        json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n",
-        encoding="utf-8",
-    )
+    write_lines(path, [json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": "))])
+
+
+def write_lines(path, lines) -> None:
+    """Write ``lines`` as UTF-8 text, each ended by '\\n' on every platform."""
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows as UTF-8 CSV with '\\n' line ends and the csv
+    module's minimal quoting (a field with a comma or a quote is quoted)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_lines(path):
+    """Yield (line number, text) for every non-blank line of a UTF-8 text
+    file, one at a time; numbers are physical lines, counted from 1."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                yield lineno, line.rstrip("\n")
+
+
+def read_csv(path) -> tuple[list, list]:
+    """The header of a UTF-8 CSV file and (line number, fields) of every
+    later row; blank lines are skipped, numbers are physical lines."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if len(row) > 1 or "".join(row).strip()]
+    return (rows[0][1] if rows else []), rows[1:]
+
+
+def parse_fields(path, lineno: int, parse, fields, what: str) -> list:
+    """``parse`` of each of ``fields``; one it rejects raises ValueError
+    "{path}: line {lineno}: {what}: {the parser's message}"."""
+    try:
+        return [parse(x) for x in fields]
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ValueError(f"{path}: line {lineno}: {what}: {exc}") from None
+
+
+def check_unique(path, numbered, what: str = "node") -> dict:
+    """Each key of the (line number, key) pairs ``numbered`` mapped to its
+    first line, in file order; a repeat raises ValueError
+    "{path}: line {n}: {what} {key!r} repeats line {m}"."""
+    first: dict = {}
+    for lineno, key in numbered:
+        if key in first:
+            raise ValueError(f"{path}: line {lineno}: {what} {key!r} repeats line {first[key]}")
+        first[key] = lineno
+    return first
+
+
+def parse_rows(path, rows, width: int, parse, what: str) -> tuple[tuple[str, ...], list[list]]:
+    """The ids, each once and in file order, and the values read by ``parse``
+    of the numbered rows ``[id, v1, ...]``, each ``width`` fields wide."""
+    for lineno, row in rows:
+        if len(row) != width:
+            raise ValueError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
+    ids = check_unique(path, ((lineno, row[0]) for lineno, row in rows))
+    return tuple(ids), [parse_fields(path, lineno, parse, row[1:], what) for lineno, row in rows]
+
+
+def prefixed(where, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ValueError it raises is raised again with
+    ``where`` (a file, a setting) in front."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def sq_distances(x: np.ndarray, c: np.ndarray) -> np.ndarray:

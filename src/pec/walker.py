@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .util import field_parser
+from .util import field_parser, parse_fields, prefixed, read_lines, write_lines
 
 __all__ = [
     "AliasTable",
@@ -274,45 +274,42 @@ def save_corpus(corpus: WalkCorpus, path) -> None:
         "# nodes=" + " ".join(corpus.node_ids),
         "# isolated=" + " ".join(corpus.isolated_nodes),
     ]
-    lines += [" ".join(walk) for walk in corpus.walks]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines + [" ".join(walk) for walk in corpus.walks])
 
 
 def load_corpus(path) -> WalkCorpus:
-    header: dict[str, str] = {}
+    header: dict[str, tuple[int, str]] = {}  # key -> (line, value)
     walks: list[tuple[int, tuple[str, ...]]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith(("# nodes=", "# isolated=")):  # node lists are read whole
-                key, _, val = line[2:].partition("=")
-                header[key] = val
-            elif line.startswith("#"):  # graph and config lines: key=value tokens
-                for token in line[1:].strip().split(" "):
-                    if "=" in token:
-                        key, _, val = token.partition("=")
-                        header.setdefault(key, val)
-            else:
-                walks.append((lineno, tuple(line.split(" "))))
+    for lineno, line in read_lines(path):
+        if line.startswith(("# nodes=", "# isolated=")):  # node lists are read whole
+            key, _, val = line[2:].partition("=")
+            header[key] = (lineno, val)
+        elif line.startswith("#"):  # graph and config lines: key=value tokens
+            for token in line[1:].strip().split(" "):
+                if "=" in token:
+                    key, _, val = token.partition("=")
+                    header.setdefault(key, (lineno, val))
+        else:
+            walks.append((lineno, tuple(line.split(" "))))
     required = ("graph", *(f.name for f in fields(WalkConfig)), "nodes")
     missing = [k for k in required if k not in header]
     if missing:
         raise ValueError(f"{path}: missing corpus header fields: {', '.join(missing)}")
-    node_ids = tuple(header["nodes"].split(" "))
+    node_ids = tuple(header["nodes"][1].split(" "))
     known = set(node_ids)
     for lineno, walk in walks:
         unknown = [x for x in walk if x not in known]
         if unknown:
             raise ValueError(f"{path}: line {lineno}: node {unknown[0]!r} is not in the '# nodes=' header")
-    cfg = WalkConfig(**{f.name: field_parser(WalkConfig, f)(header[f.name]) for f in fields(WalkConfig)})
-    isolated = tuple(x for x in header.get("isolated", "").split(" ") if x)
+    settings = {}
+    for f in fields(WalkConfig):
+        lineno, text = header[f.name]
+        (settings[f.name],) = parse_fields(path, lineno, field_parser(WalkConfig, f), [text], f.name)
+    isolated = tuple(x for x in header.get("isolated", (0, ""))[1].split(" ") if x)
     return WalkCorpus(
         walks=tuple(walk for _, walk in walks),
         node_ids=node_ids,
-        config=cfg,
-        graph_fingerprint=header["graph"],
+        config=prefixed(path, WalkConfig, **settings),
+        graph_fingerprint=header["graph"][1],
         isolated_nodes=isolated,
     )

@@ -39,11 +39,13 @@ def od_dir(tmp_path_factory):
     return out
 
 
-def test_import_and_scoring_load_no_scipy_subpackage():
+def test_import_and_scoring_load_no_scipy_subpackage_nor_numpy_ma():
     code = (
         "import sys, pec.cli\n"
-        "from pec.evaluator import GroundTruth, macro_f1\n"
+        "from pec.evaluator import GroundTruth, interaction_frequency_report, macro_f1\n"
+        "from pec.srg import InteractionMatrix\n"
         "macro_f1([1, 0, 0], GroundTruth(('a', 'b', 'c'), [0, 1, 1], 2))\n"
+        "interaction_frequency_report(InteractionMatrix(('a', 'b'), [[0, 1], [2, 0]]), [1, 0])\n"
         "print('\\n'.join(sys.modules))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
@@ -51,7 +53,7 @@ def test_import_and_scoring_load_no_scipy_subpackage():
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
-    heavy = ("scipy.optimize", "scipy.spatial", "scipy.sparse", "scipy.linalg", "scipy.cluster")
+    heavy = ("scipy.optimize", "scipy.spatial", "scipy.sparse", "scipy.linalg", "scipy.cluster", "numpy.ma")
     loaded = [m for m in out if any(m == h or m.startswith(h + ".") for h in heavy)]
     assert "pec.cli" in out and loaded == []
 

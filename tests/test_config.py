@@ -215,3 +215,20 @@ def test_config_file_value_outside_choices_fails_before_any_stage(od_dir, tmp_pa
         message = error_of(capsys)["message"]
         assert str(cfg) in message and "line 2" in message and key in message
         assert not out.exists()
+
+
+def test_int_setting_rejects_a_fraction_and_names_it():
+    with pytest.raises(ValueError, match="dim: expected a whole number, got 4.7"):
+        pec.evaluator._resolve_params({"dim": 4.7})
+    for value in (4, "4", 4.0):
+        assert pec.evaluator._resolve_params({"dim": value})[1].dim == 4
+
+
+def test_sweep_grid_fraction_for_int_setting_is_an_error_cell(tiny_metro, monkeypatch):
+    g, line_t, _ = tiny_metro
+    trained = []
+    monkeypatch.setattr(pec.evaluator, "train", lambda corpus, cfg: trained.append(cfg))
+    report = sweep(g, [line_t], grid={"dim": [2.5]}, base_params=FAST_PARAMS, repeats=1)
+    assert trained == []
+    assert report.cells[0].params == {"dim": 2.5}
+    assert "dim: expected a whole number" in report.cells[0].error

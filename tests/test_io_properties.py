@@ -1,13 +1,18 @@
 """Property tests: every file format reads back what was written, for any
-node identifiers that the graph accepts."""
+node identifiers that the graph accepts; and every reader names the physical
+line of a bad row."""
+
+import re
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pec.cli import read_config_file
 from pec.embedder import EmbeddingMatrix, load_embeddings, save_embeddings
 from pec.evaluator import load_labels, save_labels
-from pec.srg import SpaceRelationGraph, _check_node_ids, load_graph, save_graph
+from pec.srg import SpaceRelationGraph, _check_node_ids, load_feature_csv, load_graph, load_od_csv, save_graph
 from pec.walker import WalkConfig, WalkCorpus, load_corpus, save_corpus
 
 
@@ -99,3 +104,27 @@ def test_labels_round_trip_property(tmp_path_factory, ids, data):
     save_labels(ids, np.array(labels), path)
     loaded_ids, loaded = load_labels(path)
     assert loaded_ids == tuple(ids) and loaded.tolist() == labels
+
+
+CORPUS_HEADER = "# graph=abc\n# p=1.0 q=1.0 walk_length=2 num_walks=1 seed=0\n# nodes=a b\n# isolated=\n"
+
+
+@pytest.mark.parametrize(
+    "load, text, line, message",
+    [
+        (load_graph, "a\tb\t1.0\n\na\tc\n", 3, "expected 3 tab-separated fields"),
+        (load_corpus, CORPUS_HEADER + "\na zzz\n", 6, "node 'zzz'"),
+        (load_embeddings, "2 1\na 0.0\n\nb x\n", 4, "vector entry"),
+        (load_embeddings, "2 1\na 0.0\n\na 1.0\n", 4, "node 'a' repeats line 2"),
+        (load_feature_csv, "node,f1\na,1.0\n\nb,x\n", 4, "feature value"),
+        (load_od_csv, "od,a,b\na,0,1\n\nb,x,0\n", 4, "volume"),
+        (load_labels, "node_id,label\na,0\n\nb,x\n", 4, "label"),
+        (read_config_file, "n_clusters = 2\n\nfoo = 1\n", 3, "unknown config key 'foo'"),
+    ],
+    ids=["graph", "corpus", "embeddings", "embeddings-repeat", "features", "od", "labels", "config"],
+)
+def test_readers_name_the_physical_line_after_a_blank_line(tmp_path, load, text, line, message):
+    path = tmp_path / "file"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line {line}: .*{re.escape(message)}"):
+        load(path)

@@ -275,6 +275,13 @@ def test_graph_tsv_malformed_line(tmp_path):
         load_graph(path)
 
 
+def test_graph_tsv_repeated_edge_names_both_lines(tmp_path):
+    path = tmp_path / "dupedge.tsv"
+    path.write_text("a\tc\t1.0\nc\tb\t1.0\na\tb\t1.0\nb\ta\t2.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"dupedge\.tsv: line 4: edge \('a', 'b'\) repeats line 3$"):
+        load_graph(path)
+
+
 def test_feature_csv_round_trip(tmp_path):
     feats = FeatureMatrix(["a", "b"], [[0.1, 2.25], [-3.5, 1e-9]])
     path = tmp_path / "f.csv"
@@ -304,4 +311,18 @@ def test_od_csv_mismatched_ids(tmp_path):
     path = tmp_path / "od.csv"
     path.write_text("od,a,b\na,0,1\nc,1,0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="identifiers"):
+        load_od_csv(path)
+
+
+def test_feature_csv_repeated_id_names_file_and_lines(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("node,f1\na,1.0\nb,2.0\na,3.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"f\.csv: line 4: node 'a' repeats line 2$"):
+        load_feature_csv(path)
+
+
+def test_od_csv_negative_volume_names_file_and_line(tmp_path):
+    path = tmp_path / "od.csv"
+    path.write_text("od,a,b\na,0,1\nb,-1,0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"od\.csv: line 3: volume: must be nonnegative and finite, got -1$"):
         load_od_csv(path)

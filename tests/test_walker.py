@@ -271,6 +271,16 @@ def test_corpus_node_list_is_not_read_as_config(tmp_path):
         load_corpus(path)
 
 
+def test_corpus_bad_config_value_names_file_line_and_key(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text(
+        "# graph=abc\n# p=abc q=1.0 walk_length=2 num_walks=1 seed=0\n# nodes=a\n# isolated=\na\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=r"c\.txt: line 2: p: could not convert string to float: 'abc'$"):
+        load_corpus(path)
+
+
 def test_corpus_unknown_node_names_path_and_line(tmp_path, weighted_graph):
     path = tmp_path / "c.txt"
     save_corpus(generate_walks(weighted_graph, WalkConfig(walk_length=3, num_walks=1)), path)
