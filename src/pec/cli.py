@@ -334,7 +334,7 @@ def _cmd_walks(args) -> int:
     g = load_graph(args.graph)
     corpus = generate_walks(g, WalkConfig(**_given(args, _names(WalkConfig))))
     save_corpus(corpus, args.out)
-    print(f"wrote {args.out}: {len(corpus.walks)} walks")
+    print(f"wrote {args.out}: {len(corpus.matrix)} walks")
     return 0
 
 

@@ -110,18 +110,6 @@ class EmbeddingMatrix:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def vector(self, node_id: str) -> np.ndarray:
-        return self.vectors[self.node_ids.index(node_id)]
-
-
-def _walk_matrix(corpus: WalkCorpus) -> np.ndarray:
-    """Node indices of the walks, one row per walk, padded with -1."""
-    index = {nid: i for i, nid in enumerate(corpus.node_ids)}
-    lengths = np.fromiter(map(len, corpus.walks), dtype=np.int64, count=len(corpus.walks))
-    mat = np.full((lengths.size, int(lengths.max(initial=0))), -1, dtype=np.int32)
-    mat[np.arange(mat.shape[1]) < lengths[:, None]] = [index[nid] for walk in corpus.walks for nid in walk]
-    return mat
-
 
 def _pair_indices(mat: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     """Center and context indices, walk by walk, position by position, then
@@ -141,11 +129,10 @@ def extract_pairs(corpus: WalkCorpus, window: int) -> list[tuple[str, str]]:
     """(center, context) pairs for every walk position within the window."""
     if window < 1:
         raise ValueError("window must be at least 1")
-    if not corpus.walks:
+    if not len(corpus.matrix):
         raise ValueError("corpus is empty")
-    centers, contexts = _pair_indices(_walk_matrix(corpus), window)
-    ids = corpus.node_ids
-    return [(ids[c], ids[x]) for c, x in zip(centers, contexts)]
+    centers, contexts = _pair_indices(corpus.matrix, window)
+    return [(corpus.node_ids[c], corpus.node_ids[x]) for c, x in zip(centers, contexts)]
 
 
 def _softplus(x):
@@ -249,14 +236,13 @@ def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
     weights[:n] = (rng.random((n, d)) - 0.5) / d
     vectors, contexts = weights[:n], weights[n:]
 
-    mat = _walk_matrix(corpus)
-    centers_idx, contexts_idx = _pair_indices(mat, cfg.window)
+    centers_idx, contexts_idx = _pair_indices(corpus.matrix, cfg.window)
     n_pairs = centers_idx.size
     epoch_losses: list[float] = []
     if cfg.epochs == 0 or n_pairs == 0:
         return EmbeddingMatrix(corpus.node_ids, vectors, contexts, ())
 
-    neg_table = _negative_table(mat, n)
+    neg_table = _negative_table(corpus.matrix, n)
     flat_index = np.arange(weights.size).reshape(weights.shape)
     total_updates = cfg.epochs * n_pairs
     for epoch in range(cfg.epochs):

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .util import (check_unique, parse_fields, parse_rows, prefixed, read_csv, read_lines, sq_distances,
-                   write_csv, write_lines)
+                   whole_number, write_csv, write_lines)
 
 __all__ = [
     "FeatureMatrix",
@@ -115,32 +115,42 @@ class SpaceRelationGraph:
     def __init__(self, node_ids: Sequence[str], edges: Iterable[tuple[str, str, float]]):
         self.node_ids = _check_node_ids(node_ids)
         self._index = {nid: i for i, nid in enumerate(self.node_ids)}
-        n = len(self.node_ids)
-        src, dst, wts = [], [], []
-        for u, v, w in edges:
-            try:
-                ui, vi = self._index[u], self._index[v]
-            except KeyError as exc:
-                raise ValueError(f"edge references unknown node {exc.args[0]!r}") from None
-            if ui == vi:
+        edges = list(edges)
+        try:
+            ends = np.array([(self._index[u], self._index[v]) for u, v, _ in edges], dtype=np.int64).reshape(-1, 2)
+        except KeyError as exc:
+            raise ValueError(f"edge references unknown node {exc.args[0]!r}") from None
+        self._store(*ends.T, np.array([w for *_, w in edges], dtype=float))
+
+    @classmethod
+    def from_weight_matrix(cls, node_ids: Sequence[str], weights) -> "SpaceRelationGraph":
+        """The graph whose edges are the nonzero entries of the (N, N) ``weights`` above the diagonal."""
+        g, weights = cls(node_ids, ()), np.asarray(weights, dtype=float)
+        if weights.shape != (g.num_nodes, g.num_nodes):
+            raise ValueError("weight matrix order must match the number of node ids")
+        src, dst = np.nonzero(np.triu(weights, k=1))
+        g._store(src, dst, weights[src, dst])
+        return g
+
+    def _store(self, src: np.ndarray, dst: np.ndarray, wts: np.ndarray) -> None:
+        """Hold the edges (src[k], dst[k], wts[k]), by node index, as read-only CSR arrays."""
+        n, ids = self.num_nodes, self.node_ids
+        bad = np.flatnonzero((src == dst) | ~((wts > 0.0) & np.isfinite(wts)))
+        if bad.size:
+            u, v, w = ids[src[bad[0]]], ids[dst[bad[0]]], wts[bad[0]]
+            if u == v:
                 raise ValueError(f"self-loop on node {u!r} is not allowed")
-            w = float(w)
-            if not np.isfinite(w) or w <= 0.0:
-                raise ValueError(f"edge ({u!r}, {v!r}) has nonpositive or nonfinite weight {w}")
-            src.append(ui)
-            dst.append(vi)
-            wts.append(w)
-        ends = np.array([src, dst], dtype=np.int64).reshape(2, -1)
-        keys = ends.min(axis=0) * n + ends.max(axis=0)
+            raise ValueError(f"edge ({u!r}, {v!r}) has nonpositive or nonfinite weight {w}")
+        keys = np.minimum(src, dst) * n + np.maximum(src, dst)
         first = np.unique(keys, return_index=True)[1]
         if first.size < keys.size:
             k = int(np.setdiff1d(np.arange(keys.size), first)[0])  # the first repeat
-            raise ValueError(f"duplicate edge ({self.node_ids[src[k]]!r}, {self.node_ids[dst[k]]!r})")
-        rows, cols = np.concatenate((ends, ends[::-1]), axis=1)  # both directions of every edge
+            raise ValueError(f"duplicate edge ({ids[src[k]]!r}, {ids[dst[k]]!r})")
+        rows, cols = np.concatenate((src, dst)), np.concatenate((dst, src))  # both directions of every edge
         order = np.lexsort((cols, rows))
         self.indptr = np.searchsorted(rows[order], np.arange(n + 1))
         self.indices = cols[order]
-        self.weights = np.array(wts + wts, dtype=float)[order]
+        self.weights = np.concatenate((wts, wts))[order]
         for arr in (self.indptr, self.indices, self.weights):
             arr.flags.writeable = False
 
@@ -156,9 +166,6 @@ class SpaceRelationGraph:
 
     def index(self, node_id: str) -> int:
         return self._index[node_id]
-
-    def degree(self, node_id: str) -> int:
-        return self.neighbor_indices(self._index[node_id]).size
 
     def has_edge(self, u: str, v: str) -> bool:
         return self._index[v] in self.neighbor_indices(self._index[u])
@@ -280,9 +287,9 @@ def build_srg_from_features(
     if sparsify == "none":
         pass
     elif sparsify == "knn":
-        if k_nn is None or not (1 <= int(k_nn) < n):
+        k = None if k_nn is None else prefixed("k_nn", whole_number, k_nn)
+        if k is None or not 1 <= k < n:
             raise ValueError("knn sparsification requires 1 <= k_nn < N")
-        k = int(k_nn)
         sel = np.zeros_like(keep)
         for i in range(n):
             # strongest first; ties resolved toward the smaller neighbor index
@@ -297,10 +304,7 @@ def build_srg_from_features(
     else:
         raise ValueError(f"unknown sparsify mode {sparsify!r}")
 
-    ids = features.node_ids
-    iu, ju = np.nonzero(np.triu(keep, k=1))
-    edge_list = [(ids[i], ids[j], float(sim[i, j])) for i, j in zip(iu, ju)]
-    return SpaceRelationGraph(ids, edge_list)
+    return SpaceRelationGraph.from_weight_matrix(features.node_ids, np.where(keep, sim, 0.0))
 
 
 def build_srg_from_interactions(od: InteractionMatrix) -> SpaceRelationGraph:
@@ -315,11 +319,7 @@ def build_srg_from_interactions(od: InteractionMatrix) -> SpaceRelationGraph:
     top = sym.max()
     if top <= 0.0:
         raise ValueError("interaction matrix has no off-diagonal volume")
-    weights = sym / top
-    ids = od.node_ids
-    iu, ju = np.nonzero(np.triu(weights, k=1))
-    edge_list = [(ids[i], ids[j], float(weights[i, j])) for i, j in zip(iu, ju)]
-    return SpaceRelationGraph(ids, edge_list)
+    return SpaceRelationGraph.from_weight_matrix(od.node_ids, sym / top)
 
 
 def build_srg_from_adjacency(

@@ -118,15 +118,36 @@ class WalkConfig:
             raise ValueError("seed must be a nonnegative integer")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkCorpus:
-    """Sampled walks plus the provenance needed to reproduce them."""
+    """Sampled walks plus the provenance needed to reproduce them.  ``matrix`` holds the
+    walks as read-only int32 node indices, one row per walk, -1 past its end; ``walks`` as ids."""
 
-    walks: tuple[tuple[str, ...], ...]
+    matrix: np.ndarray
     node_ids: tuple[str, ...]
     config: WalkConfig
     graph_fingerprint: str
     isolated_nodes: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        self.matrix.flags.writeable = False
+
+    @classmethod
+    def of_walks(cls, walks, node_ids, *args, **kwargs) -> "WalkCorpus":
+        """The corpus of ``walks``, a list of id sequences over ``node_ids``, and the other fields."""
+        index = {nid: i for i, nid in enumerate(node_ids)}
+        lengths = np.fromiter(map(len, walks), dtype=np.int64, count=len(walks))
+        matrix = np.full((lengths.size, int(lengths.max(initial=0))), -1, dtype=np.int32)
+        try:
+            matrix[np.arange(matrix.shape[1]) < lengths[:, None]] = [index[nid] for walk in walks for nid in walk]
+        except KeyError as exc:
+            raise ValueError(f"node {exc.args[0]!r} is not in the corpus's node ids") from None
+        return cls(matrix, tuple(node_ids), *args, **kwargs)
+
+    @property
+    def walks(self) -> tuple[tuple[str, ...], ...]:
+        ids, lengths = np.array((*self.node_ids, None), dtype=object), (self.matrix >= 0).sum(axis=1)
+        return tuple(tuple(row[:n]) for row, n in zip(ids[self.matrix].tolist(), lengths.tolist()))
 
 
 def transition_distribution(g, prev: str, cur: str, p: float, q: float) -> dict[str, float]:
@@ -239,9 +260,9 @@ def generate_walks(g, cfg: WalkConfig) -> WalkCorpus:
     All walks advance together, drawing from one random stream seeded by
     ``cfg.seed``, so the corpus depends on the graph and ``cfg`` alone.
     The sampler is built per call; it costs O(edges), far less than the
-    walks.  The corpus is node-major: walk j from node i is walk
-    i * num_walks + j.  Walks from isolated nodes are single-node
-    sequences, listed in ``isolated_nodes``.
+    walks.  The corpus is node-major: walk j from node i is row
+    i * num_walks + j.  A walk from an isolated node is the row [i, -1, ...],
+    and the node is listed in ``isolated_nodes``.
     """
     sampler = build_alias_tables(g, cfg.p, cfg.q)
     rng = np.random.default_rng(cfg.seed)
@@ -252,17 +273,10 @@ def generate_walks(g, cfg: WalkConfig) -> WalkCorpus:
     steps[:, 1] = g.indices[sampler.propose(steps[:, 0], rng)]
     for t in range(2, cfg.walk_length):
         steps[:, t] = g.indices[sampler.advance(steps[:, t - 2], steps[:, t - 1], rng)]
-    ids = np.array(g.node_ids, dtype=object)
-    walks = [(nid,) for nid in ids[starts].tolist()]
-    for row, walk in zip(moving.tolist(), ids[steps].tolist()):
-        walks[row] = tuple(walk)
-    return WalkCorpus(
-        walks=tuple(walks),
-        node_ids=g.node_ids,
-        config=cfg,
-        graph_fingerprint=g.fingerprint(),
-        isolated_nodes=g.isolated_nodes(),
-    )
+    matrix = np.full((starts.size, cfg.walk_length), -1, dtype=np.int32)
+    matrix[:, 0] = starts
+    matrix[moving] = steps
+    return WalkCorpus(matrix, g.node_ids, cfg, g.fingerprint(), g.isolated_nodes())
 
 
 def save_corpus(corpus: WalkCorpus, path) -> None:
@@ -296,20 +310,14 @@ def load_corpus(path) -> WalkCorpus:
     if missing:
         raise ValueError(f"{path}: missing corpus header fields: {', '.join(missing)}")
     node_ids = tuple(header["nodes"][1].split(" "))
-    known = set(node_ids)
-    for lineno, walk in walks:
-        unknown = [x for x in walk if x not in known]
-        if unknown:
-            raise ValueError(f"{path}: line {lineno}: node {unknown[0]!r} is not in the '# nodes=' header")
     settings = {}
     for f in fields(WalkConfig):
         lineno, text = header[f.name]
         (settings[f.name],) = parse_fields(path, lineno, field_parser(WalkConfig, f), [text], f.name)
     isolated = tuple(x for x in header.get("isolated", (0, ""))[1].split(" ") if x)
-    return WalkCorpus(
-        walks=tuple(walk for _, walk in walks),
-        node_ids=node_ids,
-        config=prefixed(path, WalkConfig, **settings),
-        graph_fingerprint=header["graph"][1],
-        isolated_nodes=isolated,
-    )
+    config = prefixed(path, WalkConfig, **settings)
+    try:
+        return WalkCorpus.of_walks([walk for _, walk in walks], node_ids, config, header["graph"][1], isolated)
+    except ValueError as exc:
+        lineno = next(n for n, walk in walks if not set(walk) <= set(node_ids))
+        raise ValueError(f"{path}: line {lineno}: {exc}") from None

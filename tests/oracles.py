@@ -4,6 +4,7 @@ Everything here is deliberately brute force (enumeration, finite
 differences, direct definitions) and shares no code with the package.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -181,6 +182,57 @@ def count_components(g):
         if a != b:
             parent[a] = b
     return len({find(i) for i in range(g.num_nodes)})
+
+
+def same_corpus(a, b):
+    """Every field of two walk corpora equal: the matrix in dtype and values, the rest by ==."""
+    rest = [f.name for f in dataclasses.fields(a) if f.name != "matrix"]
+    return (
+        a.matrix.dtype == b.matrix.dtype
+        and np.array_equal(a.matrix, b.matrix)
+        and all(getattr(a, name) == getattr(b, name) for name in rest)
+    )
+
+
+# -- reference graph builders ----------------------------------------------------------
+#
+# The matrix builders as first written: one (id, id, weight) tuple per nonzero
+# entry above the diagonal, handed to the string-edge constructor.  The
+# arithmetic repeats the package's, so the weights must match bit for bit.
+
+
+def _reference_edge_list_graph(ids, weights):
+    iu, ju = np.nonzero(np.triu(weights, k=1))
+    return SpaceRelationGraph(ids, [(ids[i], ids[j], float(weights[i, j])) for i, j in zip(iu, ju)])
+
+
+def reference_srg_from_features(features, similarity="gaussian", sigma=1.0, sparsify="none", k_nn=None, tau=None):
+    x = features.values
+    if similarity == "gaussian":
+        sq = np.sum(x**2, axis=1)
+        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
+        sim = np.exp(-d2 / (2.0 * sigma**2))
+    else:
+        unit = x / np.linalg.norm(x, axis=1)[:, None]
+        sim = np.clip(unit @ unit.T, 0.0, 1.0)
+    n = len(features.node_ids)
+    np.fill_diagonal(sim, 0.0)
+    keep = sim > 0.0
+    if sparsify == "knn":
+        sel = np.zeros_like(keep)
+        for i in range(n):
+            ranked = sorted((j for j in range(n) if keep[i, j]), key=lambda j: (-sim[i, j], j))
+            sel[i, ranked[:k_nn]] = True
+        keep &= sel | sel.T
+    elif sparsify == "threshold":
+        keep &= sim >= tau
+    return _reference_edge_list_graph(features.node_ids, np.where(keep, sim, 0.0))
+
+
+def reference_srg_from_interactions(od):
+    sym = (od.volumes + od.volumes.T) / 2.0
+    np.fill_diagonal(sym, 0.0)
+    return _reference_edge_list_graph(od.node_ids, sym / sym.max())
 
 
 # -- reference SGNS trainer ------------------------------------------------------------

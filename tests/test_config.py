@@ -3,13 +3,15 @@ the manifest echo and experiment parameters; bad values fail up front."""
 
 import json
 
+import numpy as np
 import pytest
 
 import pec.evaluator
-from pec.cli import main
+from pec.cli import PipelineConfig, PipelineError, main, run_pipeline
 from pec.clusterer import ClusterConfig
 from pec.embedder import TrainConfig
 from pec.evaluator import noise_robustness, run_embedding_clustering, sweep
+from pec.srg import FeatureMatrix, save_feature_csv
 from pec.synth import MetroSpec, metro_network
 from pec.util import knobs
 from pec.walker import WalkConfig
@@ -222,6 +224,18 @@ def test_int_setting_rejects_a_fraction_and_names_it():
         pec.evaluator._resolve_params({"dim": 4.7})
     for value in (4, "4", 4.0):
         assert pec.evaluator._resolve_params({"dim": value})[1].dim == 4
+
+
+def test_pipeline_fraction_for_k_nn_fails_in_the_graph_stage(tmp_path):
+    features = tmp_path / "f.csv"
+    save_feature_csv(FeatureMatrix([f"n{i}" for i in range(6)], np.arange(12.0).reshape(6, 2)), features)
+    out = tmp_path / "run"
+    cfg = PipelineConfig(features_path=str(features), sparsify="knn", k_nn=2.5, out_dir=str(out),
+                         cluster=ClusterConfig(n_clusters=2))
+    with pytest.raises(PipelineError, match="k_nn: expected a whole number, got 2.5") as failure:
+        run_pipeline(cfg)
+    assert failure.value.stage == "graph"
+    assert not (out / "corpus.txt").exists()
 
 
 def test_sweep_grid_fraction_for_int_setting_is_an_error_cell(tiny_metro, monkeypatch):

@@ -37,7 +37,7 @@ def corpus_for(g, **kwargs):
 
 
 def corpus_of(walks, node_ids):
-    return WalkCorpus(tuple(map(tuple, walks)), tuple(node_ids), WalkConfig(), "")
+    return WalkCorpus.of_walks(walks, node_ids, WalkConfig(), "")
 
 
 def two_cliques(k=5):
@@ -58,7 +58,7 @@ def two_cliques(k=5):
 def test_pairs_small_walk_window_one(monkeypatch):
     g = build_srg_from_adjacency([("A", "B"), ("B", "C")])
     corpus = corpus_for(g)
-    fake = corpus.__class__(
+    fake = WalkCorpus.of_walks(
         walks=(("A", "B", "C"),),
         node_ids=corpus.node_ids,
         config=corpus.config,
@@ -71,7 +71,7 @@ def test_pairs_small_walk_window_one(monkeypatch):
 def test_pairs_singleton_walk_empty():
     g = build_srg_from_adjacency([("A", "B")], node_ids=["A", "B", "X"])
     corpus = corpus_for(g, num_walks=1)
-    fake = corpus.__class__(
+    fake = WalkCorpus.of_walks(
         walks=(("X",),),
         node_ids=corpus.node_ids,
         config=corpus.config,
@@ -85,7 +85,7 @@ def test_pairs_full_window_count():
     corpus = corpus_for(g, walk_length=6, num_walks=1)
     length = 6
     for walk in corpus.walks:
-        fake = corpus.__class__(
+        fake = WalkCorpus.of_walks(
             walks=(walk,),
             node_ids=corpus.node_ids,
             config=corpus.config,
@@ -337,7 +337,7 @@ def test_clique_separation():
     g, left, right = two_cliques(5)
     corpus = corpus_for(g, walk_length=10, num_walks=10, seed=2)
     emb = train(corpus, TrainConfig(dim=8, epochs=5, seed=2))
-    vecs = {nid: emb.vector(nid) for nid in g.node_ids}
+    vecs = dict(zip(emb.node_ids, emb.vectors))
 
     def cos(a, b):
         return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))

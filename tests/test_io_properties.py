@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import same_corpus
 
 from pec.cli import read_config_file
 from pec.embedder import EmbeddingMatrix, load_embeddings, save_embeddings
@@ -68,13 +69,13 @@ def corpora(draw):
     )
     isolated = tuple(x for x in ids if draw(st.booleans()))
     fingerprint = draw(st.text("0123456789abcdef", min_size=1, max_size=64))
-    return WalkCorpus(tuple(walks), tuple(ids), cfg, fingerprint, isolated)
+    return WalkCorpus.of_walks(walks, ids, cfg, fingerprint, isolated)
 
 
 @SETTINGS
 @given(corpus=corpora())
 def test_corpus_round_trip_property(tmp_path_factory, corpus):
-    assert _roundtrip(tmp_path_factory, save_corpus, load_corpus, corpus) == corpus
+    assert same_corpus(_roundtrip(tmp_path_factory, save_corpus, load_corpus, corpus), corpus)
 
 
 @st.composite

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import reference_srg_from_features, reference_srg_from_interactions
 
 from pec.srg import (
     FeatureMatrix,
@@ -17,6 +20,7 @@ from pec.srg import (
     save_graph,
     save_od_csv,
 )
+from pec.synth import planted_od
 
 
 def edge_map(g):
@@ -97,6 +101,15 @@ def test_knn_sparsify_keeps_union_and_symmetry():
             assert (u, v) in sparse_edges
 
 
+def test_knn_takes_a_whole_number_of_neighbors():
+    feats = FeatureMatrix([f"n{i}" for i in range(6)], np.random.default_rng(3).normal(size=(6, 2)))
+    assert build_srg_from_features(feats, sparsify="knn", k_nn=2.0) == build_srg_from_features(
+        feats, sparsify="knn", k_nn=2
+    )
+    with pytest.raises(ValueError, match=r"^k_nn: expected a whole number, got 2\.5$"):
+        build_srg_from_features(feats, sparsify="knn", k_nn=2.5)
+
+
 def test_threshold_sparsify():
     feats = FeatureMatrix(["a", "b", "c"], [[0.0], [1.0], [2.0]])
     g = build_srg_from_features(feats, sigma=1.0, sparsify="threshold", tau=0.5)
@@ -157,6 +170,53 @@ def test_interactions_diagonal_ignored():
     od = InteractionMatrix(["a", "b"], [[100.0, 1.0], [1.0, 100.0]])
     g = build_srg_from_interactions(od)
     assert edge_map(g) == {("a", "b"): 1.0}
+
+
+# -- matrix builders against the string edge list ---------------------------------
+
+
+def _same_graph(g, ref):
+    assert g == ref and g.fingerprint() == ref.fingerprint()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=st.integers(2, 8).flatmap(
+        lambda n: st.lists(st.lists(st.floats(-10, 10), min_size=2, max_size=2), min_size=n, max_size=n)
+    ),
+    similarity=st.sampled_from(["gaussian", "cosine"]),
+    sigma=st.floats(0.1, 10.0),
+    sparsify=st.sampled_from(["none", "knn", "threshold"]),
+    data=st.data(),
+)
+def test_feature_builder_matches_edge_list_reference(values, similarity, sigma, sparsify, data):
+    feats = FeatureMatrix([f"n{i}" for i in range(len(values))], values)
+    # a zero row has no direction for cosine; test_cosine_zero_row_rejected covers it
+    assume(similarity == "gaussian" or np.all(np.linalg.norm(feats.values, axis=1) > 0))
+    k_nn = data.draw(st.integers(1, len(values) - 1)) if sparsify == "knn" else None
+    tau = data.draw(st.floats(0.0, 1.0)) if sparsify == "threshold" else None
+    kwargs = dict(similarity=similarity, sigma=sigma, sparsify=sparsify, k_nn=k_nn, tau=tau)
+    _same_graph(build_srg_from_features(feats, **kwargs), reference_srg_from_features(feats, **kwargs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    volumes=st.integers(2, 8).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, 5) | st.floats(0, 1e6), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_interaction_builder_matches_edge_list_reference(volumes):
+    od = InteractionMatrix([f"n{i}" for i in range(len(volumes))], volumes)
+    # no off-diagonal volume is rejected; test_interactions_all_zero_rejected covers it
+    assume(np.any((od.volumes + od.volumes.T)[~np.eye(len(volumes), dtype=bool)] > 0))
+    _same_graph(build_srg_from_interactions(od), reference_srg_from_interactions(od))
+
+
+def test_planted_od_builder_matches_edge_list_reference():
+    od, _ = planted_od(8, 25, 9.0, 1.0, seed=5)  # the od-dense benchmark input
+    _same_graph(build_srg_from_interactions(od), reference_srg_from_interactions(od))
 
 
 # -- plain adjacency -----------------------------------------------------------
@@ -232,6 +292,34 @@ def test_weight_matrix_round_trip():
     assert mat[0, 1] == mat[1, 0] == 0.5
     assert mat[1, 2] == 0.125
     assert mat[0, 2] == 0.0 and np.all(np.diag(mat) == 0.0)
+
+
+@st.composite
+def sparse_graphs(draw):
+    # weights over ten decades; the last node, and any that no edge reaches, is isolated
+    n = draw(st.integers(1, 9))
+    ids = [f"v{i}" for i in range(n + 1)]
+    pairs = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weight = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0, exclude_max=True), st.integers(-5, 4))
+    return SpaceRelationGraph(ids, [(u, v, draw(weight)) for u, v in chosen])
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=sparse_graphs())
+def test_from_weight_matrix_inverts_to_weight_matrix(g):
+    back = SpaceRelationGraph.from_weight_matrix(g.node_ids, g.to_weight_matrix())
+    assert back == g and back.fingerprint() == g.fingerprint()
+    assert back.isolated_nodes() == g.isolated_nodes()
+
+
+def test_from_weight_matrix_rejects_bad_matrices():
+    with pytest.raises(ValueError, match="order"):
+        SpaceRelationGraph.from_weight_matrix(["a", "b"], np.ones((3, 3)))
+    with pytest.raises(ValueError, match=r"edge \('a', 'b'\) has nonpositive or nonfinite weight -1\.0"):
+        SpaceRelationGraph.from_weight_matrix(["a", "b"], [[0.0, -1.0], [-1.0, 0.0]])
+    with pytest.raises(ValueError, match="nonfinite weight nan"):
+        SpaceRelationGraph.from_weight_matrix(["a", "b", "c"], [[0, 1, 0], [1, 0, np.nan], [0, np.nan, 0]])
 
 
 def test_fingerprint_sensitive_to_structure():

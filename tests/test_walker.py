@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_draw_many
+from oracles import reference_draw_many, same_corpus
 
-from pec.srg import SpaceRelationGraph, build_srg_from_adjacency
+from pec.srg import SpaceRelationGraph, build_srg_from_adjacency, build_srg_from_interactions
+from pec.synth import planted_od
 from pec.walker import (
     AliasTable,
     WalkConfig,
@@ -214,6 +216,34 @@ def test_isolated_node_yields_singleton_walk():
     assert corpus.isolated_nodes == ("X",)
 
 
+def test_corpus_matrix_is_node_major_int32_padded_past_each_walk():
+    g = build_srg_from_adjacency([("A", "B"), ("B", "C")], node_ids=["A", "X", "B", "C"])
+    corpus = generate_walks(g, WalkConfig(walk_length=5, num_walks=3, seed=2))
+    m = corpus.matrix
+    assert m.dtype == np.int32 and m.shape == (12, 5) and not m.flags.writeable
+    assert m[:, 0].tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
+    assert (m[3:6] == [1, -1, -1, -1, -1]).all()  # X is isolated
+    assert (np.delete(m, [3, 4, 5], axis=0) >= 0).all()
+    assert corpus.walks == tuple(tuple(g.node_ids[x] for x in row if x >= 0) for row in m.tolist())
+
+
+def test_corpus_keeps_about_four_bytes_per_step():
+    od, _ = planted_od(8, 25, 9.0, 1.0, seed=5)  # the od-dense benchmark input
+    g = build_srg_from_interactions(od)
+    cfg = WalkConfig(walk_length=80, num_walks=10, seed=1)
+    np.random.default_rng(0)  # numpy.random's first use allocates; keep it out of the trace
+    tracemalloc.start()
+    try:
+        corpus = generate_walks(g, cfg)
+        gc.collect()  # the sampler, a reference cycle, is garbage once the walks are drawn
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # an int32 matrix: ~4 bytes per step, where tuples of id strings took ~8.6
+    assert corpus.matrix.size == g.num_nodes * 10 * 80
+    assert kept < 5 * corpus.matrix.size
+
+
 def test_determinism_across_worker_counts(weighted_graph):
     cfg = WalkConfig(p=0.5, q=2.0, walk_length=8, num_walks=4, seed=99)
     assert generate_walks(weighted_graph, cfg).walks == generate_walks(weighted_graph, cfg).walks
@@ -241,8 +271,7 @@ def test_corpus_round_trip(tmp_path, weighted_graph):
     corpus = generate_walks(weighted_graph, WalkConfig(p=0.25, q=4.0, seed=13))
     path = tmp_path / "corpus.txt"
     save_corpus(corpus, path)
-    loaded = load_corpus(path)
-    assert loaded == corpus
+    assert same_corpus(load_corpus(path), corpus)
 
 
 def test_corpus_round_trip_with_isolated(tmp_path):
@@ -250,7 +279,8 @@ def test_corpus_round_trip_with_isolated(tmp_path):
     corpus = generate_walks(g, WalkConfig(seed=0))
     path = tmp_path / "corpus.txt"
     save_corpus(corpus, path)
-    assert load_corpus(path) == corpus
+    loaded = load_corpus(path)
+    assert same_corpus(loaded, corpus) and loaded.walks == corpus.walks
 
 
 def test_corpus_missing_header(tmp_path):
@@ -325,9 +355,10 @@ def test_hub_two_step_law_at_low_p(hub_graph, q):
         assert _l1(freq, transition_distribution(g, prev, cur, p, q)) <= 0.01
     corpus = generate_walks(g, WalkConfig(p=p, q=q, walk_length=3, num_walks=100_000, seed=11))
     for prev, cur in (("h", "a"), ("e", "h")):  # e's only move is to h
-        third = [w[2] for w in corpus.walks if w[0] == prev and w[1] == cur]
-        assert len(third) >= 75_000
-        freq = {x: third.count(x) / len(third) for x in set(third)}
+        steps = corpus.matrix
+        third = steps[(steps[:, 0] == g.index(prev)) & (steps[:, 1] == g.index(cur)), 2]
+        assert third.size >= 75_000
+        freq = {g.node_ids[x]: c / third.size for x, c in enumerate(np.bincount(third).tolist()) if c}
         assert _l1(freq, transition_distribution(g, prev, cur, p, q)) <= 0.01
 
 
