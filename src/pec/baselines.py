@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clusterer import ClusterAssignment, ClusterConfig, kmeans
+from .clusterer import kmeans
 from .util import sq_distances
 
 __all__ = [
@@ -80,11 +80,12 @@ def spectral_rows(g, d: int) -> np.ndarray:
     return vectors / np.where(norms > 0.0, norms, 1.0)[:, None]
 
 
-def spectral_cluster(g, d: int, n: int, seed: int = 0,
-                     restarts: int = ClusterConfig.restarts) -> ClusterAssignment:
-    """k-means on :func:`spectral_rows`; zero rows end up sharing whatever
-    cluster claims the origin."""
-    return kmeans(spectral_rows(g, d), n, seed=seed, restarts=restarts)
+def spectral_cluster(g, d: int, runs) -> list[np.ndarray]:
+    """Labels of k-means on :func:`spectral_rows` (``d`` clipped to N), one
+    run per (cluster count, seed) in ``runs``; the rows are computed once.
+    Zero rows end up sharing whatever cluster claims the origin."""
+    rows = spectral_rows(g, min(d, g.num_nodes))
+    return [kmeans(rows, n, seed=seed).labels for n, seed in runs]
 
 
 # -- agglomerative hierarchical clustering ------------------------------------
@@ -117,49 +118,28 @@ def agglomerate(distances: np.ndarray, linkage: str) -> list[tuple[int, int, flo
     return [(int(a), int(b), float(d)) for a, b, d, _ in z]
 
 
-def hca(
-    x=None,
-    distances=None,
-    linkage: str = "average",
-    n: int = 2,
-) -> ClusterAssignment:
-    """Agglomerative clustering cut at ``n`` clusters.
-
-    Give either coordinates ``x`` (Euclidean distances, centroids and
-    inertia computed) or a precomputed ``distances`` matrix (no centroids).
-    Where merge distances tie, scipy decides which merge comes first (see
-    :func:`agglomerate`).
-    """
-    if (x is None) == (distances is None):
-        raise ValueError("give exactly one of x or distances")
-    if x is not None:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2:
-            raise ValueError("x must be a 2-D matrix")
-        dist = np.sqrt(sq_distances(x, x))
-        n_pts = x.shape[0]
-    else:
-        dist = np.asarray(distances, dtype=float)
-        n_pts = dist.shape[0]
-    labels, clusters = cut(agglomerate(dist, linkage), n_pts, n)
-    if x is not None:
-        centroids = np.array([x[rows].mean(axis=0) for rows in clusters])
-        inertia = float(sum(((x[rows] - centroids[c]) ** 2).sum() for c, rows in enumerate(clusters)))
-        return ClusterAssignment(labels, centroids, inertia, n)
-    return ClusterAssignment(labels, None, 0.0, n)
+def hca(x, counts, linkage: str = "average") -> list[np.ndarray]:
+    """Labels of agglomerative clustering on the Euclidean distances of the
+    rows of ``x``, one :func:`cut` of one merge history per cluster count in
+    ``counts``.  Where merge distances tie, scipy decides which merge comes
+    first (see :func:`agglomerate`)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("x must be a 2-D matrix")
+    merges = agglomerate(np.sqrt(sq_distances(x, x)), linkage)
+    return [cut(merges, x.shape[0], n) for n in counts]
 
 
-def cut(merges, n_pts: int, n: int) -> tuple[np.ndarray, list[list[int]]]:
-    """Labels and member lists of the ``n`` clusters left after the first
-    ``n_pts - n`` merges of an :func:`agglomerate` history; clusters are
-    numbered by their smallest member index."""
+def cut(merges, n_pts: int, n: int) -> np.ndarray:
+    """Labels of the ``n`` clusters left after the first ``n_pts - n`` merges
+    of an :func:`agglomerate` history; clusters are numbered by their
+    smallest member index."""
     if not (1 <= n <= n_pts):
         raise ValueError(f"need 1 <= n <= {n_pts}, got n={n}")
     members: dict[int, list[int]] = {i: [i] for i in range(n_pts)}
     for t, (a, b, _) in enumerate(merges[: n_pts - n]):
         members[n_pts + t] = members.pop(a) + members.pop(b)
-    clusters = sorted(members.values(), key=min)
     labels = np.zeros(n_pts, dtype=np.int64)
-    for c, rows in enumerate(clusters):
+    for c, rows in enumerate(sorted(members.values(), key=min)):
         labels[rows] = c
-    return labels, clusters
+    return labels

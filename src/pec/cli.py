@@ -26,7 +26,7 @@ from .evaluator import (
     EXPERIMENT_PARAMS,
     STAGES,
     NoiseSpec,
-    check_truth,
+    check_truths,
     interaction_frequency_report,
     load_ground_truth,
     load_labels,
@@ -224,10 +224,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     Artifacts that an earlier run's manifest in ``out_dir`` lists and this
     run did not write are deleted; no other file is touched.
     Raises PipelineError naming the failed stage; artifacts of completed
-    stages are retained.  The graph stage also checks that every ground
-    truth labels exactly the graph's nodes (in two classes or more with
-    noise curves) and that a fixed cluster count fits the graph, so that
-    no such run starts training.
+    stages are retained.  The graph stage also checks that the ground
+    truths' file stems differ, that each labels exactly the graph's nodes
+    (in two classes or more with noise curves) and that a fixed cluster
+    count fits the graph, so that no such run starts training.
     """
     check_cluster_count(cfg.cluster)
     out = Path(cfg.out_dir)
@@ -266,7 +266,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         graph, od = _load_input(cfg)
         save_graph(graph, artifact("graph.tsv"))
         classes = 2 if cfg.noise else 1  # noise curves run k-means at each truth's class count
-        truths = [check_truth(graph, load_ground_truth(p), p, min_classes=classes) for p in cfg.truth_paths]
+        truths = check_truths(graph, map(load_ground_truth, cfg.truth_paths), cfg.truth_paths, classes)
         check_cluster_count(cfg.cluster, graph.num_nodes)
 
         stage = "walks"
@@ -406,7 +406,7 @@ def _cmd_sweep(args) -> int:
     if args.workers < 1:  # kept for scripts that pass it; runs are serial
         raise ValueError("workers must be at least 1")
     g = load_graph(args.graph)
-    truths = [check_truth(g, load_ground_truth(path), source=path) for path in args.truth]
+    truths = check_truths(g, map(load_ground_truth, args.truth), args.truth)
     grid = _parse_grid(args.grid)
     if not grid:
         raise ValueError("give at least one --grid name=v1,v2,...")

@@ -60,15 +60,11 @@ class ClusterConfig:
 
 @dataclass(frozen=True)
 class ClusterAssignment:
-    """Cluster labels with centroids and inertia.
-
-    ``centroids`` is None when the clusterer saw only a distance matrix
-    (no coordinates); ``inertia_history`` is the per-iteration inertia of
-    the winning k-means run, empty for non-iterative methods.
-    """
+    """Cluster labels with centroids and inertia; ``inertia_history`` is the
+    per-iteration inertia of the winning k-means run."""
 
     labels: np.ndarray
-    centroids: np.ndarray | None
+    centroids: np.ndarray
     inertia: float
     n: int
     inertia_history: tuple[float, ...] = ()

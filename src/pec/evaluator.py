@@ -15,11 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import agglomerate, cut, spectral_rows
+from .baselines import hca, spectral_cluster
 from .clusterer import ClusterConfig, kmeans
 from .embedder import TrainConfig, TrainingDiverged, train
 from .srg import InteractionMatrix, build_srg_from_interactions
-from .util import derive_seed, field_parser, knobs, parse_rows, prefixed, read_csv, sq_distances, write_csv
+from .util import derive_seed, field_parser, knobs, parse_rows, prefixed, read_csv, write_csv
 from .walker import WalkConfig, generate_walks
 
 __all__ = [
@@ -28,7 +28,7 @@ __all__ = [
     "NoiseSpec",
     "macro_f1",
     "run_embedding_clustering",
-    "check_truth",
+    "check_truths",
     "STAGES",
     "EXPERIMENT_PARAMS",
     "stage_configs",
@@ -226,20 +226,28 @@ def _resolve_params(params: dict | None = None) -> tuple:
     return tuple(configs[name] for name in STAGES)
 
 
-def check_truth(g, truth: GroundTruth, source=None, min_classes: int = 2) -> GroundTruth:
-    """``truth``, once checked to label exactly the nodes of ``g`` in at least
-    ``min_classes`` classes; else ValueError naming ``source`` (default: the
-    truth's name).  Experiments run k-means at the class count, so need two."""
-    where = source if source is not None else f"ground truth {truth.name!r}"
-    graph_ids, truth_ids = set(g.node_ids), set(truth.node_ids)
-    if graph_ids != truth_ids:
-        raise ValueError(
-            f"{where}: node set does not match the graph: {len(graph_ids - truth_ids)} of its "
-            f"{g.num_nodes} nodes unlabeled, {len(truth_ids - graph_ids)} labeled nodes not in it"
-        )
-    if truth.n_true < min_classes:
-        raise ValueError(f"{where}: {truth.n_true} class(es), need at least {min_classes}")
-    return truth
+def check_truths(g, truths, sources=None, min_classes: int = 2) -> list[GroundTruth]:
+    """``truths`` as a list, once checked to have distinct names and each to
+    label exactly the nodes of ``g`` in at least ``min_classes`` classes;
+    else ValueError naming the truth by its entry of ``sources`` (default:
+    its name).  Experiments run k-means at the class count, so need two."""
+    truths = list(truths)
+    wheres = [f"ground truth {t.name!r}" for t in truths] if sources is None else [str(s) for s in sources]
+    first: dict[str, str] = {}
+    for truth, where in zip(truths, wheres):
+        if truth.name in first:
+            both = f"{first[truth.name]} and {where}" if sources is not None else "two of them"
+            raise ValueError(f"ground truths must have distinct names: {both} are both named {truth.name!r}")
+        first[truth.name] = where
+        graph_ids, truth_ids = set(g.node_ids), set(truth.node_ids)
+        if graph_ids != truth_ids:
+            raise ValueError(
+                f"{where}: node set does not match the graph: {len(graph_ids - truth_ids)} of its "
+                f"{g.num_nodes} nodes unlabeled, {len(truth_ids - graph_ids)} labeled nodes not in it"
+            )
+        if truth.n_true < min_classes:
+            raise ValueError(f"{where}: {truth.n_true} class(es), need at least {min_classes}")
+    return truths
 
 
 def _embed(g, wcfg: WalkConfig, tcfg: TrainConfig, seed: int):
@@ -383,18 +391,15 @@ def sweep(
     dimension and average-linkage HCA once per sweep, and every cell carries
     both.  A cell whose values are out of range or whose training diverges
     is recorded and skipped; an unknown parameter name, or a truth that does
-    not fit the graph (:func:`check_truth`), raises ValueError up front.
+    not fit the graph, or two truths of one name (:func:`check_truths`),
+    raise ValueError up front.
     Runs are serial, in cell order.
     """
-    truths = list(truths)
-    names = [t.name for t in truths]
-    if len(set(names)) != len(names):
-        raise ValueError("ground truths must have distinct names")
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     _check_param_names([*(base_params or {}), *grid])
-    for truth in truths:
-        check_truth(g, truth)
+    truths = check_truths(g, truths)
+    names = [t.name for t in truths]
     param_names = tuple(grid.keys())
     if not param_names:
         return SweepReport((), (), repeats, tuple(names))
@@ -430,28 +435,21 @@ def sweep(
 
 
 def _sc_scores(g, truths, dim: int, repeats: int, seed: int) -> dict[str, float]:
-    """Spectral-clustering Macro-F1 per ground truth, the mean over repeats:
-    the spectral rows are computed once, k-means runs per truth and repeat."""
-    rows = spectral_rows(g, min(dim, g.num_nodes))
-    out = {}
-    for truth in truths:
-        scores = []
-        for rep in range(repeats):
-            sc = kmeans(rows, truth.n_true, seed=derive_seed(seed, "sc", truth.name, rep))
-            scores.append(macro_f1(sc.labels, truth, node_ids=g.node_ids).macro_f1)
-        out[truth.name] = float(np.mean(scores))
-    return out
+    """Spectral-clustering Macro-F1 per ground truth, the mean over repeats
+    of one :func:`spectral_cluster` run per truth and repeat."""
+    runs = [(t.n_true, derive_seed(seed, "sc", t.name, rep)) for t in truths for rep in range(repeats)]
+    labels = iter(spectral_cluster(g, dim, runs))
+    return {
+        t.name: float(np.mean([macro_f1(next(labels), t, node_ids=g.node_ids).macro_f1 for _ in range(repeats)]))
+        for t in truths
+    }
 
 
 def _hca_scores(g, truths) -> dict[str, float]:
-    """Average-linkage HCA Macro-F1 per ground truth: one merge history of
-    the weight rows, cut at each truth's class count."""
-    weight_rows = g.to_weight_matrix()
-    merges = agglomerate(np.sqrt(sq_distances(weight_rows, weight_rows)), "average")
-    return {
-        truth.name: macro_f1(cut(merges, g.num_nodes, truth.n_true)[0], truth, node_ids=g.node_ids).macro_f1
-        for truth in truths
-    }
+    """Average-linkage HCA Macro-F1 per ground truth: :func:`hca` of the
+    weight rows, cut at each truth's class count."""
+    labels = hca(g.to_weight_matrix(), [t.n_true for t in truths])
+    return {t.name: macro_f1(lab, t, node_ids=g.node_ids).macro_f1 for t, lab in zip(truths, labels)}
 
 
 # -- additive noise ------------------------------------------------------------
@@ -547,7 +545,7 @@ def noise_robustness(
     pipeline.  The unperturbed pipeline is run with the same repeat seeds
     as the reference.  ``params`` is as for :func:`run_embedding_clustering`.
     ``mode``, ``params``, every (kind, level) and every truth (as in
-    :func:`check_truth`) are checked before the first run.  Runs are serial;
+    :func:`check_truths`) are checked before the first run.  Runs are serial;
     each noisy graph is built when its run starts.
 
     ``truth`` is one GroundTruth, which gives one NoiseReport, or a sequence
@@ -556,14 +554,12 @@ def noise_robustness(
     k-means at the truth's class count, seeded ``derive_seed(run_seed,
     "kmeans")``, so each report equals that of a single-truth call.
     """
-    truths = (truth,) if isinstance(truth, GroundTruth) else tuple(truth)
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     _check_noise_mode(mode)
     curve_names = [NoiseSpec(kind, level).label for kind, level in noise]
     wcfg, tcfg, ccfg = _resolve_params(params)
-    for t in truths:
-        check_truth(g, t)
+    truths = check_truths(g, [truth] if isinstance(truth, GroundTruth) else truth)
     weight = g.to_weight_matrix()
 
     def runs():  # the clean runs, then each noise setting's; each graph is built when its run starts

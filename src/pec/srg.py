@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -191,15 +191,18 @@ class SpaceRelationGraph:
         """Row (source node index) of every CSR position."""
         return np.repeat(np.arange(self.num_nodes), np.diff(self.indptr))
 
-    def edges(self) -> list[tuple[str, str, float]]:
-        """Canonical edge list: by node index, each pair once."""
-        rows = self.entry_rows()
-        upper = rows < self.indices
+    def edges(self) -> Iterator[tuple[str, str, float]]:
+        """Canonical edge list: by node index, each pair once, read one CSR row at a time."""
         ids = self.node_ids
-        return [
-            (ids[i], ids[j], w)
-            for i, j, w in zip(rows[upper].tolist(), self.indices[upper].tolist(), self.weights[upper].tolist())
-        ]
+        for i in range(self.num_nodes):
+            lo, hi = self.indptr[i], self.indptr[i + 1]
+            lo += np.searchsorted(self.indices[lo:hi], i)  # the pairs (i, j > i); rows are sorted
+            cols, wts = self.indices[lo:hi].tolist(), self.weights[lo:hi].tolist()
+            yield from ((ids[i], ids[j], w) for j, w in zip(cols, wts))
+
+    def edge_lines(self) -> Iterator[str]:
+        """The canonical edge list as ``u<TAB>v<TAB>repr(w)`` text lines."""
+        return (f"{u}\t{v}\t{w!r}" for u, v, w in self.edges())
 
     def isolated_nodes(self) -> tuple[str, ...]:
         return tuple(self.node_ids[i] for i in np.flatnonzero(np.diff(self.indptr) == 0).tolist())
@@ -217,14 +220,16 @@ class SpaceRelationGraph:
             h.update(nid.encode("utf-8"))
             h.update(b"\x00")
         h.update(b"\x01")
-        for u, v, w in self.edges():
-            h.update(f"{u}\t{v}\t{w!r}\n".encode("utf-8"))
+        for line in self.edge_lines():
+            h.update(f"{line}\n".encode("utf-8"))
         return h.hexdigest()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpaceRelationGraph):
             return NotImplemented
-        return self.node_ids == other.node_ids and self.edges() == other.edges()
+        return self.node_ids == other.node_ids and all(
+            np.array_equal(getattr(self, a), getattr(other, a)) for a in ("indptr", "indices", "weights")
+        )
 
     def __repr__(self) -> str:
         return (
@@ -347,8 +352,7 @@ def save_graph(g: SpaceRelationGraph, path) -> None:
     """Write the TSV edge list: ``u<TAB>v<TAB>weight``, one undirected edge
     per line.  ``#node`` directives preserve node order and isolated nodes.
     """
-    lines = [f"#node\t{nid}" for nid in g.node_ids]
-    write_lines(path, lines + [f"{u}\t{v}\t{w!r}" for u, v, w in g.edges()])
+    write_lines(path, [*(f"#node\t{nid}" for nid in g.node_ids), *g.edge_lines()])
 
 
 def load_graph(path) -> SpaceRelationGraph:
@@ -376,9 +380,17 @@ def load_graph(path) -> SpaceRelationGraph:
     try:
         return SpaceRelationGraph(ids, raw_edges)
     except ValueError as exc:
-        # the graph names a repeated edge without its lines; only then is the file read again for them
-        edges = ((n, tuple(sorted(ln.split("\t")[:2]))) for n, ln in read_lines(path) if not ln.startswith("#"))
-        check_unique(path, edges, "edge")
+        # the graph names a bad node or edge without its line; only then is the file read again for it
+        lines = [(n, ln) for n, ln in read_lines(path) if ln.startswith("#node\t") or not ln.startswith("#")]
+        nodes = [(n, ln[len("#node\t"):]) for n, ln in lines if ln.startswith("#")]
+        edges = [(n, ln.split("\t")[:2]) for n, ln in lines if not ln.startswith("#")]
+        known = check_unique(path, nodes)
+        for n, ends in [(n, [nid]) for n, nid in nodes] + edges:
+            for nid in ends:
+                prefixed(f"{path}: line {n}", _check_node_ids, [nid])
+                if known and nid not in known:
+                    raise ValueError(f"{path}: line {n}: edge references unknown node {nid!r}")
+        check_unique(path, ((n, tuple(sorted(ends))) for n, ends in edges), "edge")
         raise ValueError(f"{path}: {exc}") from None
 
 

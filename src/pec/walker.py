@@ -188,7 +188,10 @@ class WalkSampler:
         self.cum = np.concatenate(([0.0], np.cumsum(share)))
         self.keys = rows * g.num_nodes + g.indices
         self.bound = max(1.0 / self.p, 1.0, 1.0 / self.q)
-        self.step = _States(self)
+
+    @property
+    def step(self) -> "_States":  # built per read, so the sampler is no reference cycle
+        return _States(self)
 
     def factors(self, prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:
         """Bias factor of each move to ``nxt`` from a state whose previous node is ``prev``."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from oracles import count_components, random_disconnected_graph, reference_agglomerate, reference_hca_labels
 
-from pec.baselines import agglomerate, hca, normalized_laplacian, spectral_cluster, spectral_embedding
+from pec.baselines import agglomerate, cut, hca, normalized_laplacian, spectral_cluster, spectral_embedding
 from pec.srg import build_srg_from_adjacency, build_srg_from_interactions
 from pec.synth import default_metro_spec, metro_network, planted_od
 
@@ -59,9 +59,9 @@ def test_spectral_cluster_separates_disconnected_triangles():
     g = build_srg_from_adjacency(
         [("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"), ("e", "f"), ("d", "f")]
     )
-    result = spectral_cluster(g, d=2, n=2, seed=0)
-    first = {result.labels[g.index(x)] for x in "abc"}
-    second = {result.labels[g.index(x)] for x in "def"}
+    (labels,) = spectral_cluster(g, 2, [(2, 0)])
+    first = {labels[g.index(x)] for x in "abc"}
+    second = {labels[g.index(x)] for x in "def"}
     assert len(first) == 1 and len(second) == 1 and first != second
 
 
@@ -79,16 +79,14 @@ def test_spectral_rejects_edgeless_and_bad_d():
 
 def test_hca_three_point_example():
     x = np.array([[0.0], [1.0], [10.0]])
-    result = hca(x=x, linkage="average", n=2)
-    assert result.labels[0] == result.labels[1] != result.labels[2]
-    assert np.allclose(sorted(result.centroids.ravel()), [0.5, 10.0])
+    (labels,) = hca(x, [2], "average")
+    assert labels[0] == labels[1] != labels[2]
 
 
 def test_hca_singletons_at_n_equals_points():
     x = np.array([[0.0], [3.0], [9.0]])
-    result = hca(x=x, linkage="complete", n=3)
-    assert sorted(result.labels.tolist()) == [0, 1, 2]
-    assert result.inertia == pytest.approx(0.0, abs=1e-12)
+    (labels,) = hca(x, [3], "complete")
+    assert sorted(labels.tolist()) == [0, 1, 2]
 
 
 def test_hca_single_linkage_recovers_chains():
@@ -96,10 +94,10 @@ def test_hca_single_linkage_recovers_chains():
     left = np.array([[float(i), 0.0] for i in range(5)])
     right = np.array([[float(i), 15.0] for i in range(5)])
     x = np.vstack([left, right])
-    result = hca(x=x, linkage="single", n=2)
-    assert len(set(result.labels[:5].tolist())) == 1
-    assert len(set(result.labels[5:].tolist())) == 1
-    assert result.labels[0] != result.labels[9]
+    (labels,) = hca(x, [2], "single")
+    assert len(set(labels[:5].tolist())) == 1
+    assert len(set(labels[5:].tolist())) == 1
+    assert labels[0] != labels[9]
 
 
 def test_merge_distances_non_decreasing_for_complete_and_average():
@@ -120,9 +118,8 @@ def test_hca_distance_matrix_input():
             [8.0, 8.5, 0.0],
         ]
     )
-    result = hca(distances=dist, linkage="complete", n=2)
-    assert result.labels[0] == result.labels[1] != result.labels[2]
-    assert result.centroids is None
+    labels = cut(agglomerate(dist, "complete"), 3, 2)
+    assert labels[0] == labels[1] != labels[2]
 
 
 def test_hca_deterministic_tie_break():
@@ -133,12 +130,12 @@ def test_hca_deterministic_tie_break():
 
 
 def test_hca_input_validation():
-    with pytest.raises(ValueError, match="exactly one"):
-        hca(x=np.zeros((3, 1)), distances=np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="2-D"):
+        hca(np.zeros(3), [2])
     with pytest.raises(ValueError, match="linkage"):
         agglomerate(np.zeros((2, 2)), "centroid")
     with pytest.raises(ValueError, match="n"):
-        hca(x=np.zeros((3, 1)), n=4)
+        hca(np.zeros((3, 1)), [4])
 
 
 # -- scipy against the reference merge loop ------------------------------------------
@@ -165,7 +162,7 @@ def test_agglomerate_matches_reference_without_ties(linkage):
         merges, expected = agglomerate(dist, linkage), reference_agglomerate(dist, linkage)
         assert [m[:2] for m in merges] == [m[:2] for m in expected]
         assert np.allclose([m[2] for m in merges], [m[2] for m in expected], rtol=1e-12)
-        labels = hca(distances=dist, linkage=linkage, n=n).labels
+        labels = cut(merges, dist.shape[0], n)
         assert np.array_equal(labels, reference_hca_labels(dist, linkage, n))
 
 
@@ -187,7 +184,7 @@ def test_hca_matches_reference_on_metro_and_od_weight_rows():
     for x, linkage, n in _weight_row_cases():
         sq = np.sum(x**2, axis=1)
         dist = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0))
-        labels = hca(x=x, linkage=linkage, n=n).labels
+        (labels,) = hca(x, [n], linkage)
         assert np.array_equal(labels, reference_hca_labels(dist, linkage, n))
 
 

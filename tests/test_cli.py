@@ -438,10 +438,16 @@ def test_inputs_that_do_not_fit_the_graph_fail_before_the_walks(od_dir, metro_di
     one_class = tmp_path / "one-class.csv"
     ids, _ = load_labels(od_dir / "block-membership.csv")
     one_class.write_text("node_id,label\n" + "".join(f"{i},0\n" for i in ids), encoding="utf-8")
+    twins = [tmp_path / "x" / "t.csv", tmp_path / "y" / "t.csv"]  # one stem, so one name in report.json
+    for path in twins:
+        path.parent.mkdir()
+        path.write_bytes((od_dir / "block-membership.csv").read_bytes())
     cases = [
         (["--n-clusters", 999], "n_clusters=999 exceeds the 18 nodes"),
         (["--n-clusters", 3, "--truth", foreign], f"{foreign}: node set does not match the graph"),
         (["--n-clusters", 3, "--truth", one_class, "--noise", "gaussian:1"], f"{one_class}: 1 class"),
+        (["--n-clusters", 3, "--truth", twins[0], "--truth", twins[1], "--noise", "gaussian:1"],
+         f"{twins[0]} and {twins[1]} are both named 't'"),
     ]
     for i, (flags, message) in enumerate(cases):
         out = tmp_path / f"run{i}"

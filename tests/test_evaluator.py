@@ -293,11 +293,13 @@ def test_experiments_check_every_truth_before_any_training(tiny_metro, monkeypat
     monkeypatch.setattr(pec.evaluator, "train", no_run)
     foreign = truth_of([0, 1] * (g.num_nodes // 2), name="foreign")
     one_class = GroundTruth.from_labels(g.node_ids, [0] * g.num_nodes, name="flat")
-    for bad, message in ((foreign, "'foreign': node set does not match"), (one_class, "'flat': 1 class")):
+    twin = "distinct names: two of them are both named 'line-membership'"
+    for bad, message in ((foreign, "'foreign': node set does not match"), (one_class, "'flat': 1 class"),
+                         (line_t, twin)):
         with pytest.raises(ValueError, match=message):
-            sweep(g, [line_t, bad], grid={"p": [1.0]}, base_params=FAST_PARAMS, repeats=1)
+            sweep(g, [line_t, transfer_t, bad], grid={"p": [1.0]}, base_params=FAST_PARAMS, repeats=1)
         with pytest.raises(ValueError, match=message):
-            noise_robustness(g, [transfer_t, bad], [("gaussian", 1.0)], params=FAST_PARAMS, repeats=1)
+            noise_robustness(g, [line_t, transfer_t, bad], [("gaussian", 1.0)], params=FAST_PARAMS, repeats=1)
 
 
 def test_sweep_empty_grid():
@@ -440,16 +442,20 @@ def test_sweep_baselines_build_one_spectral_embedding_per_dim_and_one_tree(tiny_
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
+    for name in ("spectral_cluster", "hca"):  # the public entries, as the sweep binds them
+        counting(pec.evaluator, name)
     counting(pec.baselines, "spectral_embedding")
-    counting(pec.evaluator, "agglomerate")
+    counting(pec.baselines, "agglomerate")
     report = sweep(
-        g, [line_t, transfer_t], grid={"dim": [2, 4]}, base_params=FAST_PARAMS, repeats=2, seed=1,
-        include_baselines=True,
+        g, [line_t, transfer_t], grid={"dim": [2, 4], "p": [0.5, 2.0]}, base_params=FAST_PARAMS, repeats=2,
+        seed=1, include_baselines=True,
     )
     assert all(cell.error is None for cell in report.cells)
     # one spectral embedding per dim and one tree per sweep; two truths x two
     # repeats made four spectral embeddings, and each dim its own tree
-    assert calls == ["spectral_embedding", "agglomerate", "spectral_embedding"]
+    assert calls == [
+        "spectral_cluster", "spectral_embedding", "hca", "agglomerate", "spectral_cluster", "spectral_embedding",
+    ]
 
 
 def test_noise_robustness_of_two_truths_equals_each_alone(tiny_metro, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -327,6 +328,7 @@ def test_fingerprint_sensitive_to_structure():
     g2 = SpaceRelationGraph(["a", "b"], [("a", "b", 0.5)])
     assert g1.fingerprint() != g2.fingerprint()
     assert g1.fingerprint() == SpaceRelationGraph(["a", "b"], [("a", "b", 1.0)]).fingerprint()
+    assert g1 != g2 and g1 == SpaceRelationGraph(["a", "b"], [("a", "b", 1.0)])
 
 
 # -- file round-trips ------------------------------------------------------------
@@ -367,6 +369,21 @@ def test_graph_tsv_repeated_edge_names_both_lines(tmp_path):
     path = tmp_path / "dupedge.tsv"
     path.write_text("a\tc\t1.0\nc\tb\t1.0\na\tb\t1.0\nb\ta\t2.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"dupedge\.tsv: line 4: edge \('a', 'b'\) repeats line 3$"):
+        load_graph(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("#node\ta\n#node\tb\na\tc\t2.0\n", "line 3: edge references unknown node 'c'"),
+        ("#node\ta\n#node\tb\n#node\ta\na\tb\t1.0\n", "line 3: node 'a' repeats line 1"),
+        ("x\ty\t1.0\na,b\tc\t1.0\n", "line 2: invalid node identifier 'a,b'"),
+    ],
+)
+def test_graph_tsv_bad_node_names_its_line(tmp_path, text, message):
+    path = tmp_path / "g.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"g.tsv: {message}")):
         load_graph(path)
 
 

@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -235,13 +236,25 @@ def test_corpus_keeps_about_four_bytes_per_step():
     tracemalloc.start()
     try:
         corpus = generate_walks(g, cfg)
-        gc.collect()  # the sampler, a reference cycle, is garbage once the walks are drawn
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     # an int32 matrix: ~4 bytes per step, where tuples of id strings took ~8.6
     assert corpus.matrix.size == g.num_nodes * 10 * 80
     assert kept < 5 * corpus.matrix.size
+
+
+def test_sampler_is_freed_without_the_cycle_collector(weighted_graph):
+    sampler = build_alias_tables(weighted_graph, 0.5, 2.0)
+    prev, cur = (int(x) for x in (weighted_graph.entry_rows()[0], weighted_graph.indices[0]))
+    assert sampler.step[(prev, cur)].probabilities().sum() == pytest.approx(1.0)
+    ref = weakref.ref(sampler)
+    gc.disable()
+    try:
+        del sampler
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_determinism_across_worker_counts(weighted_graph):
