@@ -22,12 +22,15 @@ the contexts.  The loss takes its softplus over a block of batches' scores
 at once and sums each batch's share with one reshape-and-sum; the batch
 totals are then added left to right, so the epoch means are unchanged.
 
-Memory: node indices are below 2N, so the walk matrix, the pair indices and
-the negatives are int32, and each epoch frees its permutation before it
-draws the negatives.  An epoch holds ~36 bytes per (center, context) pair at
-m = 5 negatives: the pair indices (8), their shuffled copies (8) and the
-negatives (4m); the traced peak of ``train`` is that plus ~1.5 MB of chunk
-and batch buffers.
+Memory: the only array that grows with the corpus is an epoch's (pairs, 2)
+int32 ``[center, context]`` rows, 8 bytes per pair, built a chunk of walks
+at a time and shuffled in place; the traced peak of ``train`` is that plus
+~0.4-0.8 MB of chunk and batch buffers.  The outputs are those of drawing
+``rng.permutation(pairs)`` and then every negative at once, because of two
+numpy stream facts: the 1-D shuffle of the rows viewed as int64 makes the
+draws of ``permutation``, and bounded int32 draws take their 32-bit words
+from the bit generator's own buffer, so ``AliasTable.draw_blocks`` gives a
+loss block's negatives at a time with the values of one ``draw_many``.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ __all__ = [
 LR_FLOOR_FACTOR = 1e-4  # lr never decays below initial_lr * this
 NEGATIVE_EXPONENT = 0.75  # unigram smoothing for the negative distribution
 LOSS_BLOCK_PAIRS = 1024  # pairs whose scores share one pair of softplus calls
+PAIR_CHUNK_STEPS = 1 << 12  # walk steps whose pairs are built at a time
 
 
 class TrainingDiverged(RuntimeError):
@@ -125,6 +129,27 @@ def _pair_indices(mat: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]
     return np.broadcast_to(cen, ctx.shape)[valid], ctx[valid]
 
 
+def _pair_count(mat: np.ndarray, window: int) -> int:
+    """How many pairs ``_pair_indices`` gives: every two steps of one walk at
+    most ``window`` apart, once each way."""
+    valid = mat >= 0
+    offsets = range(1, min(window, mat.shape[1] - 1) + 1)
+    return 2 * sum(int(np.count_nonzero(valid[:, k:] & valid[:, :-k])) for k in offsets)
+
+
+def _pair_array(mat: np.ndarray, window: int, n_pairs: int) -> np.ndarray:
+    """The ``_pair_indices`` pairs as (n_pairs, 2) int32 ``[center, context]``
+    rows, built a chunk of walks at a time into the one full-size array."""
+    pairs = np.empty((n_pairs, 2), dtype=np.int32)
+    walks, at = max(1, PAIR_CHUNK_STEPS // mat.shape[1]), 0
+    for start in range(0, len(mat), walks):
+        cen, ctx = _pair_indices(mat[start:start + walks], window)
+        pairs[at:at + cen.size, 0], pairs[at:at + cen.size, 1] = cen, ctx
+        at += cen.size
+        del cen, ctx  # not held while the next chunk is built
+    return pairs
+
+
 def extract_pairs(corpus: WalkCorpus, window: int) -> list[tuple[str, str]]:
     """(center, context) pairs for every walk position within the window."""
     if window < 1:
@@ -176,46 +201,54 @@ def _negative_table(mat: np.ndarray, n: int) -> AliasTable:
     return AliasTable(weights / weights.sum())
 
 
-def _sgd_epoch(weights, flat_index, cen_all, ctx_all, negs, cfg, done, total_updates) -> float:
-    """One SGD pass over an epoch's pairs, in batches; returns the summed loss.
-
-    ``cen_all`` are center rows of ``weights``, ``ctx_all`` and ``negs``
-    context rows (already shifted by N); ``done`` counts earlier updates.
-    Every array made here is freed on return, before the next epoch draws.
-    """
-    n_pairs, m = negs.shape
+def _sgd_block(weights, flat_index, rows, cfg, done, total_updates) -> list[float]:
+    """SGD over one loss block of pair rows ``[center, context + N, negatives + N]``,
+    in batches; returns each batch's summed loss, in order.  ``done`` counts
+    earlier updates."""
+    bs, m = min(cfg.batch_size, len(rows)), rows.shape[1] - 2
     flat = weights.reshape(-1)
+    step = np.empty((bs, m + 2, weights.shape[1]))
+    scores = np.empty((len(rows), m + 1))
+    for start in range(0, len(rows), bs):
+        batch = rows[start:start + bs]
+        batch_step = step[:len(batch)]
+        _scores_and_grad(weights[batch], scores[start:start + len(batch)], batch_step)
+        lr = cfg.initial_lr * max(1.0 - (done + start) / total_updates, LR_FLOOR_FACTOR)
+        batch_step *= -lr
+        # center rows (< N) and context rows (>= N) never coincide, so the
+        # pair-by-pair rows add each element's updates in batch order
+        np.add.at(flat, flat_index[batch].reshape(-1), batch_step.reshape(-1))
+    pos_loss, neg_loss = _softplus(-scores[:, 0]), _softplus(scores[:, 1:])
+    whole = len(rows) // bs * bs  # pairs in whole batches; only the epoch's last has a tail
+    totals = (
+        pos_loss[:whole].reshape(-1, bs).sum(axis=1) + neg_loss[:whole].reshape(-1, bs * m).sum(axis=1)
+    ).tolist()
+    if whole < len(rows):
+        totals.append(float(pos_loss[whole:].sum() + neg_loss[whole:].sum()))
+    return totals
+
+
+def _sgd_epoch(weights, flat_index, pairs, neg_table, rng, cfg, done, total_updates) -> float:
+    """One SGD pass over the shuffled ``[center, context]`` rows ``pairs``, one
+    loss block at a time; returns the summed loss.
+
+    Each block's negatives are drawn as it starts, and its rows are filled
+    into one reused int32 buffer; ``done`` counts earlier updates.
+    """
+    n, n_pairs, m = len(weights) // 2, len(pairs), cfg.negatives
     bs = min(cfg.batch_size, n_pairs)
     block = max(1, LOSS_BLOCK_PAIRS // bs) * bs  # whole batches per loss block
-    step = np.empty((bs, m + 2, weights.shape[1]))
-    block_scores = np.empty((block, m + 1))
-    loss_sum = 0.0
+    rows = np.empty((min(block, n_pairs), m + 2), dtype=np.int32)
+    loss_sum, first = 0.0, 0
     # divergence shows up as non-finite scores; detected and raised by the caller
     with np.errstate(invalid="ignore", over="ignore"):
-        for first in range(0, n_pairs, block):
-            last = min(first + block, n_pairs)
-            for start in range(first, last, bs):
-                stop = min(start + bs, last)
-                rows = np.concatenate(
-                    [cen_all[start:stop, None], ctx_all[start:stop, None], negs[start:stop]], axis=1
-                )
-                batch_step = step[:stop - start]
-                _scores_and_grad(weights[rows], block_scores[start - first:stop - first], batch_step)
-                lr = cfg.initial_lr * max(1.0 - (done + start) / total_updates, LR_FLOOR_FACTOR)
-                batch_step *= -lr
-                # center rows (< N) and context rows (>= N) never coincide, so the
-                # pair-by-pair rows add each element's updates in batch order
-                np.add.at(flat, flat_index[rows].reshape(-1), batch_step.reshape(-1))
-            held = block_scores[:last - first]
-            pos_loss, neg_loss = _softplus(-held[:, 0]), _softplus(held[:, 1:])
-            whole = len(held) // bs * bs  # pairs in whole batches; only the epoch's last has a tail
-            totals = (
-                pos_loss[:whole].reshape(-1, bs).sum(axis=1) + neg_loss[:whole].reshape(-1, bs * m).sum(axis=1)
-            ).tolist()
-            if whole < len(held):
-                totals.append(float(pos_loss[whole:].sum() + neg_loss[whole:].sum()))
-            for total in totals:  # summed batch by batch, left to right, as the loss is defined
-                loss_sum += total
+        for negs in neg_table.draw_blocks(rng, n_pairs, m, block):
+            held = rows[:len(negs)]
+            held[:, :2], held[:, 2:] = pairs[first:first + len(negs)], negs
+            held[:, 1:] += n
+            for total in _sgd_block(weights, flat_index, held, cfg, done + first, total_updates):
+                loss_sum += total  # summed batch by batch, left to right, as the loss is defined
+            first += len(negs)
     return loss_sum
 
 
@@ -236,8 +269,7 @@ def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
     weights[:n] = (rng.random((n, d)) - 0.5) / d
     vectors, contexts = weights[:n], weights[n:]
 
-    centers_idx, contexts_idx = _pair_indices(corpus.matrix, cfg.window)
-    n_pairs = centers_idx.size
+    n_pairs = _pair_count(corpus.matrix, cfg.window)
     epoch_losses: list[float] = []
     if cfg.epochs == 0 or n_pairs == 0:
         return EmbeddingMatrix(corpus.node_ids, vectors, contexts, ())
@@ -246,15 +278,12 @@ def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
     flat_index = np.arange(weights.size).reshape(weights.shape)
     total_updates = cfg.epochs * n_pairs
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n_pairs)
-        cen_all = centers_idx[order]
-        ctx_all = contexts_idx[order]
-        del order  # freed before the negatives, the largest block, are drawn
-        ctx_all += n
-        negs = neg_table.draw_many(rng, (n_pairs, cfg.negatives))
-        negs += n
-        loss_sum = _sgd_epoch(weights, flat_index, cen_all, ctx_all, negs, cfg, epoch * n_pairs, total_updates)
-        del negs, cen_all, ctx_all  # not held while the next epoch draws its own
+        # rebuilt each epoch, as each shuffles the pairs in _pair_indices' order;
+        # the int64 view shuffles whole rows with the draws of rng.permutation(n_pairs)
+        pairs = _pair_array(corpus.matrix, cfg.window, n_pairs)
+        rng.shuffle(pairs.view(np.int64).reshape(-1))
+        loss_sum = _sgd_epoch(weights, flat_index, pairs, neg_table, rng, cfg, epoch * n_pairs, total_updates)
+        del pairs  # not held while the next epoch builds its own
         mean_loss = loss_sum / n_pairs
         if not np.isfinite(mean_loss):
             raise TrainingDiverged(

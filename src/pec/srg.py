@@ -9,6 +9,7 @@ interaction volumes such as an origin-destination matrix (SRG-II).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -352,7 +353,7 @@ def save_graph(g: SpaceRelationGraph, path) -> None:
     """Write the TSV edge list: ``u<TAB>v<TAB>weight``, one undirected edge
     per line.  ``#node`` directives preserve node order and isolated nodes.
     """
-    write_lines(path, [*(f"#node\t{nid}" for nid in g.node_ids), *g.edge_lines()])
+    write_lines(path, itertools.chain((f"#node\t{nid}" for nid in g.node_ids), g.edge_lines()))
 
 
 def load_graph(path) -> SpaceRelationGraph:

@@ -11,7 +11,6 @@ import dataclasses
 import hashlib
 import json
 import typing
-from pathlib import Path
 
 import numpy as np
 
@@ -63,8 +62,15 @@ def write_json(obj, path) -> None:
 
 
 def write_lines(path, lines) -> None:
-    """Write ``lines`` as UTF-8 text, each ended by '\\n' on every platform."""
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """Write ``lines`` as UTF-8 text, each ended by '\\n' on every platform, one
+    at a time as they arrive; no lines at all write one '\\n'."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        empty = True
+        for line in lines:
+            fh.write(f"{line}\n")
+            empty = False
+        if empty:
+            fh.write("\n")
 
 
 def write_csv(path, header, rows) -> None:

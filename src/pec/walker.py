@@ -19,6 +19,8 @@ array, drawing from one random stream per seed.
 
 from __future__ import annotations
 
+import copy
+import itertools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -42,7 +44,7 @@ class AliasTable:
     """Constant-time sampler for a fixed discrete distribution (Vose setup)."""
 
     __slots__ = ("accept", "alias", "size")
-    DRAW_CHUNK = 1 << 16  # draws resolved at a time by draw_many
+    DRAW_CHUNK = 1 << 16  # draws resolved, or cells skipped, at a time
 
     def __init__(self, probs) -> None:
         probs = np.asarray(probs, dtype=float)
@@ -81,7 +83,27 @@ class AliasTable:
         result, 4 bytes per draw, is the only full-size array.  For up to 2**31
         outcomes numpy draws int32 and int64 cells from the same 32-bit words,
         so both give the same values and leave the stream at the same place."""
-        cells = rng.integers(0, self.size, size=shape, dtype=np.int32)
+        return self._resolve(rng.integers(0, self.size, size=shape, dtype=np.int32), rng)
+
+    def draw_blocks(self, rng: np.random.Generator, rows: int, width: int, block: int):
+        """``draw_many(rng, (rows, width))`` yielded ``block`` rows at a time,
+        leaving ``rng`` where draw_many leaves it; only one block is held.
+
+        Bounded int32 cells take their 32-bit words from the bit generator's
+        own buffer, so consecutive draws give the values of one draw.  A copy
+        of ``rng`` draws the cells block by block, while ``rng`` skips them
+        all and then draws each block's uniforms."""
+        cells_rng = copy.deepcopy(rng)
+        n_cells = rows * width
+        for start in range(0, n_cells, self.DRAW_CHUNK):
+            rng.integers(0, self.size, size=min(self.DRAW_CHUNK, n_cells - start), dtype=np.int32)
+        for start in range(0, rows, block):
+            cells = cells_rng.integers(0, self.size, size=(min(block, rows - start), width), dtype=np.int32)
+            yield self._resolve(cells, rng)
+
+    def _resolve(self, cells: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """``cells`` with each replaced by its alias where a uniform from ``rng``
+        is at least its acceptance, in flat order, a chunk at a time."""
         flat = cells.reshape(-1)
         for start in range(0, flat.size, self.DRAW_CHUNK):
             chunk = flat[start:start + self.DRAW_CHUNK]
@@ -291,7 +313,7 @@ def save_corpus(corpus: WalkCorpus, path) -> None:
         "# nodes=" + " ".join(corpus.node_ids),
         "# isolated=" + " ".join(corpus.isolated_nodes),
     ]
-    write_lines(path, lines + [" ".join(walk) for walk in corpus.walks])
+    write_lines(path, itertools.chain(lines, (" ".join(walk) for walk in corpus.walks)))
 
 
 def load_corpus(path) -> WalkCorpus:

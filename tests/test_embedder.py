@@ -19,7 +19,7 @@ from pec.embedder import (
     EmbeddingMatrix,
     TrainConfig,
     TrainingDiverged,
-    _sgd_epoch,
+    _sgd_block,
     extract_pairs,
     load_embeddings,
     save_embeddings,
@@ -172,7 +172,8 @@ def test_batch_step_is_the_gradient_of_the_summed_batch_loss():
     weights = before.copy()
     cfg = TrainConfig(dim=d, initial_lr=lr, negatives=3, batch_size=cen.size)
     flat_index = np.arange(weights.size).reshape(weights.shape)
-    loss = _sgd_epoch(weights, flat_index, cen, ctx, negs, cfg, 0, cen.size)  # one batch, lr = initial_lr
+    rows = np.concatenate([cen[:, None], ctx[:, None], negs], axis=1)
+    (loss,) = _sgd_block(weights, flat_index, rows, cfg, 0, cen.size)  # one batch, lr = initial_lr
     assert loss == pytest.approx(reference_batch_loss(before, cen, ctx, negs), rel=1e-12)
     step = (weights - before) / -lr
     numeric = central_difference_gradient(lambda w: reference_batch_loss(w, cen, ctx, negs), before)
@@ -245,49 +246,66 @@ def test_train_matches_reference_on_metro_corpus(metro_corpus, cfg):
     assert emb.epoch_mean_loss == losses
 
 
-@pytest.mark.parametrize("dim, walk_length, num_walks, epochs", [(5, 12, 6, 2), (64, 20, 10, 1)])
-def test_train_memory_per_pair(dim, walk_length, num_walks, epochs):
-    # 54,000 and 170,000 pairs; at dim 64 the per-batch buffers need the larger
-    # corpus to fall under the bound.  With two epochs, nothing of the first
-    # may be held while the second draws.
-    g, _, _ = metro_network(default_metro_spec())
-    corpus = corpus_for(g, walk_length=walk_length, num_walks=num_walks, seed=2)
-    n_pairs = len(extract_pairs(corpus, 5))
-    assert n_pairs >= 50_000
+def traced_train_peak(corpus, cfg) -> int:
     tracemalloc.start()
     try:
-        train(corpus, TrainConfig(dim=dim, epochs=epochs, seed=0))
-        peak = tracemalloc.get_traced_memory()[1]
+        train(corpus, cfg)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 90 * n_pairs
 
 
-# Held per pair while an epoch trains: int32 center and context indices (8 bytes),
-# their shuffled copies (8) and m = 5 int32 negatives (20), plus the int32 walk
-# matrix, ~0.4 bytes per pair at window 5.  The allowance covers what does not
-# grow with the corpus: draw_many's chunk buffers (~1.2 MB) and the per-batch
-# blocks (~0.2 MB at dim 64).  Measured: 36.4 bytes per pair above 1.2-1.4 MB.
-TRAIN_BYTES_PER_PAIR = 37
-TRAIN_FIXED_BYTES = 2_000_000
+# Held per pair while an epoch trains: the shuffled int32 [center, context] rows
+# (8 bytes).  Negatives are drawn one loss block at a time, and the walk matrix
+# (~0.4 bytes per pair at window 5) exists before training starts.  Measured:
+# 7.9-8.0 bytes per added pair.  The allowance covers what does not grow with
+# the corpus: one chunk of walks' pairs (~0.3 MB), the skipped negative cells
+# (0.25 MB) and the per-batch blocks (~0.4 MB at dim 64); measured 0.35-0.79 MB.
+TRAIN_BYTES_PER_PAIR = 9
+TRAIN_FIXED_BYTES = 1_000_000
+
+
+@pytest.mark.parametrize("dim, walk_length, num_walks, epochs", [(5, 12, 6, 2), (5, 12, 6, 3), (64, 20, 10, 1)])
+def test_train_memory_per_pair(dim, walk_length, num_walks, epochs):
+    # 54,000 and 170,000 pairs, then the same walks twice: the peak may grow by
+    # at most TRAIN_BYTES_PER_PAIR per added pair.  With two or three epochs,
+    # nothing of one epoch may be held while the next builds its pairs.
+    g, _, _ = metro_network(default_metro_spec())
+    corpus = corpus_for(g, walk_length=walk_length, num_walks=num_walks, seed=2)
+    doubled = WalkCorpus(np.concatenate([corpus.matrix, corpus.matrix]), corpus.node_ids, corpus.config, "")
+    n_pairs = len(extract_pairs(corpus, 5))
+    assert n_pairs >= 50_000 and len(extract_pairs(doubled, 5)) == 2 * n_pairs
+    cfg = TrainConfig(dim=dim, epochs=epochs, seed=0)
+    assert traced_train_peak(doubled, cfg) - traced_train_peak(corpus, cfg) <= TRAIN_BYTES_PER_PAIR * n_pairs
 
 
 @pytest.mark.parametrize(
-    "dim, walk_length, num_walks, epochs", [(5, 12, 6, 2), (64, 20, 10, 1), (5, 40, 10, 1)]
+    "dim, walk_length, num_walks, epochs", [(5, 12, 6, 2), (64, 20, 10, 1), (5, 40, 10, 1), (5, 40, 10, 3)]
 )
 def test_train_memory_slope_per_pair(dim, walk_length, num_walks, epochs):
-    # 54,000, 170,000 and 370,000 pairs.  The permutation is freed before the
-    # negatives are drawn; 64-bit indices or a held permutation need 80+ bytes.
+    # 54,000, 170,000 and 370,000 pairs.  A second copy of the pairs, an epoch's
+    # negatives or pairs kept from an earlier epoch need 16+ bytes per pair.
     g, _, _ = metro_network(default_metro_spec())
     corpus = corpus_for(g, walk_length=walk_length, num_walks=num_walks, seed=2)
     n_pairs = len(extract_pairs(corpus, 5))
-    tracemalloc.start()
-    try:
-        train(corpus, TrainConfig(dim=dim, epochs=epochs, seed=0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_train_peak(corpus, TrainConfig(dim=dim, epochs=epochs, seed=0))
     assert peak <= TRAIN_BYTES_PER_PAIR * n_pairs + TRAIN_FIXED_BYTES
+
+
+def test_int64_view_shuffle_moves_rows_in_permutation_order():
+    # train shuffles its (n, 2) int32 pairs as one int64 per row: numpy's
+    # 1-D shuffle makes the same draws whatever the item size, and
+    # Generator.permutation(n) is that shuffle of arange(n)
+    n = 100_003
+    rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+    for r in (rng, ref_rng):
+        r.integers(0, 7, size=3, dtype=np.int32)  # half a 64-bit word left in the bit generator
+    rows = np.stack([np.arange(n), 3 * np.arange(n)], axis=1).astype(np.int32)
+    rng.shuffle(rows.view(np.int64).reshape(-1))
+    order = ref_rng.permutation(n)
+    assert np.array_equal(rows[:, 0], order) and np.array_equal(rows[:, 1], 3 * order)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.array_equal(rng.integers(0, 7, size=5, dtype=np.int32), ref_rng.integers(0, 7, size=5, dtype=np.int32))
 
 
 # 128 walks of length 9 over 20 nodes; at window 9 (>= the walk length) each

@@ -3,6 +3,7 @@ node identifiers that the graph accepts; and every reader names the physical
 line of a bad row."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from pec.cli import read_config_file
 from pec.embedder import EmbeddingMatrix, load_embeddings, save_embeddings
 from pec.evaluator import load_labels, save_labels
 from pec.srg import SpaceRelationGraph, _check_node_ids, load_feature_csv, load_graph, load_od_csv, save_graph
+from pec.util import write_lines
 from pec.walker import WalkConfig, WalkCorpus, load_corpus, save_corpus
 
 
@@ -129,3 +131,28 @@ def test_readers_name_the_physical_line_after_a_blank_line(tmp_path, load, text,
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line {line}: .*{re.escape(message)}"):
         load(path)
+
+
+@pytest.mark.parametrize("lines", [[], [""], ["one"], [f"n{i}\tm{i}\t{i / 7!r} ü" for i in range(5000)]],
+                         ids=["none", "one-empty", "one", "many"])
+def test_write_lines_streams_the_bytes_of_the_joined_lines(tmp_path, lines):
+    path = tmp_path / "lines.txt"
+    write_lines(path, iter(lines))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_save_graph_holds_no_formatted_edge_list(tmp_path):
+    # a complete graph of 300 nodes: 44,850 edge lines, ~1.2 MB of text and
+    # ~3.7 MB as a list of strings; written a line at a time, only one CSR
+    # row and the file buffer are held
+    n = 300
+    g = SpaceRelationGraph.from_weight_matrix([f"n{i}" for i in range(n)], 1.0 - np.eye(n))
+    assert g.num_edges == n * (n - 1) // 2
+    tracemalloc.start()
+    try:
+        save_graph(g, tmp_path / "g.tsv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
+    assert load_graph(tmp_path / "g.tsv") == g

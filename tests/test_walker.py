@@ -151,6 +151,25 @@ def test_alias_draw_many_is_int32_and_matches_reference_across_chunks():
     assert rng.random() == ref_rng.random()
 
 
+@pytest.mark.parametrize("rows, width, block", [
+    (AliasTable.DRAW_CHUNK // 3 + 7, 3, 1000),  # a block straddles the cells' first chunk end; last is ragged
+    (70_001, 3, 30_000),  # each block resolves more than one chunk
+    (5, 5, 2),
+], ids=["straddle", "blocks-over-chunk", "tiny"])
+def test_alias_draw_blocks_concatenate_to_draw_many(rows, width, block):
+    # bounded int32 cells are cut from the bit generator's 32-bit words, so
+    # cells drawn block by block are the cells of one draw
+    table = AliasTable(np.random.default_rng(6).dirichlet(np.ones(50)))
+    rng, ref_rng = np.random.default_rng(13), np.random.default_rng(13)
+    for r in (rng, ref_rng):
+        r.integers(0, 7, size=3, dtype=np.int32)  # half a 64-bit word left in the bit generator
+    blocks = list(table.draw_blocks(rng, rows, width, block))
+    assert [len(b) for b in blocks] == [min(block, rows - s) for s in range(0, rows, block)]
+    assert np.array_equal(np.concatenate(blocks), table.draw_many(ref_rng, (rows, width)))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.array_equal(rng.integers(0, 7, size=5, dtype=np.int32), ref_rng.integers(0, 7, size=5, dtype=np.int32))
+
+
 def test_alias_draw_many_memory_bound():
     table = AliasTable(np.random.default_rng(4).dirichlet(np.ones(100)))
     draws = 10**6
