@@ -20,6 +20,7 @@ from .clusterer import (
     validity_indices,
 )
 from .embedder import (
+    AliasTable,
     EmbeddingMatrix,
     TrainConfig,
     TrainingDiverged,
@@ -60,7 +61,6 @@ from .srg import (
 )
 from .synth import MetroSpec, blobs, default_metro_spec, metro_network, planted_od
 from .walker import (
-    AliasTable,
     WalkConfig,
     WalkCorpus,
     build_alias_tables,

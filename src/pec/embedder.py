@@ -26,23 +26,28 @@ Memory: the only array that grows with the corpus is an epoch's (pairs, 2)
 int32 ``[center, context]`` rows, 8 bytes per pair, built a chunk of walks
 at a time and shuffled in place; the traced peak of ``train`` is that plus
 ~0.4-0.8 MB of chunk and batch buffers.  The outputs are those of drawing
-``rng.permutation(pairs)`` and then every negative at once, because of two
-numpy stream facts: the 1-D shuffle of the rows viewed as int64 makes the
-draws of ``permutation``, and bounded int32 draws take their 32-bit words
-from the bit generator's own buffer, so ``AliasTable.draw_blocks`` gives a
-loss block's negatives at a time with the values of one ``draw_many``.
+``rng.permutation(pairs)``, then every negative's alias cell, then every
+negative's uniform, because of two numpy stream facts.  The 1-D shuffle of
+the rows viewed as int64 makes the draws of ``permutation``.  Bounded int32
+draws take their 32-bit words from the bit generator's own buffer, so cells
+drawn a block at a time are the cells of one draw: in
+``AliasTable.draw_blocks`` a copy of the generator draws each loss block's
+cells, while the generator itself skips them all and then draws each
+block's uniforms.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .util import parse_rows, read_lines, write_lines
-from .walker import AliasTable, WalkCorpus
+from .walker import WalkCorpus
 
 __all__ = [
+    "AliasTable",
     "TrainConfig",
     "EmbeddingMatrix",
     "TrainingDiverged",
@@ -194,6 +199,58 @@ def sgns_loss_and_grad(center_vec, context_vec, negative_vecs):
     _scores_and_grad(rows_w, scores, grad)
     loss = float(_softplus(-scores[0, 0]) + _softplus(scores[0, 1:]).sum())
     return loss, grad[0, 0], grad[0, 1], grad[0, 2:]
+
+
+class AliasTable:
+    """Constant-time sampler for a fixed discrete distribution (Vose setup)."""
+
+    __slots__ = ("accept", "alias", "size")
+    DRAW_CHUNK = 1 << 16  # cells skipped at a time
+
+    def __init__(self, probs) -> None:
+        probs = np.asarray(probs, dtype=float)
+        if probs.ndim != 1 or probs.size == 0:
+            raise ValueError("need a non-empty 1-D probability vector")
+        if np.any(probs < 0) or not np.all(np.isfinite(probs)):
+            raise ValueError("probabilities must be finite and nonnegative")
+        total = probs.sum()
+        if total <= 0:
+            raise ValueError("probabilities must not all be zero")
+        k = probs.size
+        scaled = (probs * (k / total)).tolist()
+        accept = [0.0] * k
+        alias = [0] * k
+        small, large = [], []
+        for i, s in enumerate(scaled):
+            (small if s < 1.0 else large).append(i)
+        while small and large:
+            lo = small.pop()
+            hi = large.pop()
+            accept[lo] = scaled[lo]
+            alias[lo] = hi
+            scaled[hi] -= 1.0 - scaled[lo]
+            (small if scaled[hi] < 1.0 else large).append(hi)
+        for rest in (large, small):  # leftovers are numerically 1.0
+            for i in rest:
+                accept[i] = 1.0
+                alias[i] = i
+        self.size = k
+        self.accept = np.array(accept)
+        self.alias = np.array(alias, dtype=np.int64)
+
+    def draw_blocks(self, rng: np.random.Generator, rows: int, width: int, block: int):
+        """(rows, width) int32 draws, yielded ``block`` rows at a time: a cell per
+        draw, then a uniform per cell in flat order, and a cell whose uniform is
+        at least its acceptance becomes its alias.  Only one block is held."""
+        cells_rng = copy.deepcopy(rng)
+        n_cells = rows * width
+        for start in range(0, n_cells, self.DRAW_CHUNK):
+            rng.integers(0, self.size, size=min(self.DRAW_CHUNK, n_cells - start), dtype=np.int32)
+        for start in range(0, rows, block):
+            cells = cells_rng.integers(0, self.size, size=(min(block, rows - start), width), dtype=np.int32)
+            miss = rng.random(cells.shape) >= self.accept[cells]
+            cells[miss] = self.alias[cells[miss]]
+            yield cells
 
 
 def _negative_table(mat: np.ndarray, n: int) -> AliasTable:

@@ -171,16 +171,6 @@ class SpaceRelationGraph:
     def has_edge(self, u: str, v: str) -> bool:
         return self._index[v] in self.neighbor_indices(self._index[u])
 
-    def weight(self, u: str, v: str) -> float:
-        i, j = self._index[u], self._index[v]
-        w = self.neighbor_weights(i)[self.neighbor_indices(i) == j]
-        if w.size == 0:
-            raise KeyError(f"no edge ({u!r}, {v!r})")
-        return float(w[0])
-
-    def neighbors(self, node_id: str) -> tuple[str, ...]:
-        return tuple(self.node_ids[j] for j in self.neighbor_indices(self._index[node_id]).tolist())
-
     def neighbor_indices(self, i: int) -> np.ndarray:
         """Sorted neighbor indices of node index ``i`` (a read-only view)."""
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
@@ -296,12 +286,11 @@ def build_srg_from_features(
         k = None if k_nn is None else prefixed("k_nn", whole_number, k_nn)
         if k is None or not 1 <= k < n:
             raise ValueError("knn sparsification requires 1 <= k_nn < N")
+        # strongest first, ties toward the smaller neighbor index; kept
+        # entries (sim > 0) all rank before the zeros
         sel = np.zeros_like(keep)
-        for i in range(n):
-            # strongest first; ties resolved toward the smaller neighbor index
-            order = np.lexsort((np.arange(n), -sim[i]))
-            picked = [j for j in order if keep[i, j]][:k]
-            sel[i, picked] = True
+        np.put_along_axis(sel, np.argsort(-sim, axis=1, kind="stable")[:, :k], True, axis=1)
+        sel &= keep
         keep &= sel | sel.T
     elif sparsify == "threshold":
         if tau is None or not (0.0 <= float(tau) <= 1.0):

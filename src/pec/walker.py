@@ -19,8 +19,8 @@ array, drawing from one random stream per seed.
 
 from __future__ import annotations
 
-import copy
 import itertools
+from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -28,7 +28,6 @@ import numpy as np
 from .util import field_parser, parse_fields, prefixed, read_lines, write_lines
 
 __all__ = [
-    "AliasTable",
     "WalkConfig",
     "WalkCorpus",
     "WalkSampler",
@@ -38,84 +37,6 @@ __all__ = [
     "save_corpus",
     "load_corpus",
 ]
-
-
-class AliasTable:
-    """Constant-time sampler for a fixed discrete distribution (Vose setup)."""
-
-    __slots__ = ("accept", "alias", "size")
-    DRAW_CHUNK = 1 << 16  # draws resolved, or cells skipped, at a time
-
-    def __init__(self, probs) -> None:
-        probs = np.asarray(probs, dtype=float)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValueError("need a non-empty 1-D probability vector")
-        if np.any(probs < 0) or not np.all(np.isfinite(probs)):
-            raise ValueError("probabilities must be finite and nonnegative")
-        total = probs.sum()
-        if total <= 0:
-            raise ValueError("probabilities must not all be zero")
-        k = probs.size
-        scaled = (probs * (k / total)).tolist()
-        accept = [0.0] * k
-        alias = [0] * k
-        small, large = [], []
-        for i, s in enumerate(scaled):
-            (small if s < 1.0 else large).append(i)
-        while small and large:
-            lo = small.pop()
-            hi = large.pop()
-            accept[lo] = scaled[lo]
-            alias[lo] = hi
-            scaled[hi] -= 1.0 - scaled[lo]
-            (small if scaled[hi] < 1.0 else large).append(hi)
-        for rest in (large, small):  # leftovers are numerically 1.0
-            for i in rest:
-                accept[i] = 1.0
-                alias[i] = i
-        self.size = k
-        self.accept = np.array(accept)
-        self.alias = np.array(alias, dtype=np.int64)
-
-    def draw_many(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """Draws of ``shape`` as int32: all cells, then one uniform per cell in
-        flat order.  Aliases are resolved in place, a chunk at a time, so the
-        result, 4 bytes per draw, is the only full-size array.  For up to 2**31
-        outcomes numpy draws int32 and int64 cells from the same 32-bit words,
-        so both give the same values and leave the stream at the same place."""
-        return self._resolve(rng.integers(0, self.size, size=shape, dtype=np.int32), rng)
-
-    def draw_blocks(self, rng: np.random.Generator, rows: int, width: int, block: int):
-        """``draw_many(rng, (rows, width))`` yielded ``block`` rows at a time,
-        leaving ``rng`` where draw_many leaves it; only one block is held.
-
-        Bounded int32 cells take their 32-bit words from the bit generator's
-        own buffer, so consecutive draws give the values of one draw.  A copy
-        of ``rng`` draws the cells block by block, while ``rng`` skips them
-        all and then draws each block's uniforms."""
-        cells_rng = copy.deepcopy(rng)
-        n_cells = rows * width
-        for start in range(0, n_cells, self.DRAW_CHUNK):
-            rng.integers(0, self.size, size=min(self.DRAW_CHUNK, n_cells - start), dtype=np.int32)
-        for start in range(0, rows, block):
-            cells = cells_rng.integers(0, self.size, size=(min(block, rows - start), width), dtype=np.int32)
-            yield self._resolve(cells, rng)
-
-    def _resolve(self, cells: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """``cells`` with each replaced by its alias where a uniform from ``rng``
-        is at least its acceptance, in flat order, a chunk at a time."""
-        flat = cells.reshape(-1)
-        for start in range(0, flat.size, self.DRAW_CHUNK):
-            chunk = flat[start:start + self.DRAW_CHUNK]
-            miss = rng.random(chunk.size) >= self.accept[chunk]
-            chunk[miss] = self.alias[chunk[miss]]
-        return cells
-
-    def probabilities(self) -> np.ndarray:
-        """Exact per-outcome probability encoded by the table."""
-        probs = self.accept / self.size
-        np.add.at(probs, self.alias, (1.0 - self.accept) / self.size)
-        return probs
 
 
 @dataclass(frozen=True)
@@ -168,8 +89,12 @@ class WalkCorpus:
 
     @property
     def walks(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(map(tuple, self._id_rows()))
+
+    def _id_rows(self):
+        """Each walk as a list of ids, decoded one row at a time."""
         ids, lengths = np.array((*self.node_ids, None), dtype=object), (self.matrix >= 0).sum(axis=1)
-        return tuple(tuple(row[:n]) for row, n in zip(ids[self.matrix].tolist(), lengths.tolist()))
+        return (ids[row].tolist()[:n] for row, n in zip(self.matrix, lengths.tolist()))
 
 
 def transition_distribution(g, prev: str, cur: str, p: float, q: float) -> dict[str, float]:
@@ -194,8 +119,7 @@ class WalkSampler:
     each divided by its row's total, and the sorted edge keys
     ``row * N + col``: O(edges) memory.  :meth:`propose` and
     :meth:`advance` return CSR positions, i.e. indices into
-    ``graph.indices``.  ``step[(prev, cur)]`` is a view of one
-    second-order state by node index, for inspection and tests.
+    ``graph.indices``.
     """
 
     def __init__(self, g, p: float, q: float):
@@ -210,10 +134,6 @@ class WalkSampler:
         self.cum = np.concatenate(([0.0], np.cumsum(share)))
         self.keys = rows * g.num_nodes + g.indices
         self.bound = max(1.0 / self.p, 1.0, 1.0 / self.q)
-
-    @property
-    def step(self) -> "_States":  # built per read, so the sampler is no reference cycle
-        return _States(self)
 
     def factors(self, prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:
         """Bias factor of each move to ``nxt`` from a state whose previous node is ``prev``."""
@@ -240,38 +160,6 @@ class WalkSampler:
             out[todo[ok]] = k[ok]
             todo = todo[~ok]
         return out
-
-
-class _States:
-    """``sampler.step[(prev, cur)]``: the state of an edge, by node index."""
-
-    def __init__(self, sampler: WalkSampler):
-        self.sampler = sampler
-
-    def __getitem__(self, state: tuple[int, int]) -> "_State":
-        prev, cur = (int(x) for x in state)
-        if cur not in self.sampler.graph.neighbor_indices(prev):
-            raise KeyError(state)
-        return _State(self.sampler, prev, cur)
-
-
-class _State:
-    """One second-order state; outcomes are offsets into ``neighbor_indices(cur)``."""
-
-    def __init__(self, sampler: WalkSampler, prev: int, cur: int):
-        self.sampler, self.prev, self.cur = sampler, prev, cur
-
-    def draw_many(self, rng: np.random.Generator, shape) -> np.ndarray:
-        size = int(np.prod(shape))
-        k = self.sampler.advance(np.full(size, self.prev), np.full(size, self.cur), rng)
-        return (k - self.sampler.graph.indptr[self.cur]).reshape(shape)
-
-    def probabilities(self) -> np.ndarray:
-        """Exact probability of each outcome."""
-        g = self.sampler.graph
-        nbrs = g.neighbor_indices(self.cur)
-        unnorm = self.sampler.factors(np.full(nbrs.size, self.prev), nbrs) * g.neighbor_weights(self.cur)
-        return unnorm / unnorm.sum()
 
 
 def build_alias_tables(g, p: float, q: float) -> WalkSampler:
@@ -313,7 +201,7 @@ def save_corpus(corpus: WalkCorpus, path) -> None:
         "# nodes=" + " ".join(corpus.node_ids),
         "# isolated=" + " ".join(corpus.isolated_nodes),
     ]
-    write_lines(path, itertools.chain(lines, (" ".join(walk) for walk in corpus.walks)))
+    write_lines(path, itertools.chain(lines, map(" ".join, corpus._id_rows())))
 
 
 def load_corpus(path) -> WalkCorpus:
@@ -334,7 +222,11 @@ def load_corpus(path) -> WalkCorpus:
     missing = [k for k in required if k not in header]
     if missing:
         raise ValueError(f"{path}: missing corpus header fields: {', '.join(missing)}")
-    node_ids = tuple(header["nodes"][1].split(" "))
+    nodes_line, nodes_text = header["nodes"]
+    node_ids = tuple(nodes_text.split(" "))
+    repeats = [nid for nid, count in Counter(node_ids).items() if count > 1]
+    if repeats:
+        raise ValueError(f"{path}: line {nodes_line}: node {repeats[0]!r} is listed twice")
     settings = {}
     for f in fields(WalkConfig):
         lineno, text = header[f.name]

@@ -12,7 +12,7 @@ import numpy as np
 from pec.clusterer import IndexScores
 from pec.embedder import sgns_loss_and_grad
 from pec.srg import SpaceRelationGraph
-from pec.walker import AliasTable
+from pec.embedder import AliasTable
 
 
 def brute_force_kmeans(x, n):
@@ -268,6 +268,16 @@ def reference_draw_many(table, rng, shape):
     cells = rng.integers(0, table.size, size=shape)
     keep = rng.random(shape) < table.accept[cells]
     return np.where(keep, cells, table.alias[cells])
+
+
+def reference_alias_probabilities(table):
+    """The law an alias table encodes: each cell, drawn with probability
+    1/size, gives itself with its acceptance and its alias otherwise."""
+    probs = np.zeros(table.size)
+    for k in range(table.size):
+        probs[k] += table.accept[k] / table.size
+        probs[table.alias[k]] += (1.0 - table.accept[k]) / table.size
+    return probs
 
 
 def _reference_softplus(x):

@@ -65,7 +65,7 @@ def test_criterion_01_walk_transition_correctness():
             assert sum(analytic.values()) == pytest.approx(1.0, abs=1e-12)
             pi, ci = g.index(prev), g.index(cur)
             nbrs = g.neighbor_indices(ci)
-            draws = sampler.step[(pi, ci)].draw_many(rng, 100_000)
+            draws = sampler.advance(np.full(100_000, pi), np.full(100_000, ci), rng) - g.indptr[ci]
             freq = np.bincount(draws, minlength=nbrs.size) / draws.size
             target = np.array([analytic[g.node_ids[int(x)]] for x in nbrs])
             worst_l1 = max(worst_l1, float(np.abs(freq - target).sum()))

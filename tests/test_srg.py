@@ -73,14 +73,14 @@ def test_gaussian_monotone_in_distance():
     rng = np.random.default_rng(7)
     values = rng.normal(size=(6, 3))
     feats = FeatureMatrix([f"n{i}" for i in range(6)], values)
-    g = build_srg_from_features(feats, similarity="gaussian", sigma=1.3)
+    w = build_srg_from_features(feats, similarity="gaussian", sigma=1.3).to_weight_matrix()
     for i in range(6):
         for j in range(i + 1, 6):
             for k in range(j + 1, 6):
                 d_ij = np.linalg.norm(values[i] - values[j])
                 d_ik = np.linalg.norm(values[i] - values[k])
                 if d_ij < d_ik:
-                    assert g.weight(f"n{i}", f"n{j}") > g.weight(f"n{i}", f"n{k}")
+                    assert w[i, j] > w[i, k]
 
 
 def test_knn_sparsify_keeps_union_and_symmetry():
@@ -249,7 +249,8 @@ def test_adjacency_self_loop_rejected():
 
 def test_weight_lookup_symmetric():
     g = SpaceRelationGraph(["a", "b"], [("a", "b", 0.25)])
-    assert g.weight("a", "b") == g.weight("b", "a") == 0.25
+    w = g.to_weight_matrix()
+    assert w[0, 1] == w[1, 0] == 0.25
 
 
 def test_duplicate_edge_rejected():

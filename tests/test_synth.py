@@ -12,7 +12,7 @@ def reachable(g, start):
     while frontier:
         nxt = []
         for node in frontier:
-            for nbr in g.neighbors(node):
+            for nbr in (g.node_ids[j] for j in g.neighbor_indices(g.index(node))):
                 if nbr not in seen:
                     seen.add(nbr)
                     nxt.append(nbr)

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_draw_many, same_corpus
+from oracles import reference_alias_probabilities, reference_draw_many, same_corpus
 
+from pec.embedder import AliasTable
 from pec.srg import SpaceRelationGraph, build_srg_from_adjacency, build_srg_from_interactions
 from pec.synth import planted_od
 from pec.walker import (
-    AliasTable,
     WalkConfig,
+    WalkCorpus,
     build_alias_tables,
     generate_walks,
     load_corpus,
@@ -40,6 +41,14 @@ def weighted_graph():
             ("d", "e", 0.25),
         ],
     )
+
+
+def step_law(sampler, prev: int, cur: int) -> np.ndarray:
+    """The sampler's exact law from the state (prev, cur), over ``neighbor_indices(cur)``."""
+    g = sampler.graph
+    nbrs = g.neighbor_indices(cur)
+    unnorm = sampler.factors(np.full(nbrs.size, prev), nbrs) * g.neighbor_weights(cur)
+    return unnorm / unnorm.sum()
 
 
 # -- transition law ---------------------------------------------------------------
@@ -98,27 +107,32 @@ def test_non_edge_state_rejected(path_graph):
         transition_distribution(path_graph, "A", "C", 1.0, 1.0)
 
 
-# -- alias tables --------------------------------------------------------------------
+# -- alias tables: the embedder's negative sampler ---------------------------------------
+
+
+def draw(table, rng, rows, width=1):
+    """``table``'s (rows, width) draws from ``draw_blocks`` in one block."""
+    (block,) = table.draw_blocks(rng, rows, width, rows)
+    return block
 
 
 def test_alias_two_outcome_empirical_frequencies():
     table = AliasTable([0.2, 0.8])
-    rng = np.random.default_rng(0)
-    draws = table.draw_many(rng, 100_000)
-    freq = np.bincount(draws, minlength=2) / draws.size
+    draws = draw(table, np.random.default_rng(0), 100_000)
+    freq = np.bincount(draws.reshape(-1), minlength=2) / draws.size
     assert np.abs(freq - [0.2, 0.8]).sum() <= 0.01
 
 
 def test_alias_uniform_case_needs_no_alias():
     table = AliasTable([0.2] * 5)
     assert np.allclose(table.accept, 1.0)
-    assert np.allclose(table.probabilities(), 0.2)
+    assert np.allclose(reference_alias_probabilities(table), 0.2)
 
 
 def test_alias_single_outcome():
     table = AliasTable([1.0])
     rng = np.random.default_rng(1)
-    assert np.all(table.draw_many(rng, 100) == 0)
+    assert np.all(draw(table, rng, 100) == 0)
 
 
 def test_alias_reconstructs_distribution_exactly():
@@ -126,26 +140,25 @@ def test_alias_reconstructs_distribution_exactly():
     for _ in range(25):
         probs = rng.dirichlet(np.ones(rng.integers(2, 12)))
         table = AliasTable(probs)
-        assert np.allclose(table.probabilities(), probs, atol=1e-12)
+        assert np.allclose(reference_alias_probabilities(table), probs, atol=1e-12)
 
 
 @pytest.mark.parametrize("shape", [1, 1000, (70_000, 3), (1 << 16) + 1], ids=str)
 def test_alias_draw_many_matches_reference(shape):
     table = AliasTable(np.random.default_rng(3).dirichlet(np.ones(37)))
     rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-    draws = table.draw_many(rng, shape)
-    expected = reference_draw_many(table, ref_rng, shape)
-    assert draws.shape == expected.shape
-    assert np.array_equal(draws, expected)
+    shape = (shape, 1) if isinstance(shape, int) else shape
+    draws = draw(table, rng, *shape)
+    assert np.array_equal(draws, reference_draw_many(table, ref_rng, shape))
     assert rng.random() == ref_rng.random()  # the stream is left where the reference leaves it
 
 
 def test_alias_draw_many_is_int32_and_matches_reference_across_chunks():
     table = AliasTable(np.random.default_rng(5).dirichlet(np.ones(100)))
-    shape = (AliasTable.DRAW_CHUNK // 3 + 7, 3)  # the flat draws straddle the first chunk's end
+    shape = (AliasTable.DRAW_CHUNK // 3 + 7, 3)  # the skipped cells straddle the first chunk's end
     assert np.prod(shape) > AliasTable.DRAW_CHUNK
     rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-    draws = table.draw_many(rng, shape)
+    draws = draw(table, rng, *shape)
     assert draws.dtype == np.int32
     assert np.array_equal(draws, reference_draw_many(table, ref_rng, shape))
     assert rng.random() == ref_rng.random()
@@ -153,7 +166,7 @@ def test_alias_draw_many_is_int32_and_matches_reference_across_chunks():
 
 @pytest.mark.parametrize("rows, width, block", [
     (AliasTable.DRAW_CHUNK // 3 + 7, 3, 1000),  # a block straddles the cells' first chunk end; last is ragged
-    (70_001, 3, 30_000),  # each block resolves more than one chunk
+    (70_001, 3, 30_000),  # each block holds more than one chunk of cells
     (5, 5, 2),
 ], ids=["straddle", "blocks-over-chunk", "tiny"])
 def test_alias_draw_blocks_concatenate_to_draw_many(rows, width, block):
@@ -165,21 +178,23 @@ def test_alias_draw_blocks_concatenate_to_draw_many(rows, width, block):
         r.integers(0, 7, size=3, dtype=np.int32)  # half a 64-bit word left in the bit generator
     blocks = list(table.draw_blocks(rng, rows, width, block))
     assert [len(b) for b in blocks] == [min(block, rows - s) for s in range(0, rows, block)]
-    assert np.array_equal(np.concatenate(blocks), table.draw_many(ref_rng, (rows, width)))
+    assert np.array_equal(np.concatenate(blocks), reference_draw_many(table, ref_rng, (rows, width)))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert np.array_equal(rng.integers(0, 7, size=5, dtype=np.int32), ref_rng.integers(0, 7, size=5, dtype=np.int32))
 
 
 def test_alias_draw_many_memory_bound():
+    # 10**6 draws a block of 1000 at a time: only one block is held
     table = AliasTable(np.random.default_rng(4).dirichlet(np.ones(100)))
-    draws = 10**6
+    draws, block = 10**6, 1000
     tracemalloc.start()
     try:
-        table.draw_many(np.random.default_rng(0), draws)
+        for _ in table.draw_blocks(np.random.default_rng(0), draws, 1, block):
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * draws
+    assert peak < draws  # ~0.26 MB, one chunk of skipped cells; the whole result takes 4 bytes per draw
 
 
 def test_alias_tables_match_transition_distribution(weighted_graph):
@@ -188,9 +203,8 @@ def test_alias_tables_match_transition_distribution(weighted_graph):
     for u, v, _ in g.edges():
         pi, ci = g.index(u), g.index(v)
         dist = transition_distribution(g, u, v, 2.0, 0.5)
-        table = sampler.step[(pi, ci)]
         nbrs = g.neighbor_indices(ci)
-        for k, prob in enumerate(table.probabilities()):
+        for k, prob in enumerate(step_law(sampler, pi, ci)):
             assert prob == pytest.approx(dist[g.node_ids[int(nbrs[k])]], abs=1e-12)
 
 
@@ -266,7 +280,7 @@ def test_corpus_keeps_about_four_bytes_per_step():
 def test_sampler_is_freed_without_the_cycle_collector(weighted_graph):
     sampler = build_alias_tables(weighted_graph, 0.5, 2.0)
     prev, cur = (int(x) for x in (weighted_graph.entry_rows()[0], weighted_graph.indices[0]))
-    assert sampler.step[(prev, cur)].probabilities().sum() == pytest.approx(1.0)
+    assert step_law(sampler, prev, cur).sum() == pytest.approx(1.0)
     ref = weakref.ref(sampler)
     gc.disable()
     try:
@@ -353,6 +367,33 @@ def test_corpus_unknown_node_names_path_and_line(tmp_path, weighted_graph):
         load_corpus(path)
 
 
+def test_corpus_repeated_node_names_path_and_line(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text(
+        "# graph=abc\n# p=1.0 q=1.0 walk_length=2 num_walks=1 seed=0\n# nodes=a b a\n# isolated=\na b\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=r"c\.txt: line 3: node 'a' is listed twice$"):
+        load_corpus(path)
+
+
+def test_save_corpus_writes_one_row_at_a_time(tmp_path):
+    # the planted 10x100 corpus's shape: 10,000 walks of 80 steps over 1,000 nodes;
+    # decoding every walk to a tuple of ids before writing took a 14.1 MB traced peak
+    matrix = np.random.default_rng(0).integers(0, 1000, size=(10_000, 80), dtype=np.int32)
+    matrix[::7, 40:] = -1  # some walks end early
+    corpus = WalkCorpus(matrix, tuple(f"n{i}" for i in range(1000)), WalkConfig(walk_length=80), "abc")
+    path = tmp_path / "c.txt"
+    tracemalloc.start()
+    try:
+        save_corpus(corpus, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000  # ~0.96 MB measured: the walks' lengths
+    assert path.read_text(encoding="utf-8").splitlines()[4:] == [" ".join(w) for w in corpus.walks]
+
+
 # -- rejection sampler: worst case and memory -----------------------------------------
 
 
@@ -381,8 +422,9 @@ def test_hub_two_step_law_at_low_p(hub_graph, q):
     sampler = build_alias_tables(g, p, q)
     rng = np.random.default_rng(7)
     for prev, cur in states:
-        nbrs = g.neighbors(cur)
-        draws = sampler.step[(g.index(prev), g.index(cur))].draw_many(rng, 100_000)
+        pi, ci = g.index(prev), g.index(cur)
+        nbrs = [g.node_ids[x] for x in g.neighbor_indices(ci).tolist()]
+        draws = sampler.advance(np.full(100_000, pi), np.full(100_000, ci), rng) - g.indptr[ci]
         freq = {nbrs[k]: c / draws.size for k, c in enumerate(np.bincount(draws, minlength=len(nbrs)))}
         assert _l1(freq, transition_distribution(g, prev, cur, p, q)) <= 0.01
     corpus = generate_walks(g, WalkConfig(p=p, q=q, walk_length=3, num_walks=100_000, seed=11))
@@ -422,7 +464,7 @@ def test_two_step_law_on_random_graphs_property(g, p, q, seed):
     for s, (pi, ci) in enumerate(zip(rows.tolist(), g.indices.tolist())):
         law = transition_distribution(g, g.node_ids[pi], g.node_ids[ci], p, q)
         nbrs = g.neighbor_indices(ci)
-        exact = sampler.step[(pi, ci)].probabilities()
+        exact = step_law(sampler, pi, ci)
         assert exact == pytest.approx([law[g.node_ids[x]] for x in nbrs.tolist()], abs=1e-12)
         counts = np.bincount(nxt[s * draws:(s + 1) * draws], minlength=g.num_nodes)
         assert counts.sum() == counts[nbrs].sum()  # every move follows an edge
