@@ -29,6 +29,7 @@ from .embedder import (
     save_embeddings,
     sgns_loss_and_grad,
     train,
+    train_many,
 )
 from .evaluator import (
     EvaluationReport,

@@ -9,37 +9,47 @@ per-pair objective is
 with u the center vector, v the context vector and v_n the sampled
 negative context vectors.  Training is plain SGD with a linearly decaying
 learning rate, applied in small batches; it is single-threaded by design
-so a seed fully determines the result.  Center and context vectors are the
-two halves of one (2N, d) array.  Each batch is one (B, m+2) row block,
-``[center, context + N, negatives + N]`` pair by pair: one gather, one call
-of ``_scores_and_grad``, the only place where the gradient is computed
-(``sgns_loss_and_grad`` is that kernel at B = 1), and one 1-D ``np.add.at``
-of its (B, m+2, d) step on the flat view.  That adds every element's updates
-in input order, and center rows (< N) never coincide with context rows
-(>= N), so interleaving them pair by pair keeps each element's order: the
-floats are exactly those of one row-wise scatter for the centers and one for
-the contexts.  The loss takes its softplus over a block of batches' scores
-at once and sums each batch's share with one reshape-and-sum; the batch
-totals are then added left to right, so the epoch means are unchanged.
+so a seed fully determines the result.
 
-Memory: the only array that grows with the corpus is an epoch's (pairs, 2)
-int32 ``[center, context]`` rows, 8 bytes per pair, built a chunk of walks
-at a time and shuffled in place; the traced peak of ``train`` is that plus
-~0.4-0.8 MB of chunk and batch buffers.  The outputs are those of drawing
-``rng.permutation(pairs)``, then every negative's alias cell, then every
-negative's uniform, because of two numpy stream facts.  The 1-D shuffle of
-the rows viewed as int64 makes the draws of ``permutation``.  Bounded int32
-draws take their 32-bit words from the bit generator's own buffer, so cells
-drawn a block at a time are the cells of one draw: in
-``AliasTable.draw_blocks`` a copy of the generator draws each loss block's
-cells, while the generator itself skips them all and then draws each
-block's uniforms.
+``train_many`` trains independent runs in lockstep, and ``train`` is its
+one-run case.  The runs share the node count N, the config apart from the
+seed, and the pair count, so they share every batch boundary and learning
+rate.  One (R, 2N, d) array holds them all: rows 0..N-1 of run r are its
+center vectors, rows N..2N-1 its context vectors, and run r's rows sit r * 2N
+into the flat (R * 2N, d) view.  Each loss block is one (pairs, R, m+2) row
+block, ``[center, context + N, negatives + N]`` pair by pair and run by run.
+A batch is one gather (``take``, which costs less per call than fancy
+indexing), one call of ``_scores_and_grad`` over (B * R, m+2, d),
+the only place where the gradient is computed (``sgns_loss_and_grad`` is
+that kernel at B = 1), and one 1-D ``np.add.at`` of its step on the flat
+view.  That adds every element's updates in input order.  Runs never share
+a row, and center rows (< N) never coincide with context rows (>= N), so
+each element gets its run's updates in that run's serial order: the floats
+are exactly those of one row-wise scatter for the centers and one for the
+contexts, run by run.  The loss takes its softplus over a block of
+batches' scores at once; each run's share is made contiguous and summed per
+batch with one reshape-and-sum, and the batch totals are then added left to
+right, so each run's epoch means are those of training it alone.
+
+Memory: the only arrays that grow with the corpus are each run's epoch of
+pair codes ``center * N + context``, int32 while N * N < 2**31, so 4 bytes
+per pair; they are built a chunk of walks at a time and shuffled in place.
+The traced peak of ``train`` is that plus ~0.4-0.8 MB of chunk and batch
+buffers.  Each run keeps its own generator, and its outputs are those of
+drawing ``rng.permutation(pairs)``, then every negative's alias cell, then
+every negative's uniform, because of two numpy stream facts.  The 1-D
+shuffle makes the same draws whatever the item size, so shuffling the codes
+is ``permutation``.  Bounded int32 draws take their 32-bit words from the bit
+generator's own buffer, so cells drawn a block at a time are the cells of
+one draw: in ``AliasTable.draw_blocks`` a copy of the generator draws each
+loss block's cells, while the generator itself skips them all and then
+draws each block's uniforms.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,7 +63,9 @@ __all__ = [
     "TrainingDiverged",
     "extract_pairs",
     "sgns_loss_and_grad",
+    "pair_count",
     "train",
+    "train_many",
     "save_embeddings",
     "load_embeddings",
 ]
@@ -134,25 +146,27 @@ def _pair_indices(mat: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]
     return np.broadcast_to(cen, ctx.shape)[valid], ctx[valid]
 
 
-def _pair_count(mat: np.ndarray, window: int) -> int:
-    """How many pairs ``_pair_indices`` gives: every two steps of one walk at
-    most ``window`` apart, once each way."""
-    valid = mat >= 0
-    offsets = range(1, min(window, mat.shape[1] - 1) + 1)
+def pair_count(corpus: WalkCorpus, window: int) -> int:
+    """How many (center, context) pairs the corpus gives: every two steps of
+    one walk at most ``window`` apart, once each way."""
+    valid = corpus.matrix >= 0
+    offsets = range(1, min(window, corpus.matrix.shape[1] - 1) + 1)
     return 2 * sum(int(np.count_nonzero(valid[:, k:] & valid[:, :-k])) for k in offsets)
 
 
-def _pair_array(mat: np.ndarray, window: int, n_pairs: int) -> np.ndarray:
-    """The ``_pair_indices`` pairs as (n_pairs, 2) int32 ``[center, context]``
-    rows, built a chunk of walks at a time into the one full-size array."""
-    pairs = np.empty((n_pairs, 2), dtype=np.int32)
+def _pair_codes(mat: np.ndarray, window: int, n_pairs: int, n: int) -> np.ndarray:
+    """The ``_pair_indices`` pairs as one code ``center * n + context`` each,
+    built a chunk of walks at a time: int32 when n * n < 2**31, else int64."""
+    codes = np.empty(n_pairs, dtype=np.int32 if n * n < 2**31 else np.int64)
     walks, at = max(1, PAIR_CHUNK_STEPS // mat.shape[1]), 0
     for start in range(0, len(mat), walks):
         cen, ctx = _pair_indices(mat[start:start + walks], window)
-        pairs[at:at + cen.size, 0], pairs[at:at + cen.size, 1] = cen, ctx
+        chunk = codes[at:at + cen.size]
+        np.multiply(cen, n, out=chunk, dtype=codes.dtype)
+        chunk += ctx
         at += cen.size
         del cen, ctx  # not held while the next chunk is built
-    return pairs
+    return codes
 
 
 def extract_pairs(corpus: WalkCorpus, window: int) -> list[tuple[str, str]]:
@@ -258,99 +272,139 @@ def _negative_table(mat: np.ndarray, n: int) -> AliasTable:
     return AliasTable(weights / weights.sum())
 
 
-def _sgd_block(weights, flat_index, rows, cfg, done, total_updates) -> list[float]:
-    """SGD over one loss block of pair rows ``[center, context + N, negatives + N]``,
-    in batches; returns each batch's summed loss, in order.  ``done`` counts
-    earlier updates."""
-    bs, m = min(cfg.batch_size, len(rows)), rows.shape[1] - 2
-    flat = weights.reshape(-1)
-    step = np.empty((bs, m + 2, weights.shape[1]))
-    scores = np.empty((len(rows), m + 1))
-    for start in range(0, len(rows), bs):
-        batch = rows[start:start + bs]
+def _sgd_block(weights, flat_index, rows, cfg, done, total_updates) -> list[list[float]]:
+    """SGD over one loss block of (pairs, runs, m+2) rows of ``weights``, in
+    batches of pairs; returns each run's summed loss per batch, in order.
+    ``done`` counts earlier updates."""
+    pairs, runs, width = rows.shape
+    bs, m = min(cfg.batch_size, pairs), width - 2
+    flat, flat_rows = weights.reshape(-1), rows.reshape(-1, width)
+    step = np.empty((bs * runs, width, weights.shape[1]))
+    scores = np.empty((pairs * runs, m + 1))
+    for start in range(0, pairs, bs):
+        batch = flat_rows[start * runs:(start + bs) * runs]
         batch_step = step[:len(batch)]
-        _scores_and_grad(weights[batch], scores[start:start + len(batch)], batch_step)
+        _scores_and_grad(weights.take(batch, axis=0), scores[start * runs:(start + bs) * runs], batch_step)
         lr = cfg.initial_lr * max(1.0 - (done + start) / total_updates, LR_FLOOR_FACTOR)
         batch_step *= -lr
-        # center rows (< N) and context rows (>= N) never coincide, so the
-        # pair-by-pair rows add each element's updates in batch order
-        np.add.at(flat, flat_index[batch].reshape(-1), batch_step.reshape(-1))
-    pos_loss, neg_loss = _softplus(-scores[:, 0]), _softplus(scores[:, 1:])
-    whole = len(rows) // bs * bs  # pairs in whole batches; only the epoch's last has a tail
+        # runs never share a row, and center rows (< N) and context rows (>= N)
+        # never coincide, so the rows add each element's updates in its run's order
+        np.add.at(flat, flat_index.take(batch, axis=0).reshape(-1), batch_step.reshape(-1))
+    scores = scores.reshape(pairs, runs, m + 1)
+    # each run's losses, contiguous, so that its sums are those of training it alone
+    pos_loss = np.ascontiguousarray(_softplus(-scores[:, :, 0]).T)
+    neg_loss = np.ascontiguousarray(_softplus(scores[:, :, 1:]).transpose(1, 0, 2))
+    whole = pairs // bs * bs  # pairs in whole batches; only the epoch's last has a tail
     totals = (
-        pos_loss[:whole].reshape(-1, bs).sum(axis=1) + neg_loss[:whole].reshape(-1, bs * m).sum(axis=1)
+        pos_loss[:, :whole].reshape(runs, -1, bs).sum(axis=2)
+        + neg_loss[:, :whole].reshape(runs, -1, bs * m).sum(axis=2)
     ).tolist()
-    if whole < len(rows):
-        totals.append(float(pos_loss[whole:].sum() + neg_loss[whole:].sum()))
+    if whole < pairs:
+        for run_totals, pos, neg in zip(totals, pos_loss, neg_loss):
+            run_totals.append(float(pos[whole:].sum() + neg[whole:].sum()))
     return totals
 
 
-def _sgd_epoch(weights, flat_index, pairs, neg_table, rng, cfg, done, total_updates) -> float:
-    """One SGD pass over the shuffled ``[center, context]`` rows ``pairs``, one
-    loss block at a time; returns the summed loss.
+def _sgd_epoch(weights, codes, neg_tables, rngs, cfg, done, total_updates) -> list[float]:
+    """One SGD pass of every run of ``weights`` (runs, 2N, d) over its shuffled
+    pair codes, one loss block at a time; returns each run's summed loss.
 
-    Each block's negatives are drawn as it starts, and its rows are filled
-    into one reused int32 buffer; ``done`` counts earlier updates.
+    Each block's negatives are drawn as it starts, run by run, and its rows
+    are filled into one reused (pairs, runs, m+2) buffer; ``done`` counts
+    earlier updates.
     """
-    n, n_pairs, m = len(weights) // 2, len(pairs), cfg.negatives
+    runs, n2, d = weights.shape
+    n, n_pairs, m = n2 // 2, len(codes[0]), cfg.negatives
     bs = min(cfg.batch_size, n_pairs)
     block = max(1, LOSS_BLOCK_PAIRS // bs) * bs  # whole batches per loss block
-    rows = np.empty((min(block, n_pairs), m + 2), dtype=np.int32)
-    loss_sum, first = 0.0, 0
+    rows = np.empty((min(block, n_pairs), runs, m + 2), dtype=np.int32)
+    # run r's rows start at r * 2N; its context and negative rows at N past that
+    shift = np.full((runs, m + 2), n, dtype=np.int32)
+    shift[:, 0] = 0
+    shift += n2 * np.arange(runs, dtype=np.int32)[:, None]
+    flat_index = np.arange(weights.size).reshape(-1, d)
+    draws = zip(*(table.draw_blocks(rng, n_pairs, m, block) for table, rng in zip(neg_tables, rngs)))
+    loss_sums, first = [0.0] * runs, 0
     # divergence shows up as non-finite scores; detected and raised by the caller
     with np.errstate(invalid="ignore", over="ignore"):
-        for negs in neg_table.draw_blocks(rng, n_pairs, m, block):
-            held = rows[:len(negs)]
-            held[:, :2], held[:, 2:] = pairs[first:first + len(negs)], negs
-            held[:, 1:] += n
-            for total in _sgd_block(weights, flat_index, held, cfg, done + first, total_updates):
-                loss_sum += total  # summed batch by batch, left to right, as the loss is defined
-            first += len(negs)
-    return loss_sum
+        for negs in draws:
+            held = rows[:len(negs[0])]
+            for r, (run_codes, run_negs) in enumerate(zip(codes, negs)):
+                np.divmod(run_codes[first:first + len(held)], n, out=(held[:, r, 0], held[:, r, 1]))
+                held[:, r, 2:] = run_negs
+            held += shift
+            block_totals = _sgd_block(weights.reshape(-1, d), flat_index, held, cfg, done + first, total_updates)
+            for r, run_totals in enumerate(block_totals):
+                for total in run_totals:
+                    loss_sums[r] += total  # summed batch by batch, left to right, as the loss is defined
+            first += len(held)
+    return loss_sums
+
+
+def train_many(corpora, cfgs) -> list[EmbeddingMatrix]:
+    """Learn node vectors for independent runs in lockstep: run r trains
+    ``corpora[r]`` with ``cfgs[r]``, and its result is byte for byte that of
+    training it alone.
+
+    The runs must share the node count, the config apart from the seed, and
+    the pair count (:func:`pair_count`), so they share the batches and the
+    learning-rate schedule; each keeps its own generator, negatives and
+    loss.  Negatives are drawn from the corpus unigram distribution raised
+    to the 3/4 power.  Center vectors start uniform in [-0.5/d, 0.5/d],
+    context vectors at zero.  Deterministic for fixed configs.  When runs
+    diverge, the first of them in run order raises its TrainingDiverged.
+    """
+    corpora, cfgs = list(corpora), list(cfgs)
+    if not corpora or len(corpora) != len(cfgs):
+        raise ValueError("need one config per corpus, and at least one run")
+    cfg, n = cfgs[0], len(corpora[0].node_ids)
+    if n == 0:
+        raise ValueError("corpus has no nodes")
+    n_pairs = pair_count(corpora[0], cfg.window)
+    for corpus, run_cfg in zip(corpora[1:], cfgs[1:]):
+        if (len(corpus.node_ids), replace(run_cfg, seed=cfg.seed)) != (n, cfg) or (
+            pair_count(corpus, cfg.window) != n_pairs
+        ):
+            raise ValueError("lockstep runs must share the node count, the config apart from the seed, "
+                             "and the pair count")
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(c.seed))) for c in cfgs]
+    d = cfg.dim
+    # rows 0..n-1 of weights[r] hold run r's center vectors, rows n..2n-1 its context vectors
+    weights = np.zeros((len(corpora), 2 * n, d))
+    for run_weights, rng in zip(weights, rngs):
+        run_weights[:n] = (rng.random((n, d)) - 0.5) / d
+
+    epoch_losses: list[list[float]] = [[] for _ in corpora]
+    if cfg.epochs and n_pairs:
+        neg_tables = [_negative_table(corpus.matrix, n) for corpus in corpora]
+        total_updates = cfg.epochs * n_pairs
+        for epoch in range(cfg.epochs):
+            # rebuilt each epoch, as each shuffles the pairs in _pair_indices' order;
+            # the 1-D shuffle makes the draws of rng.permutation(n_pairs)
+            codes = [_pair_codes(corpus.matrix, cfg.window, n_pairs, n) for corpus in corpora]
+            for r, rng in enumerate(rngs):
+                rng.shuffle(codes[r])
+            loss_sums = _sgd_epoch(weights, codes, neg_tables, rngs, cfg, epoch * n_pairs, total_updates)
+            del codes  # not held while the next epoch builds its own
+            for losses, loss_sum in zip(epoch_losses, loss_sums):
+                losses.append(loss_sum / n_pairs)
+    for run_weights, losses in zip(weights, epoch_losses):  # a diverged run trains on, as runs share no row
+        bad = [x for x in losses if not np.isfinite(x)]
+        if bad:
+            raise TrainingDiverged(
+                f"non-finite training loss ({bad[0]}); lower initial_lr (currently {cfg.initial_lr})"
+            )
+        if not np.all(np.isfinite(run_weights[:n])):
+            raise TrainingDiverged("non-finite embedding entries; lower initial_lr")
+    return [
+        EmbeddingMatrix(corpus.node_ids, w[:n], w[n:], tuple(losses))
+        for corpus, w, losses in zip(corpora, weights, epoch_losses)
+    ]
 
 
 def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
-    """Learn node vectors from the corpus.
-
-    Negatives are drawn from the corpus unigram distribution raised to the
-    3/4 power.  Center vectors start uniform in [-0.5/d, 0.5/d], context
-    vectors at zero.  Deterministic for a fixed config.
-    """
-    n = len(corpus.node_ids)
-    if n == 0:
-        raise ValueError("corpus has no nodes")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
-    d = cfg.dim
-    # rows 0..n-1 hold the center vectors, rows n..2n-1 the context vectors
-    weights = np.zeros((2 * n, d))
-    weights[:n] = (rng.random((n, d)) - 0.5) / d
-    vectors, contexts = weights[:n], weights[n:]
-
-    n_pairs = _pair_count(corpus.matrix, cfg.window)
-    epoch_losses: list[float] = []
-    if cfg.epochs == 0 or n_pairs == 0:
-        return EmbeddingMatrix(corpus.node_ids, vectors, contexts, ())
-
-    neg_table = _negative_table(corpus.matrix, n)
-    flat_index = np.arange(weights.size).reshape(weights.shape)
-    total_updates = cfg.epochs * n_pairs
-    for epoch in range(cfg.epochs):
-        # rebuilt each epoch, as each shuffles the pairs in _pair_indices' order;
-        # the int64 view shuffles whole rows with the draws of rng.permutation(n_pairs)
-        pairs = _pair_array(corpus.matrix, cfg.window, n_pairs)
-        rng.shuffle(pairs.view(np.int64).reshape(-1))
-        loss_sum = _sgd_epoch(weights, flat_index, pairs, neg_table, rng, cfg, epoch * n_pairs, total_updates)
-        del pairs  # not held while the next epoch builds its own
-        mean_loss = loss_sum / n_pairs
-        if not np.isfinite(mean_loss):
-            raise TrainingDiverged(
-                f"non-finite training loss ({mean_loss}); lower initial_lr "
-                f"(currently {cfg.initial_lr})"
-            )
-        epoch_losses.append(mean_loss)
-    if not np.all(np.isfinite(vectors)):
-        raise TrainingDiverged("non-finite embedding entries; lower initial_lr")
-    return EmbeddingMatrix(corpus.node_ids, vectors, contexts, tuple(epoch_losses))
+    """Learn node vectors from the corpus: :func:`train_many` of one run."""
+    return train_many([corpus], [cfg])[0]
 
 
 def save_embeddings(emb: EmbeddingMatrix, path) -> None:

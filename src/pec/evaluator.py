@@ -17,7 +17,7 @@ import numpy as np
 
 from .baselines import hca, spectral_cluster
 from .clusterer import ClusterConfig, kmeans
-from .embedder import TrainConfig, TrainingDiverged, train
+from .embedder import TrainConfig, TrainingDiverged, pair_count, train, train_many
 from .srg import InteractionMatrix, build_srg_from_interactions
 from .util import derive_seed, field_parser, knobs, parse_rows, prefixed, read_csv, write_csv
 from .walker import WalkConfig, generate_walks
@@ -250,34 +250,62 @@ def check_truths(g, truths, sources=None, min_classes: int = 2) -> list[GroundTr
     return truths
 
 
-def _embed(g, wcfg: WalkConfig, tcfg: TrainConfig, seed: int):
-    """The embed step: walks, then skip-gram training, seeded from ``seed`` as "walks" and "train"."""
+# Pairs trained in one lockstep group, at most (unless one run has more):
+# 1 MB of int32 pair codes.
+LOCKSTEP_PAIRS = 1 << 18
+
+
+def _embed_inputs(g, wcfg: WalkConfig, tcfg: TrainConfig, seed: int):
+    """The embed step's walk corpus and training config: walks, then
+    skip-gram training, seeded from ``seed`` as "walks" and "train"."""
     corpus = generate_walks(g, replace(wcfg, seed=derive_seed(seed, "walks")))
-    return train(corpus, replace(tcfg, seed=derive_seed(seed, "train")))
+    return corpus, replace(tcfg, seed=derive_seed(seed, "train"))
+
+
+def _lockstep_groups(runs, wcfg: WalkConfig, tcfg: TrainConfig):
+    """``runs`` as lists of (corpus, training config, k-means seeds), one
+    list per lockstep group: consecutive runs of one pair count, while the
+    group's pairs stay within LOCKSTEP_PAIRS.  Each run's walks are
+    generated when it is read, and only they are kept until its group trains."""
+    group, run_pairs = [], 0
+    for g, run_seed, km_seeds in runs:
+        corpus, cfg = _embed_inputs(g, wcfg, tcfg, run_seed)
+        n_pairs = pair_count(corpus, cfg.window)
+        if group and (n_pairs != run_pairs or (len(group) + 1) * n_pairs > LOCKSTEP_PAIRS):
+            yield group
+            group = []
+        group.append((corpus, cfg, km_seeds))
+        run_pairs = n_pairs
+    if group:
+        yield group
 
 
 def _score_runs(runs, truths, wcfg: WalkConfig, tcfg: TrainConfig, restarts: int) -> np.ndarray:
     """Macro-F1 of every run against every truth, one contiguous row per truth.
     A run is (graph, run seed, one k-means seed per truth): one embedding
-    (:func:`_embed`), then k-means at each truth's class count.  ``runs`` is
-    read one run at a time, so it can build each graph lazily."""
+    (:func:`_embed_inputs`), then k-means at each truth's class count.  Runs
+    train in lockstep groups (:func:`_lockstep_groups`) and are scored in run
+    order.  ``runs`` is read one run at a time, so it can build each graph
+    lazily; a group walks all its runs before any trains, so a walk error
+    comes before the TrainingDiverged of an earlier run in its group."""
     scores = []
-    for g, run_seed, km_seeds in runs:
-        vectors = _embed(g, wcfg, tcfg, run_seed).vectors
-        labels = [kmeans(vectors, t.n_true, seed=s, restarts=restarts).labels for t, s in zip(truths, km_seeds)]
-        scores.append([macro_f1(lab, t, node_ids=g.node_ids).macro_f1 for lab, t in zip(labels, truths)])
+    for group in _lockstep_groups(runs, wcfg, tcfg):
+        embeddings = train_many([corpus for corpus, _, _ in group], [cfg for _, cfg, _ in group])
+        for emb, (corpus, _, km_seeds) in zip(embeddings, group):
+            labels = [kmeans(emb.vectors, t.n_true, seed=s, restarts=restarts).labels for t, s in zip(truths, km_seeds)]
+            scores.append([macro_f1(lab, t, node_ids=corpus.node_ids).macro_f1 for lab, t in zip(labels, truths)])
     return np.ascontiguousarray(np.array(scores).T)
 
 
 def run_embedding_clustering(g, n: int, params: dict | None = None, seed: int = 0):
-    """The embed step (:func:`_embed`) then k-means; returns (labels, embedding).
+    """The embed step (:func:`_embed_inputs`) then k-means; returns (labels, embedding).
 
     ``params`` maps EXPERIMENT_PARAMS names to values (see
     :func:`_resolve_params`).  Labels are aligned to ``g.node_ids``.  All
     stage seeds derive from ``seed``, so a run is fully reproducible.
     """
     wcfg, tcfg, ccfg = _resolve_params(params)
-    emb = _embed(g, wcfg, tcfg, seed)
+    emb = train(*_embed_inputs(g, wcfg, tcfg, seed))
     assignment = kmeans(emb.vectors, n, seed=derive_seed(seed, "kmeans"), restarts=ccfg.restarts)
     return assignment.labels, emb
 
@@ -383,7 +411,7 @@ def sweep(
     ``grid`` maps parameter names (p, q, dim, walk_length, num_walks,
     window, ...) to candidate values; cells are their cartesian product
     applied over ``base_params``.  Each (cell, repeat) trains one embedding
-    from ``run_seed = derive_seed(seed, "cell", cell_idx, rep)`` (:func:`_embed`)
+    from ``run_seed = derive_seed(seed, "cell", cell_idx, rep)`` (:func:`_embed_inputs`)
     and scores it against every truth: k-means at the truth's class count,
     seeded ``derive_seed(run_seed, truth.name, "kmeans")``.  A score's ``sem``
     is its std (ddof=1) over sqrt(repeats), None with one repeat.  With
@@ -393,7 +421,8 @@ def sweep(
     is recorded and skipped; an unknown parameter name, or a truth that does
     not fit the graph, or two truths of one name (:func:`check_truths`),
     raise ValueError up front.
-    Runs are serial, in cell order.
+    A cell's repeats train in lockstep groups (:func:`_score_runs`); cells
+    run in order.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -545,12 +574,13 @@ def noise_robustness(
     pipeline.  The unperturbed pipeline is run with the same repeat seeds
     as the reference.  ``params`` is as for :func:`run_embedding_clustering`.
     ``mode``, ``params``, every (kind, level) and every truth (as in
-    :func:`check_truths`) are checked before the first run.  Runs are serial;
-    each noisy graph is built when its run starts.
+    :func:`check_truths`) are checked before the first run.  Runs train in
+    lockstep groups (:func:`_score_runs`); each noisy graph is built when its
+    run starts, and only its walks are kept until its group trains.
 
     ``truth`` is one GroundTruth, which gives one NoiseReport, or a sequence
     of them, which gives a tuple of reports in the same order.  Each run
-    trains one embedding (:func:`_embed`) and scores it against every truth:
+    trains one embedding (:func:`_embed_inputs`) and scores it against every truth:
     k-means at the truth's class count, seeded ``derive_seed(run_seed,
     "kmeans")``, so each report equals that of a single-truth call.
     """

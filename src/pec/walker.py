@@ -231,7 +231,12 @@ def load_corpus(path) -> WalkCorpus:
     for f in fields(WalkConfig):
         lineno, text = header[f.name]
         (settings[f.name],) = parse_fields(path, lineno, field_parser(WalkConfig, f), [text], f.name)
-    isolated = tuple(x for x in header.get("isolated", (0, ""))[1].split(" ") if x)
+    isolated_line, isolated_text = header.get("isolated", (0, ""))
+    isolated = tuple(x for x in isolated_text.split(" ") if x)
+    known = set(node_ids)
+    stray = next((nid for nid in isolated if nid not in known), None)
+    if stray is not None:
+        raise ValueError(f"{path}: line {isolated_line}: isolated node {stray!r} is not in # nodes=")
     config = prefixed(path, WalkConfig, **settings)
     try:
         return WalkCorpus.of_walks([walk for _, walk in walks], node_ids, config, header["graph"][1], isolated)

@@ -210,14 +210,17 @@ def test_pipeline_determinism(od_dir, tmp_path):
 def test_two_truth_noise_pipeline_trains_each_embedding_once(metro_dir, tmp_path, monkeypatch):
     calls = []
 
-    def counting(real):
-        def train(corpus, cfg):
-            calls.append(cfg.seed)
-            return real(corpus, cfg)
-        return train
+    def counting_train(corpus, cfg):
+        calls.append(cfg.seed)
+        return real_train(corpus, cfg)
 
-    monkeypatch.setattr(pec.cli, "train", counting(pec.cli.train))
-    monkeypatch.setattr(pec.evaluator, "train", counting(pec.evaluator.train))
+    def counting_train_many(corpora, cfgs):
+        calls.extend(cfg.seed for cfg in cfgs)
+        return real_train_many(corpora, cfgs)
+
+    real_train, real_train_many = pec.cli.train, pec.evaluator.train_many
+    monkeypatch.setattr(pec.cli, "train", counting_train)
+    monkeypatch.setattr(pec.evaluator, "train_many", counting_train_many)
     truths = ["line-membership", "transfer-vs-not"]
     noise, repeats = ["gaussian:1", "poisson:4"], 2
     args = [

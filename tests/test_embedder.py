@@ -1,6 +1,8 @@
 import hashlib
 import math
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,12 +21,16 @@ from pec.embedder import (
     EmbeddingMatrix,
     TrainConfig,
     TrainingDiverged,
+    _pair_codes,
+    _pair_indices,
     _sgd_block,
     extract_pairs,
     load_embeddings,
+    pair_count,
     save_embeddings,
     sgns_loss_and_grad,
     train,
+    train_many,
 )
 from pec.srg import build_srg_from_adjacency
 from pec.synth import default_metro_spec, metro_network
@@ -172,8 +178,8 @@ def test_batch_step_is_the_gradient_of_the_summed_batch_loss():
     weights = before.copy()
     cfg = TrainConfig(dim=d, initial_lr=lr, negatives=3, batch_size=cen.size)
     flat_index = np.arange(weights.size).reshape(weights.shape)
-    rows = np.concatenate([cen[:, None], ctx[:, None], negs], axis=1)
-    (loss,) = _sgd_block(weights, flat_index, rows, cfg, 0, cen.size)  # one batch, lr = initial_lr
+    rows = np.concatenate([cen[:, None], ctx[:, None], negs], axis=1)[:, None]  # one run
+    [[loss]] = _sgd_block(weights, flat_index, rows, cfg, 0, cen.size)  # one batch, lr = initial_lr
     assert loss == pytest.approx(reference_batch_loss(before, cen, ctx, negs), rel=1e-12)
     step = (weights - before) / -lr
     numeric = central_difference_gradient(lambda w: reference_batch_loss(w, cen, ctx, negs), before)
@@ -255,13 +261,14 @@ def traced_train_peak(corpus, cfg) -> int:
         tracemalloc.stop()
 
 
-# Held per pair while an epoch trains: the shuffled int32 [center, context] rows
-# (8 bytes).  Negatives are drawn one loss block at a time, and the walk matrix
-# (~0.4 bytes per pair at window 5) exists before training starts.  Measured:
-# 7.9-8.0 bytes per added pair.  The allowance covers what does not grow with
-# the corpus: one chunk of walks' pairs (~0.3 MB), the skipped negative cells
-# (0.25 MB) and the per-batch blocks (~0.4 MB at dim 64); measured 0.35-0.79 MB.
-TRAIN_BYTES_PER_PAIR = 9
+# Held per pair while an epoch trains: the shuffled int32 codes
+# center * N + context (4 bytes).  Negatives are drawn one loss block at a
+# time, and the walk matrix (~0.4 bytes per pair at window 5) exists before
+# training starts.  Measured: 3.7-4.0 bytes per added pair.  The allowance
+# covers what does not grow with the corpus: one chunk of walks' pairs
+# (~0.3 MB), the skipped negative cells (0.25 MB) and the per-batch blocks
+# (~0.4 MB at dim 64).
+TRAIN_BYTES_PER_PAIR = 5
 TRAIN_FIXED_BYTES = 1_000_000
 
 
@@ -283,8 +290,9 @@ def test_train_memory_per_pair(dim, walk_length, num_walks, epochs):
     "dim, walk_length, num_walks, epochs", [(5, 12, 6, 2), (64, 20, 10, 1), (5, 40, 10, 1), (5, 40, 10, 3)]
 )
 def test_train_memory_slope_per_pair(dim, walk_length, num_walks, epochs):
-    # 54,000, 170,000 and 370,000 pairs.  A second copy of the pairs, an epoch's
-    # negatives or pairs kept from an earlier epoch need 16+ bytes per pair.
+    # 54,000, 170,000 and 370,000 pairs.  Pairs as two int32, a second copy of
+    # the codes, an epoch's negatives or codes kept from an earlier epoch need
+    # 8+ bytes per pair.
     g, _, _ = metro_network(default_metro_spec())
     corpus = corpus_for(g, walk_length=walk_length, num_walks=num_walks, seed=2)
     n_pairs = len(extract_pairs(corpus, 5))
@@ -293,9 +301,9 @@ def test_train_memory_slope_per_pair(dim, walk_length, num_walks, epochs):
 
 
 def test_int64_view_shuffle_moves_rows_in_permutation_order():
-    # train shuffles its (n, 2) int32 pairs as one int64 per row: numpy's
-    # 1-D shuffle makes the same draws whatever the item size, and
-    # Generator.permutation(n) is that shuffle of arange(n)
+    # numpy's 1-D shuffle makes the same draws whatever the item size, and
+    # Generator.permutation(n) is that shuffle of arange(n): (n, 2) int32 rows
+    # shuffled as one int64 each move in permutation order
     n = 100_003
     rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
     for r in (rng, ref_rng):
@@ -306,6 +314,92 @@ def test_int64_view_shuffle_moves_rows_in_permutation_order():
     assert np.array_equal(rows[:, 0], order) and np.array_equal(rows[:, 1], 3 * order)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert np.array_equal(rng.integers(0, 7, size=5, dtype=np.int32), ref_rng.integers(0, 7, size=5, dtype=np.int32))
+
+
+def test_int32_code_shuffle_is_the_permutation():
+    # train_many shuffles each run's 1-D int32 pair codes in place: the draws,
+    # the order and the generator state after are those of rng.permutation(n)
+    n = 100_003
+    rng, ref_rng = np.random.default_rng(22), np.random.default_rng(22)
+    for r in (rng, ref_rng):
+        r.integers(0, 7, size=3, dtype=np.int32)  # half a 64-bit word left in the bit generator
+    codes = 5 * np.arange(n, dtype=np.int32)
+    rng.shuffle(codes)
+    assert np.array_equal(codes, 5 * ref_rng.permutation(n))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_pair_codes_are_int64_past_int32_and_decode_to_the_pairs():
+    # at N = 50,000, N * N > 2**31: codes center * N + context need 64 bits
+    n = 50_000
+    mat = np.array([[49_999, 3, 49_998, 7], [12_345, 49_999, -1, -1], [0, -1, -1, -1]], dtype=np.int32)
+    n_pairs = pair_count(WalkCorpus(mat, tuple(f"n{i}" for i in range(n)), WalkConfig(), ""), 2)
+    codes = _pair_codes(mat, 2, n_pairs, n)
+    assert codes.dtype == np.int64 and codes.size == n_pairs == 12
+    centers, contexts = _pair_indices(mat, 2)
+    assert np.array_equal(codes // n, centers) and np.array_equal(codes % n, contexts)
+    walk = np.array([[1, 2, 3]], dtype=np.int32)  # 6 pairs; 46,340**2 < 2**31 < 46,341**2
+    assert [_pair_codes(walk, 2, 6, n).dtype for n in (46_340, 46_341)] == [np.int32, np.int64]
+
+
+def metro_corpora(runs, **kwargs):
+    g, _, _ = metro_network(default_metro_spec())
+    return [corpus_for(g, seed=40 + r, **kwargs) for r in range(runs)]
+
+
+@pytest.mark.parametrize("runs, cfg", [
+    (2, TrainConfig(dim=64, epochs=1, seed=0)),
+    (3, TrainConfig(dim=5, epochs=3, batch_size=27, seed=0)),
+    (7, TrainConfig(dim=5, epochs=2, seed=0)),
+    (3, TrainConfig(dim=64, epochs=2, batch_size=27, seed=0)),
+], ids=["2-runs-dim-64", "3-runs-short-last-block", "7-runs", "3-runs-dim-64-short-last-block"])
+def test_train_many_is_byte_identical_to_each_run_alone(runs, cfg):
+    corpora = metro_corpora(runs, walk_length=12, num_walks=2)
+    n_pairs = pair_count(corpora[0], cfg.window)
+    if cfg.batch_size == 27:  # the epoch's last loss block is 18 pairs, less than one batch
+        assert n_pairs % (LOSS_BLOCK_PAIRS // 27 * 27) == 18
+    cfgs = [replace(cfg, seed=100 + r) for r in range(runs)]
+    for emb, corpus, run_cfg in zip(train_many(corpora, cfgs), corpora, cfgs, strict=True):
+        alone = train(corpus, run_cfg)
+        assert emb.vectors.tobytes() == alone.vectors.tobytes()
+        assert emb.context_vectors.tobytes() == alone.context_vectors.tobytes()
+        assert emb.epoch_mean_loss == alone.epoch_mean_loss and len(alone.epoch_mean_loss) == cfg.epochs
+
+
+def test_train_many_rejects_runs_that_cannot_share_batches():
+    corpora = metro_corpora(2, walk_length=6, num_walks=1)
+    cfgs = [TrainConfig(dim=4, epochs=1, seed=s) for s in (1, 2)]
+    with pytest.raises(ValueError, match="the config apart from the seed"):
+        train_many(corpora, [cfgs[0], replace(cfgs[1], dim=5)])
+    short = WalkCorpus(corpora[1].matrix[:-1], corpora[1].node_ids, corpora[1].config, "")
+    with pytest.raises(ValueError, match="the pair count"):
+        train_many([corpora[0], short], cfgs)
+    with pytest.raises(ValueError, match="one config per corpus"):
+        train_many(corpora, cfgs[:1])
+
+
+@pytest.mark.parametrize("lr, seeds, losses", [
+    (15.0, [0, 5, 7], [None, "inf", "inf"]),
+    (20.0, [1, 0], ["inf", "nan"]),
+    (20.0, [0, 1], ["nan", "inf"]),
+])
+def test_train_many_raises_what_the_first_diverging_run_raises(lr, seeds, losses):
+    # each run alone trains or raises with its non-finite loss; the group
+    # raises what serial training would: the first failing run, in run order
+    g, _, _ = metro_network(default_metro_spec())
+    corpora = [corpus_for(g, walk_length=6, num_walks=1, seed=s) for s in seeds]
+    cfgs = [TrainConfig(dim=4, epochs=3, initial_lr=lr, seed=s) for s in seeds]
+    messages = []
+    for corpus, cfg in zip(corpora, cfgs):
+        try:
+            train(corpus, cfg)
+            messages.append(None)
+        except TrainingDiverged as exc:
+            messages.append(str(exc))
+    assert [m and m[len("non-finite training loss ("):][:3] for m in messages] == losses
+    first = next(m for m in messages if m)
+    with pytest.raises(TrainingDiverged, match=f"^{re.escape(first)}$"):
+        train_many(corpora, cfgs)
 
 
 # 128 walks of length 9 over 20 nodes; at window 9 (>= the walk length) each

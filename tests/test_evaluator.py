@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from oracles import brute_force_macro_f1
 import pec.baselines
 import pec.evaluator
 from pec.clusterer import kmeans
-from pec.embedder import train
+from pec.embedder import pair_count, train
 from pec.evaluator import (
     GroundTruth,
     NoiseSpec,
@@ -23,7 +24,7 @@ from pec.evaluator import (
     save_labels,
     sweep,
 )
-from pec.srg import InteractionMatrix
+from pec.srg import InteractionMatrix, build_srg_from_adjacency
 from pec.synth import default_metro_spec, metro_network, MetroSpec, planted_od
 from pec.util import derive_seed
 from pec.walker import generate_walks
@@ -258,7 +259,7 @@ def test_noise_spec_validation(tiny_metro, monkeypatch):
         raise AssertionError("a run started before every noise setting was checked")
 
     g, _, transfer_t = tiny_metro
-    monkeypatch.setattr(pec.evaluator, "train", no_run)
+    monkeypatch.setattr(pec.evaluator, "train_many", no_run)
     with pytest.raises(ValueError, match="finite and nonnegative"):
         noise_robustness(g, transfer_t, [("gaussian", 1.0), ("gaussian", float("inf"))], repeats=1)
     with pytest.raises(ValueError, match="mode"):
@@ -290,7 +291,7 @@ def test_experiments_check_every_truth_before_any_training(tiny_metro, monkeypat
     def no_run(*args, **kwargs):
         raise AssertionError("a run started before every truth was checked")
 
-    monkeypatch.setattr(pec.evaluator, "train", no_run)
+    monkeypatch.setattr(pec.evaluator, "train_many", no_run)
     foreign = truth_of([0, 1] * (g.num_nodes // 2), name="foreign")
     one_class = GroundTruth.from_labels(g.node_ids, [0] * g.num_nodes, name="flat")
     twin = "distinct names: two of them are both named 'line-membership'"
@@ -369,13 +370,13 @@ def test_sweep_csv_output(tmp_path, tiny_metro):
 def test_sweep_trains_once_per_cell_and_repeat(tiny_metro, monkeypatch):
     g, line_t, transfer_t = tiny_metro
     calls = []
-    real_train = pec.evaluator.train
+    real_train_many = pec.evaluator.train_many
 
-    def counting_train(corpus, cfg):
-        calls.append(cfg.seed)
-        return real_train(corpus, cfg)
+    def counting_train_many(corpora, cfgs):  # counts runs, not calls: a group trains several
+        calls.extend(cfg.seed for cfg in cfgs)
+        return real_train_many(corpora, cfgs)
 
-    monkeypatch.setattr(pec.evaluator, "train", counting_train)
+    monkeypatch.setattr(pec.evaluator, "train_many", counting_train_many)
     report = sweep(
         g, [line_t, transfer_t], grid={"p": [0.5, 2.0]}, base_params=FAST_PARAMS, repeats=2, seed=3
     )
@@ -397,7 +398,7 @@ def test_sweep_seed_scheme():
     run_seed = derive_seed(8, "cell", 1, 0)
     corpus = generate_walks(g, replace(wcfg, seed=derive_seed(run_seed, "walks")))
     vectors = train(corpus, replace(tcfg, seed=derive_seed(run_seed, "train"))).vectors
-    assert np.array_equal(vectors, pec.evaluator._embed(g, wcfg, tcfg, run_seed).vectors)
+    assert np.array_equal(vectors, train(*pec.evaluator._embed_inputs(g, wcfg, tcfg, run_seed)).vectors)
     for truth in (line_t, transfer_t):
         labels = kmeans(
             vectors, truth.n_true, seed=derive_seed(run_seed, truth.name, "kmeans"),
@@ -458,16 +459,63 @@ def test_sweep_baselines_build_one_spectral_embedding_per_dim_and_one_tree(tiny_
     ]
 
 
+def test_score_runs_starts_a_group_where_the_pair_count_changes(monkeypatch):
+    # node x is isolated in the second graph, so its walks are one step long
+    # and that graph's corpus has fewer pairs
+    left, right = [f"l{i}" for i in range(4)], [f"r{i}" for i in range(4)]
+    edges = [(a, b) for side in (left, right) for i, a in enumerate(side) for b in side[i + 1:]]
+    linked = build_srg_from_adjacency([*edges, ("l0", "r0"), ("l1", "x")])
+    isolated = build_srg_from_adjacency([*edges, ("l0", "r0")], node_ids=linked.node_ids)
+    truth = GroundTruth.from_labels(linked.node_ids, [nid[0] == "r" for nid in linked.node_ids])
+    runs = [(g, 10 + i, [20 + i]) for i, g in enumerate([linked, linked, isolated, isolated, linked])]
+    wcfg, tcfg, _ = pec.evaluator._resolve_params(FAST_PARAMS)
+    groups = []
+    real_train_many = pec.evaluator.train_many
+
+    def recording_train_many(corpora, cfgs):
+        groups.append([pair_count(c, cfg.window) for c, cfg in zip(corpora, cfgs)])
+        return real_train_many(corpora, cfgs)
+
+    monkeypatch.setattr(pec.evaluator, "train_many", recording_train_many)
+    grouped = pec.evaluator._score_runs(iter(runs), [truth], wcfg, tcfg, 1)
+    full, short = groups[0][0], groups[1][0]
+    assert short < full and groups == [[full, full], [short, short], [full]]
+    groups.clear()
+    monkeypatch.setattr(pec.evaluator, "LOCKSTEP_PAIRS", full)  # one run per group
+    assert np.array_equal(pec.evaluator._score_runs(iter(runs), [truth], wcfg, tcfg, 1), grouped)
+    assert groups == [[full], [full], [short], [short], [full]]
+
+
+# Held besides the pair codes (4 bytes per pair) of one lockstep group: the
+# graph, the noise matrices, one run's training buffers and its k-means.
+# Measured at the LOCKSTEP_PAIRS budget: 2.1 MB in all; one run per group
+# 1.3 MB, and all 12 runs in one group 7.2 MB.
+NOISE_FIXED_BYTES = 1_500_000
+
+
+def test_noise_robustness_holds_one_lockstep_group_at_a_time():
+    # 12 runs of 70,000 pairs, 840,000 pairs in all: groups of three
+    g, _, transfer_t = metro_network(default_metro_spec())
+    params = {"walk_length": 10, "num_walks": 10, "dim": 5, "epochs": 1, "restarts": 1}
+    tracemalloc.start()
+    try:
+        noise_robustness(g, transfer_t, [("gaussian", 1.0), ("poisson", 4.0)], params=params, repeats=4, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * pec.evaluator.LOCKSTEP_PAIRS + NOISE_FIXED_BYTES
+
+
 def test_noise_robustness_of_two_truths_equals_each_alone(tiny_metro, monkeypatch):
     g, line_t, transfer_t = tiny_metro
     calls = []
-    real_train = pec.evaluator.train
+    real_train_many = pec.evaluator.train_many
 
-    def counting_train(corpus, cfg):
-        calls.append(cfg.seed)
-        return real_train(corpus, cfg)
+    def counting_train_many(corpora, cfgs):  # counts runs, not calls: a group trains several
+        calls.extend(cfg.seed for cfg in cfgs)
+        return real_train_many(corpora, cfgs)
 
-    monkeypatch.setattr(pec.evaluator, "train", counting_train)
+    monkeypatch.setattr(pec.evaluator, "train_many", counting_train_many)
     kwargs = dict(noise=[("gaussian", 1.0), ("poisson", 2.0)], params=FAST_PARAMS, repeats=2, seed=8)
     both = noise_robustness(g, [line_t, transfer_t], **kwargs)
     assert len(calls) == (1 + 2) * 2

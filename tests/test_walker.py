@@ -377,6 +377,16 @@ def test_corpus_repeated_node_names_path_and_line(tmp_path):
         load_corpus(path)
 
 
+def test_corpus_isolated_node_outside_node_list_names_path_and_line(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text(
+        "# graph=abc\n# p=1.0 q=1.0 walk_length=2 num_walks=1 seed=0\n# nodes=a b\n# isolated=zzz\na b\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=r"c\.txt: line 4: isolated node 'zzz' is not in # nodes=$"):
+        load_corpus(path)
+
+
 def test_save_corpus_writes_one_row_at_a_time(tmp_path):
     # the planted 10x100 corpus's shape: 10,000 walks of 80 steps over 1,000 nodes;
     # decoding every walk to a tuple of ids before writing took a 14.1 MB traced peak
