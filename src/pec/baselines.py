@@ -3,14 +3,14 @@
 Spectral clustering embeds nodes with the eigenvectors of the smallest
 eigenvalues of the symmetric normalized Laplacian and hands the rows to
 k-means.  HCA merges observations bottom-up under single, average or
-complete linkage.  The Laplacian comes from ``scipy.sparse.csgraph`` and
-the merge history from ``scipy.cluster.hierarchy.linkage``.  This is the
-only module that loads scipy subpackages, each on first use, so commands
-without baselines never import them.
+complete linkage.  Both are numpy ports of the scipy code they replace
+(``csgraph.laplacian`` and ``hierarchy.linkage``), operation for
+operation, so they give scipy's bytes, ties included.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,16 +39,37 @@ class SpectralEmbedding:
 
 
 def normalized_laplacian(g) -> np.ndarray:
-    """Symmetric normalized Laplacian of the weight matrix (scipy's ``csgraph``).
+    """Symmetric normalized Laplacian I - D^-1/2 W D^-1/2 of the weight matrix.
 
     Zero-degree nodes get an all-zero row/column, so every isolated node
     contributes an eigenvalue 0 and the eigenvalue-0 multiplicity equals
-    the number of connected components.
+    the number of connected components.  The steps and their order are those
+    of scipy's dense ``csgraph.laplacian(w, normed=True)`` (whose first step,
+    zeroing the diagonal, is void here), so the bytes are too.
     """
-    # loaded on first use: ~0.4 s and ~26 MB on one 2.1 GHz core
-    from scipy.sparse import csgraph
+    m = g.to_weight_matrix()
+    degree = m.sum(axis=0)
+    isolated = degree == 0
+    root = np.where(isolated, 1, np.sqrt(degree))
+    m /= root
+    m /= root[:, np.newaxis]
+    m *= -1
+    m.flat[:: m.shape[0] + 1] = 1 - isolated
+    return m
 
-    return csgraph.laplacian(g.to_weight_matrix(), normed=True)
+
+# The eigenpairs of the last graph decomposed, dropped with the graph: a
+# sweep embeds one graph once per dim, and eigh does not depend on d.
+_eigh_memo: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _laplacian_eigh(g) -> tuple[np.ndarray, np.ndarray]:
+    key = id(g)
+    if key not in _eigh_memo:
+        _eigh_memo.clear()
+        _eigh_memo[key] = np.linalg.eigh(normalized_laplacian(g))
+        weakref.finalize(g, _eigh_memo.pop, key, None)
+    return _eigh_memo[key]
 
 
 def spectral_embedding(g, d: int) -> SpectralEmbedding:
@@ -58,8 +79,7 @@ def spectral_embedding(g, d: int) -> SpectralEmbedding:
         raise ValueError("spectral embedding needs at least one edge")
     if not (1 <= d <= n):
         raise ValueError(f"need 1 <= d <= {n}, got d={d}")
-    lap = normalized_laplacian(g)
-    eigenvalues, eigenvectors = np.linalg.eigh(lap)
+    eigenvalues, eigenvectors = _laplacian_eigh(g)
     eigenvalues = eigenvalues[:d]
     if eigenvalues.min() < -1e-9 or eigenvalues.max() > 2.0 + 1e-9:
         raise AssertionError("normalized-Laplacian eigenvalues escaped [0, 2]")
@@ -94,38 +114,115 @@ _LINKAGES = ("single", "average", "complete")
 
 
 def agglomerate(distances: np.ndarray, linkage: str) -> list[tuple[int, int, float]]:
-    """Full merge history [(cluster_a, cluster_b, distance), ...] from scipy's
-    ``linkage``.
+    """Full merge history [(cluster_a, cluster_b, distance), ...] of scipy's
+    ``hierarchy.linkage``.
 
     Input clusters are numbered 0..N-1; merge t creates cluster N+t (the
     linkage-matrix convention), and a < b in every merge.  Merge distances
-    are non-decreasing.  Ties are broken by scipy's algorithms (minimum
-    spanning tree for single, nearest-neighbour chain for average and
-    complete), not by the smallest (a, b) pair.
+    are non-decreasing.  Ties are broken as scipy 1.17's ``_hierarchy``
+    breaks them (a minimum spanning tree for single linkage, a
+    nearest-neighbour chain for average and complete), not by the smallest
+    (a, b) pair.  Only the upper triangle of ``distances`` is read.
     """
     if linkage not in _LINKAGES:
         raise ValueError(f"linkage must be one of {_LINKAGES}")
     dist = np.asarray(distances, dtype=float)
     n = dist.shape[0]
-    if dist.shape != (n, n) or not np.allclose(dist, dist.T):
+    if dist.shape != (n, n):
+        raise ValueError("need a square symmetric distance matrix")
+    if not np.all(np.isfinite(dist)):
+        raise ValueError("the distance matrix has a non-finite entry")
+    if not np.allclose(dist, dist.T):
         raise ValueError("need a square symmetric distance matrix")
     if n < 2:
         return []
-    # loaded on first use: ~0.47 s and ~31 MB alone, ~0.16 s after csgraph
-    from scipy.cluster import hierarchy
+    d = dist.copy()
+    lower = np.tril_indices(n, -1)
+    d[lower] = d.T[lower]
+    np.fill_diagonal(d, np.inf)
+    merges = _mst_single_linkage(d) if linkage == "single" else _nn_chain(d, linkage == "average")
+    return _label(merges[np.argsort(merges[:, 2], kind="stable")], n)
 
-    z = hierarchy.linkage(dist[np.triu_indices(n, 1)], method=linkage)
-    return [(int(a), int(b), float(d)) for a, b, d, _ in z]
+
+def _mst_single_linkage(d: np.ndarray) -> np.ndarray:
+    """scipy's ``mst_single_linkage``: Prim's tree grown from point 0, one
+    (x, y, distance) row per edge in the order it joins; the first nearest
+    point wins a tie."""
+    n = d.shape[0]
+    merges = np.empty((n - 1, 3))
+    merged = np.zeros(n, dtype=bool)
+    nearest = np.full(n, np.inf)
+    x = 0
+    for k in range(n - 1):
+        merged[x] = True
+        np.minimum(nearest, d[x], out=nearest)
+        nearest[merged] = np.inf
+        y = int(np.argmin(nearest))
+        merges[k] = x, y, nearest[y]
+        x = y
+    return merges
+
+
+def _nn_chain(d: np.ndarray, average: bool) -> np.ndarray:
+    """scipy's ``nn_chain`` on the symmetric matrix ``d`` (inf on the
+    diagonal), which it overwrites: (x, y, distance) rows in merge order,
+    x < y being the slots of the merged clusters; the merged cluster takes
+    slot y, and slot x is set to inf."""
+    n = d.shape[0]
+    merges = np.empty((n - 1, 3))
+    size = np.ones(n, dtype=np.int64)
+    chain: list[int] = []
+    for k in range(n - 1):
+        if not chain:
+            chain = [int(np.flatnonzero(size)[0])]
+        while True:  # follow nearest neighbours until two are mutual
+            x = chain[-1]
+            y = int(np.argmin(d[x]))  # the first nearest
+            if len(chain) > 1 and not d[x, y] < d[x, chain[-2]]:
+                y = chain[-2]  # a tie keeps the previous element
+                break
+            chain.append(y)
+        del chain[-2:]
+        x, y = min(x, y), max(x, y)
+        nx, ny = size[x], size[y]
+        merges[k] = x, y, d[x, y]
+        size[x], size[y] = 0, nx + ny
+        # Lance-Williams update; inf stays inf in inactive slots and on the diagonal
+        new = (nx * d[x] + ny * d[y]) / (nx + ny) if average else np.maximum(d[x], d[y])
+        d[y], d[:, y] = new, new
+        d[x], d[:, x] = np.inf, np.inf
+    return merges
+
+
+def _label(merges: np.ndarray, n: int) -> list[tuple[int, int, float]]:
+    """scipy's ``label``: each (x, y, distance) row, in order, names the
+    clusters holding points x and y (a union-find over cluster numbers) and
+    merges them into cluster n + t."""
+    parent = list(range(2 * n - 1))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    out = []
+    for t, (x, y, dist) in enumerate(merges.tolist()):
+        a, b = sorted((find(int(x)), find(int(y))))
+        parent[a] = parent[b] = n + t
+        out.append((a, b, dist))
+    return out
 
 
 def hca(x, counts, linkage: str = "average") -> list[np.ndarray]:
     """Labels of agglomerative clustering on the Euclidean distances of the
     rows of ``x``, one :func:`cut` of one merge history per cluster count in
-    ``counts``.  Where merge distances tie, scipy decides which merge comes
-    first (see :func:`agglomerate`)."""
+    ``counts``.  Where merge distances tie, scipy's rule decides which merge
+    comes first (see :func:`agglomerate`)."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("x must be a 2-D matrix")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x has a non-finite entry")
     merges = agglomerate(np.sqrt(sq_distances(x, x)), linkage)
     return [cut(merges, x.shape[0], n) for n in counts]
 

@@ -1,9 +1,12 @@
+import gc
+
 import numpy as np
 import pytest
 from oracles import count_components, random_disconnected_graph, reference_agglomerate, reference_hca_labels
 
+import pec.baselines
 from pec.baselines import agglomerate, cut, hca, normalized_laplacian, spectral_cluster, spectral_embedding
-from pec.srg import build_srg_from_adjacency, build_srg_from_interactions
+from pec.srg import SpaceRelationGraph, build_srg_from_adjacency, build_srg_from_interactions
 from pec.synth import default_metro_spec, metro_network, planted_od
 
 
@@ -191,3 +194,58 @@ def test_hca_matches_reference_on_metro_and_od_weight_rows():
 def test_agglomerate_fewer_than_two_points():
     assert agglomerate(np.zeros((1, 1)), "single") == []
     assert agglomerate(np.zeros((0, 0)), "average") == []
+
+
+# -- the ports against scipy, the code they replace -------------------------------------
+
+
+def _grid_inputs(count, seed=71):
+    # points on a small integer grid: many equal distances, so every tie rule is exercised
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        x = rng.integers(0, 4, size=(int(rng.integers(2, 41)), int(rng.integers(1, 4)))).astype(float)
+        yield _distances(x)
+
+
+@pytest.mark.parametrize("linkage", ["single", "average", "complete"])
+def test_agglomerate_equals_scipy_linkage_on_tie_heavy_inputs(linkage):
+    from scipy.cluster import hierarchy  # the oracle only
+
+    for dist in _grid_inputs(300):
+        condensed = dist[np.triu_indices_from(dist, k=1)]
+        expected = [(int(a), int(b), float(d)) for a, b, d, _ in hierarchy.linkage(condensed, method=linkage)]
+        assert agglomerate(dist, linkage) == expected
+
+
+def test_normalized_laplacian_equals_scipy_csgraph():
+    from scipy.sparse import csgraph  # the oracle only
+
+    graphs = [metro_network(default_metro_spec(seed=seed))[0] for seed in range(4)]
+    graphs += [build_srg_from_interactions(planted_od(4, 15, intra_rate=9.0, inter_rate=1.0, seed=s)[0]) for s in range(3)]
+    # non-integer weights over several decades, and node "e" isolated
+    graphs.append(SpaceRelationGraph(list("abcde"), [("a", "b", 0.3), ("b", "c", 1e-3), ("a", "c", 7.25), ("c", "d", 2.0 / 3.0)]))
+    for g in graphs:
+        assert np.array_equal(normalized_laplacian(g), csgraph.laplacian(g.to_weight_matrix(), normed=True))
+
+
+def test_spectral_embeddings_of_one_graph_share_one_eigendecomposition(monkeypatch):
+    g = metro_network(default_metro_spec(seed=3))[0]
+    expected = np.linalg.eigh(normalized_laplacian(g))[1]
+    calls = []
+    real = pec.baselines.normalized_laplacian
+    monkeypatch.setattr(pec.baselines, "normalized_laplacian", lambda graph: calls.append(1) or real(graph))
+    for d in (2, 5, 3):
+        assert np.array_equal(spectral_embedding(g, d).vectors, expected[:, :d])
+    assert len(calls) == 1
+    del g
+    gc.collect()
+    assert pec.baselines._eigh_memo == {}  # the eigenpairs go with their graph
+
+
+def test_hca_and_agglomerate_reject_non_finite_input():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite entry"):
+            hca([[0.0], [bad], [1.0]], [2])
+        dist = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, bad], [2.0, bad, 0.0]])
+        with pytest.raises(ValueError, match="non-finite entry"):
+            agglomerate(dist, "average")

@@ -58,6 +58,27 @@ def test_import_and_scoring_load_no_scipy_subpackage_nor_numpy_ma():
     assert "pec.cli" in out and loaded == []
 
 
+def test_sweep_with_baselines_loads_no_scipy_subpackage(metro_dir, tmp_path):
+    args = [
+        "sweep", "--graph", str(metro_dir / "edges.tsv"), "--truth", str(metro_dir / "line-membership.csv"),
+        "--grid", "dim=2,4", "--walk-length", "6", "--num-walks", "2", "--epochs", "1", "--repeats", "1",
+        "--baselines", "--out-dir", str(tmp_path / "sweep"),
+    ]
+    code = (
+        "import sys, pec.cli\n"
+        f"assert pec.cli.main({args!r}) == 0\n"
+        "print('\\n'.join(sys.modules))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    heavy = ("scipy.optimize", "scipy.spatial", "scipy.sparse", "scipy.linalg", "scipy.cluster")
+    loaded = [m for m in out if any(m == h or m.startswith(h + ".") for h in heavy)]
+    assert "pec.baselines" in out and (tmp_path / "sweep" / "sweep.csv").exists() and loaded == []
+
+
 def test_synth_metro_writes_three_files(metro_dir):
     names = {p.name for p in metro_dir.iterdir()}
     assert {"edges.tsv", "line-membership.csv", "transfer-vs-not.csv"} <= names
