@@ -10,7 +10,6 @@ operation, so they give scipy's bytes, ties included.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,20 +57,6 @@ def normalized_laplacian(g) -> np.ndarray:
     return m
 
 
-# The eigenpairs of the last graph decomposed, dropped with the graph: a
-# sweep embeds one graph once per dim, and eigh does not depend on d.
-_eigh_memo: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _laplacian_eigh(g) -> tuple[np.ndarray, np.ndarray]:
-    key = id(g)
-    if key not in _eigh_memo:
-        _eigh_memo.clear()
-        _eigh_memo[key] = np.linalg.eigh(normalized_laplacian(g))
-        weakref.finalize(g, _eigh_memo.pop, key, None)
-    return _eigh_memo[key]
-
-
 def spectral_embedding(g, d: int) -> SpectralEmbedding:
     """Eigenvectors of the d smallest eigenvalues of the normalized Laplacian."""
     n = g.num_nodes
@@ -79,7 +64,8 @@ def spectral_embedding(g, d: int) -> SpectralEmbedding:
         raise ValueError("spectral embedding needs at least one edge")
     if not (1 <= d <= n):
         raise ValueError(f"need 1 <= d <= {n}, got d={d}")
-    eigenvalues, eigenvectors = _laplacian_eigh(g)
+    lap = normalized_laplacian(g)
+    eigenvalues, eigenvectors = np.linalg.eigh(lap)
     eigenvalues = eigenvalues[:d]
     if eigenvalues.min() < -1e-9 or eigenvalues.max() > 2.0 + 1e-9:
         raise AssertionError("normalized-Laplacian eigenvalues escaped [0, 2]")

@@ -1,10 +1,7 @@
-import gc
-
 import numpy as np
 import pytest
 from oracles import count_components, random_disconnected_graph, reference_agglomerate, reference_hca_labels
 
-import pec.baselines
 from pec.baselines import agglomerate, cut, hca, normalized_laplacian, spectral_cluster, spectral_embedding
 from pec.srg import SpaceRelationGraph, build_srg_from_adjacency, build_srg_from_interactions
 from pec.synth import default_metro_spec, metro_network, planted_od
@@ -226,20 +223,6 @@ def test_normalized_laplacian_equals_scipy_csgraph():
     graphs.append(SpaceRelationGraph(list("abcde"), [("a", "b", 0.3), ("b", "c", 1e-3), ("a", "c", 7.25), ("c", "d", 2.0 / 3.0)]))
     for g in graphs:
         assert np.array_equal(normalized_laplacian(g), csgraph.laplacian(g.to_weight_matrix(), normed=True))
-
-
-def test_spectral_embeddings_of_one_graph_share_one_eigendecomposition(monkeypatch):
-    g = metro_network(default_metro_spec(seed=3))[0]
-    expected = np.linalg.eigh(normalized_laplacian(g))[1]
-    calls = []
-    real = pec.baselines.normalized_laplacian
-    monkeypatch.setattr(pec.baselines, "normalized_laplacian", lambda graph: calls.append(1) or real(graph))
-    for d in (2, 5, 3):
-        assert np.array_equal(spectral_embedding(g, d).vectors, expected[:, :d])
-    assert len(calls) == 1
-    del g
-    gc.collect()
-    assert pec.baselines._eigh_memo == {}  # the eigenpairs go with their graph
 
 
 def test_hca_and_agglomerate_reject_non_finite_input():

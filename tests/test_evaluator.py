@@ -459,18 +459,6 @@ def test_sweep_baselines_build_one_spectral_embedding_per_dim_and_one_tree(tiny_
     ]
 
 
-def test_sweep_over_several_dims_decomposes_the_laplacian_once(monkeypatch):
-    g, line_t, transfer_t = metro_network(MetroSpec(2, 5, ((0, 2, 1, 1),)))  # a graph no test decomposed yet
-    calls = []
-    real = pec.baselines.normalized_laplacian
-    monkeypatch.setattr(pec.baselines, "normalized_laplacian", lambda graph: calls.append(1) or real(graph))
-    report = sweep(
-        g, [line_t, transfer_t], grid={"dim": [2, 3, 4]}, base_params=FAST_PARAMS, repeats=1, seed=1,
-        include_baselines=True,
-    )
-    assert all(cell.error is None for cell in report.cells) and calls == [1]
-
-
 def test_score_runs_starts_a_group_where_the_pair_count_changes(monkeypatch):
     # node x is isolated in the second graph, so its walks are one step long
     # and that graph's corpus has fewer pairs
