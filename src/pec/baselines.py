@@ -113,9 +113,9 @@ def agglomerate(distances: np.ndarray, linkage: str) -> list[tuple[int, int, flo
     if linkage not in _LINKAGES:
         raise ValueError(f"linkage must be one of {_LINKAGES}")
     dist = np.asarray(distances, dtype=float)
-    n = dist.shape[0]
-    if dist.shape != (n, n):
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValueError("need a square symmetric distance matrix")
+    n = dist.shape[0]
     if not np.all(np.isfinite(dist)):
         raise ValueError("the distance matrix has a non-finite entry")
     if not np.allclose(dist, dist.T):
@@ -209,7 +209,12 @@ def hca(x, counts, linkage: str = "average") -> list[np.ndarray]:
         raise ValueError("x must be a 2-D matrix")
     if not np.all(np.isfinite(x)):
         raise ValueError("x has a non-finite entry")
-    merges = agglomerate(np.sqrt(sq_distances(x, x)), linkage)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = np.sqrt(sq_distances(x, x))
+    if not np.all(np.isfinite(dist)):
+        row = int(np.argmax(np.abs(x).max(axis=1)))
+        raise ValueError(f"the squared distances between the rows of x overflow; row {row} holds the largest entry")
+    merges = agglomerate(dist, linkage)
     return [cut(merges, x.shape[0], n) for n in counts]
 
 

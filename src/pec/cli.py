@@ -271,7 +271,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
         stage = "walks"
         corpus = generate_walks(graph, replace(cfg.walk, seed=stage_seeds["walks"]))
-        save_corpus(corpus, artifact("corpus.txt"))
+        save_corpus(replace(corpus, graph_fingerprint=graph.fingerprint()), artifact("corpus.txt"))
 
         stage = "embed"
         emb = train(corpus, replace(cfg.train, seed=stage_seeds["embed"]))
@@ -333,7 +333,7 @@ def _cmd_build_graph(args) -> int:
 def _cmd_walks(args) -> int:
     g = load_graph(args.graph)
     corpus = generate_walks(g, WalkConfig(**_given(args, _names(WalkConfig))))
-    save_corpus(corpus, args.out)
+    save_corpus(replace(corpus, graph_fingerprint=g.fingerprint()), args.out)
     print(f"wrote {args.out}: {len(corpus.matrix)} walks")
     return 0
 

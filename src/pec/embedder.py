@@ -49,6 +49,7 @@ draws each block's uniforms.
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -414,10 +415,10 @@ def save_embeddings(emb: EmbeddingMatrix, path) -> None:
 
 
 def load_embeddings(path) -> EmbeddingMatrix:
-    lines = list(read_lines(path))
-    if not lines:
+    lines = read_lines(path)
+    head_line, head_text = next(lines, (0, ""))
+    if not head_text:
         raise ValueError(f"{path}: empty embedding file")
-    (head_line, head_text), body = lines[0], lines[1:]
     head = head_text.split()
     if len(head) != 2:
         raise ValueError(f"{path}: line {head_line}: expected header 'N d'")
@@ -426,12 +427,12 @@ def load_embeddings(path) -> EmbeddingMatrix:
             f"{path}: line {head_line}: header 'N d' needs two nonnegative integers, got {head_text!r}"
         )
     n, d = int(head[0]), int(head[1])
-    if len(body) != n:
-        raise ValueError(f"{path}: header declares {n} rows, found {len(body)}")
-    split = [(lineno, text.split(" ")) for lineno, text in body]
-    ids, rows = parse_rows(path, split, d + 1, float, "vector entry")
-    vectors = np.array(rows).reshape(n, d)
+    found = sum(1 for _ in read_lines(path)) - 1  # a first pass that holds no line
+    if found != n:
+        raise ValueError(f"{path}: header declares {n} rows, found {found}")
+    ids, vectors = parse_rows(path, ((lineno, text.split(" ")) for lineno, text in lines), d + 1, float, "vector entry")
     bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
     if bad.size:
-        raise ValueError(f"{path}: line {body[bad[0]][0]}: non-finite vector entry")
+        lineno = next(itertools.islice(read_lines(path), bad[0] + 1, None))[0]
+        raise ValueError(f"{path}: line {lineno}: non-finite vector entry")
     return EmbeddingMatrix(ids, vectors, np.zeros_like(vectors), ())

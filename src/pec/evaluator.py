@@ -675,12 +675,19 @@ def save_labels(node_ids, labels, path) -> None:
     write_csv(path, ["node_id", "label"], rows)
 
 
+def _label(text: str) -> int:
+    x = int(text)
+    if not -(2**63) <= x < 2**63:
+        raise ValueError(f"must fit in 64 bits, got {text}")
+    return x
+
+
 def load_labels(path) -> tuple[tuple[str, ...], np.ndarray]:
-    header, rows = read_csv(path)
-    if header != ["node_id", "label"]:
+    rows = read_csv(path)
+    if next(rows, (0, []))[1] != ["node_id", "label"]:
         raise ValueError(f"{path}: expected header 'node_id,label'")
-    ids, labels = parse_rows(path, rows, 2, int, "label")
-    return ids, np.array(labels, dtype=np.int64).reshape(-1)
+    ids, labels = parse_rows(path, rows, 2, _label, "label", dtype=np.int64)
+    return ids, labels.reshape(-1)
 
 
 def load_ground_truth(path, name: str | None = None) -> GroundTruth:

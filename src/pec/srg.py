@@ -16,8 +16,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .util import (check_unique, parse_fields, parse_rows, prefixed, read_csv, read_lines, sq_distances,
-                   whole_number, write_csv, write_lines)
+from .util import (Numbering, check_unique, parse_fields, parse_rows, prefixed, read_csv, read_lines,
+                   sq_distances, whole_number, write_csv, write_lines)
 
 __all__ = [
     "FeatureMatrix",
@@ -125,12 +125,24 @@ class SpaceRelationGraph:
 
     @classmethod
     def from_weight_matrix(cls, node_ids: Sequence[str], weights) -> "SpaceRelationGraph":
-        """The graph whose edges are the nonzero entries of the (N, N) ``weights`` above the diagonal."""
+        """The graph whose edges are the nonzero entries of the (N, N) ``weights`` above the diagonal.
+
+        The upper triangle is mirrored into a symmetric matrix, whose nonzeros
+        in row-major order are the CSR entries; a matrix holds no duplicate edge.
+        """
         g, weights = cls(node_ids, ()), np.asarray(weights, dtype=float)
-        if weights.shape != (g.num_nodes, g.num_nodes):
+        n = g.num_nodes
+        if weights.shape != (n, n):
             raise ValueError("weight matrix order must match the number of node ids")
-        src, dst = np.nonzero(np.triu(weights, k=1))
-        g._store(src, dst, weights[src, dst])
+        sym = np.where(np.tri(n, dtype=bool), weights.T, weights)  # entry (i, j) is weights[min(i, j), max(i, j)]
+        np.fill_diagonal(sym, 0.0)
+        pos = np.flatnonzero(sym)
+        indptr, indices, wts = np.searchsorted(pos, np.arange(n + 1) * n), pos % n, sym.ravel()[pos]
+        bad = np.flatnonzero(~((wts > 0.0) & np.isfinite(wts)))
+        if bad.size:  # the first bad entry in row-major order lies above the diagonal
+            i = np.searchsorted(indptr, bad[0], side="right") - 1
+            raise _weight_error(g.node_ids[i], g.node_ids[indices[bad[0]]], wts[bad[0]])
+        g._freeze(indptr, indices, wts)
         return g
 
     def _store(self, src: np.ndarray, dst: np.ndarray, wts: np.ndarray) -> None:
@@ -141,18 +153,19 @@ class SpaceRelationGraph:
             u, v, w = ids[src[bad[0]]], ids[dst[bad[0]]], wts[bad[0]]
             if u == v:
                 raise ValueError(f"self-loop on node {u!r} is not allowed")
-            raise ValueError(f"edge ({u!r}, {v!r}) has nonpositive or nonfinite weight {w}")
-        keys = np.minimum(src, dst) * n + np.maximum(src, dst)
-        first = np.unique(keys, return_index=True)[1]
-        if first.size < keys.size:
-            k = int(np.setdiff1d(np.arange(keys.size), first)[0])  # the first repeat
+            raise _weight_error(u, v, w)
+        keys = np.concatenate((src * n + dst, dst * n + src))  # row * N + col, both directions of every edge
+        order = np.argsort(keys)
+        keys = keys[order]
+        if np.any(keys[1:] == keys[:-1]):
+            pairs = np.minimum(src, dst) * n + np.maximum(src, dst)
+            k = int(np.setdiff1d(np.arange(pairs.size), np.unique(pairs, return_index=True)[1])[0])  # the first repeat
             raise ValueError(f"duplicate edge ({ids[src[k]]!r}, {ids[dst[k]]!r})")
-        rows, cols = np.concatenate((src, dst)), np.concatenate((dst, src))  # both directions of every edge
-        order = np.lexsort((cols, rows))
-        self.indptr = np.searchsorted(rows[order], np.arange(n + 1))
-        self.indices = cols[order]
-        self.weights = np.concatenate((wts, wts))[order]
-        for arr in (self.indptr, self.indices, self.weights):
+        self._freeze(np.searchsorted(keys, np.arange(n + 1) * n), keys % n, np.concatenate((wts, wts))[order])
+
+    def _freeze(self, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray) -> None:
+        self.indptr, self.indices, self.weights = indptr, indices, weights
+        for arr in (indptr, indices, weights):
             arr.flags.writeable = False
 
     # -- basic accessors ---------------------------------------------------
@@ -227,6 +240,10 @@ class SpaceRelationGraph:
             f"SpaceRelationGraph({self.num_nodes} nodes, {self.num_edges} edges, "
             f"{len(self.isolated_nodes())} isolated)"
         )
+
+
+def _weight_error(u: str, v: str, w) -> ValueError:
+    return ValueError(f"edge ({u!r}, {v!r}) has nonpositive or nonfinite weight {w}")
 
 
 # -- builders ---------------------------------------------------------------
@@ -309,12 +326,14 @@ def build_srg_from_interactions(od: InteractionMatrix) -> SpaceRelationGraph:
     (A + A^T) / 2, then normalized by the global maximum so the strongest
     pair has weight 1.  Zero pairs produce no edge.
     """
-    sym = (od.volumes + od.volumes.T) / 2.0
+    sym = od.volumes + od.volumes.T
+    sym /= 2.0
     np.fill_diagonal(sym, 0.0)
     top = sym.max()
     if top <= 0.0:
         raise ValueError("interaction matrix has no off-diagonal volume")
-    return SpaceRelationGraph.from_weight_matrix(od.node_ids, sym / top)
+    sym /= top
+    return SpaceRelationGraph.from_weight_matrix(od.node_ids, sym)
 
 
 def build_srg_from_adjacency(
@@ -350,25 +369,36 @@ def load_graph(path) -> SpaceRelationGraph:
     ``u<TAB>v<TAB>weight`` lines; ``#`` lines other than ``#node`` are
     comments)."""
     declared: list[str] = []
-    raw_edges: list[tuple[str, str, float]] = []
-    for lineno, line in read_lines(path):
-        if line.startswith("#"):
-            if line.startswith("#node\t"):
-                declared.append(line.split("\t", 1)[1])
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"{path}: line {lineno}: expected 3 tab-separated fields")
-        u, v, wtext = parts
-        (w,) = parse_fields(path, lineno, float, [wtext], "weight")
-        if not 0.0 < w < math.inf:
-            raise ValueError(f"{path}: line {lineno}: weight must be positive and finite, got {wtext}")
-        if u == v:
-            raise ValueError(f"{path}: line {lineno}: self-loop on {u!r}")
-        raw_edges.append((u, v, w))
-    ids = declared or list(dict.fromkeys(x for u, v, _ in raw_edges for x in (u, v)))
+    seen = Numbering()  # each edge endpoint's index, in order of first appearance
+
+    def parsed():
+        for lineno, line in read_lines(path):
+            if line.startswith("#"):
+                if line.startswith("#node\t"):
+                    declared.append(line.split("\t", 1)[1])
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ValueError(f"{path}: line {lineno}: expected 3 tab-separated fields")
+            u, v, wtext = parts
+            (w,) = parse_fields(path, lineno, float, [wtext], "weight")
+            if not 0.0 < w < math.inf:
+                raise ValueError(f"{path}: line {lineno}: weight must be positive and finite, got {wtext}")
+            if u == v:
+                raise ValueError(f"{path}: line {lineno}: self-loop on {u!r}")
+            yield seen[u], seen[v], w
+
+    edge = np.fromiter(parsed(), dtype=[("src", np.int64), ("dst", np.int64), ("w", float)])
     try:
-        return SpaceRelationGraph(ids, raw_edges)
+        g = SpaceRelationGraph(declared or seen, ())
+        unknown = [nid for nid in seen if nid not in g._index]
+        if unknown:
+            raise ValueError(f"edge references unknown node {unknown[0]!r}")
+        at = np.array([g._index[nid] for nid in seen], dtype=np.int64)
+        src, dst, wts = at[edge["src"]], at[edge["dst"]], edge["w"].copy()
+        del edge  # 24 bytes per edge that the CSR build does not need
+        g._store(src, dst, wts)
+        return g
     except ValueError as exc:
         # the graph names a bad node or edge without its line; only then is the file read again for it
         lines = [(n, ln) for n, ln in read_lines(path) if ln.startswith("#node\t") or not ln.startswith("#")]
@@ -397,11 +427,12 @@ def save_feature_csv(features: FeatureMatrix, path) -> None:
 
 
 def load_feature_csv(path) -> FeatureMatrix:
-    header, rows = read_csv(path)
+    rows = read_csv(path)
+    header = next(rows, (0, []))[1]
     if len(header) < 2 or header[0] != "node":
         raise ValueError(f"{path}: expected header 'node,<f1>,...'")
     ids, values = parse_rows(path, rows, len(header), float, "feature value")
-    return prefixed(path, FeatureMatrix, ids, np.array(values))
+    return prefixed(path, FeatureMatrix, ids, values)
 
 
 def save_od_csv(od: InteractionMatrix, path) -> None:
@@ -410,10 +441,11 @@ def save_od_csv(od: InteractionMatrix, path) -> None:
 
 
 def load_od_csv(path) -> InteractionMatrix:
-    header, rows = read_csv(path)
+    rows = read_csv(path)
+    header = next(rows, (0, []))[1]
     if len(header) < 2:
         raise ValueError(f"{path}: expected a header row with node identifiers")
     ids, values = parse_rows(path, rows, len(header), _volume, "volume")
     if list(ids) != header[1:]:
         raise ValueError(f"{path}: row identifiers do not match header identifiers")
-    return prefixed(path, InteractionMatrix, ids, np.array(values))
+    return prefixed(path, InteractionMatrix, ids, values)

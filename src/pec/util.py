@@ -91,13 +91,23 @@ def read_lines(path):
                 yield lineno, line.rstrip("\n")
 
 
-def read_csv(path) -> tuple[list, list]:
-    """The header of a UTF-8 CSV file and (line number, fields) of every
-    later row; blank lines are skipped, numbers are physical lines."""
+def read_csv(path):
+    """Yield (line number, fields) for every non-blank row of a UTF-8 CSV
+    file, the header first, one at a time; numbers are physical lines."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader if len(row) > 1 or "".join(row).strip()]
-    return (rows[0][1] if rows else []), rows[1:]
+        for row in reader:
+            if len(row) > 1 or "".join(row).strip():
+                yield reader.line_num, row
+
+
+class Numbering(dict):
+    """A dict that numbers each key on its first lookup: 0, 1, 2, ... in the
+    order keys first appear."""
+
+    def __missing__(self, key) -> int:
+        self[key] = number = len(self)
+        return number
 
 
 def parse_fields(path, lineno: int, parse, fields, what: str) -> list:
@@ -121,14 +131,24 @@ def check_unique(path, numbered, what: str = "node") -> dict:
     return first
 
 
-def parse_rows(path, rows, width: int, parse, what: str) -> tuple[tuple[str, ...], list[list]]:
-    """The ids, each once and in file order, and the values read by ``parse``
-    of the numbered rows ``[id, v1, ...]``, each ``width`` fields wide."""
-    for lineno, row in rows:
-        if len(row) != width:
-            raise ValueError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
-    ids = check_unique(path, ((lineno, row[0]) for lineno, row in rows))
-    return tuple(ids), [parse_fields(path, lineno, parse, row[1:], what) for lineno, row in rows]
+def parse_rows(path, rows, width: int, parse, what: str, dtype=float) -> tuple[tuple[str, ...], np.ndarray]:
+    """The ids, each once and in file order, and the (rows, width - 1) array
+    of the values read by ``parse`` of the numbered rows ``[id, v1, ...]``,
+    each ``width`` fields wide.  The array is filled as the rows arrive, so
+    nothing is held per cell but its entry; the first faulty row raises."""
+    first: dict = {}
+
+    def cells():
+        for lineno, row in rows:
+            if len(row) != width:
+                raise ValueError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
+            if row[0] in first:
+                raise ValueError(f"{path}: line {lineno}: node {row[0]!r} repeats line {first[row[0]]}")
+            first[row[0]] = lineno
+            yield from parse_fields(path, lineno, parse, row[1:], what)
+
+    values = np.fromiter(cells(), dtype=dtype)
+    return tuple(first), values.reshape(len(first), width - 1)
 
 
 def prefixed(where, make, *args, **kwargs):

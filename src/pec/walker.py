@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .util import field_parser, parse_fields, prefixed, read_lines, write_lines
+from .util import Numbering, field_parser, parse_fields, prefixed, read_lines, write_lines
 
 __all__ = [
     "WalkConfig",
@@ -80,12 +80,11 @@ class WalkCorpus:
         """The corpus of ``walks``, a list of id sequences over ``node_ids``, and the other fields."""
         index = {nid: i for i, nid in enumerate(node_ids)}
         lengths = np.fromiter(map(len, walks), dtype=np.int64, count=len(walks))
-        matrix = np.full((lengths.size, int(lengths.max(initial=0))), -1, dtype=np.int32)
         try:
-            matrix[np.arange(matrix.shape[1]) < lengths[:, None]] = [index[nid] for walk in walks for nid in walk]
+            steps = np.fromiter((index[nid] for walk in walks for nid in walk), dtype=np.int32)
         except KeyError as exc:
             raise ValueError(f"node {exc.args[0]!r} is not in the corpus's node ids") from None
-        return cls(matrix, tuple(node_ids), *args, **kwargs)
+        return cls(_padded(steps, lengths), tuple(node_ids), *args, **kwargs)
 
     @property
     def walks(self) -> tuple[tuple[str, ...], ...]:
@@ -95,6 +94,14 @@ class WalkCorpus:
         """Each walk as a list of ids, decoded one row at a time."""
         ids, lengths = np.array((*self.node_ids, None), dtype=object), (self.matrix >= 0).sum(axis=1)
         return (ids[row].tolist()[:n] for row, n in zip(self.matrix, lengths.tolist()))
+
+
+def _padded(steps: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The walks whose node indices are ``steps``, walk k taking the next
+    ``lengths[k]``, as the rows of an int32 matrix padded with -1."""
+    matrix = np.full((lengths.size, int(lengths.max(initial=0))), -1, dtype=np.int32)
+    matrix[np.arange(matrix.shape[1]) < lengths[:, None]] = steps
+    return matrix
 
 
 def transition_distribution(g, prev: str, cur: str, p: float, q: float) -> dict[str, float]:
@@ -175,7 +182,9 @@ def generate_walks(g, cfg: WalkConfig) -> WalkCorpus:
     The sampler is built per call; it costs O(edges), far less than the
     walks.  The corpus is node-major: walk j from node i is row
     i * num_walks + j.  A walk from an isolated node is the row [i, -1, ...],
-    and the node is listed in ``isolated_nodes``.
+    and the node is listed in ``isolated_nodes``.  ``graph_fingerprint`` is
+    left empty: hashing the graph costs O(edges), and only a writer that
+    records the corpus's provenance needs it (``dataclasses.replace`` sets it).
     """
     sampler = build_alias_tables(g, cfg.p, cfg.q)
     rng = np.random.default_rng(cfg.seed)
@@ -189,7 +198,7 @@ def generate_walks(g, cfg: WalkConfig) -> WalkCorpus:
     matrix = np.full((starts.size, cfg.walk_length), -1, dtype=np.int32)
     matrix[:, 0] = starts
     matrix[moving] = steps
-    return WalkCorpus(matrix, g.node_ids, cfg, g.fingerprint(), g.isolated_nodes())
+    return WalkCorpus(matrix, g.node_ids, cfg, "", g.isolated_nodes())
 
 
 def save_corpus(corpus: WalkCorpus, path) -> None:
@@ -206,18 +215,27 @@ def save_corpus(corpus: WalkCorpus, path) -> None:
 
 def load_corpus(path) -> WalkCorpus:
     header: dict[str, tuple[int, str]] = {}  # key -> (line, value)
-    walks: list[tuple[int, tuple[str, ...]]] = []
-    for lineno, line in read_lines(path):
-        if line.startswith(("# nodes=", "# isolated=")):  # node lists are read whole
-            key, _, val = line[2:].partition("=")
-            header[key] = (lineno, val)
-        elif line.startswith("#"):  # graph and config lines: key=value tokens
-            for token in line[1:].strip().split(" "):
-                if "=" in token:
-                    key, _, val = token.partition("=")
-                    header.setdefault(key, (lineno, val))
-        else:
-            walks.append((lineno, tuple(line.split(" "))))
+    seen = Numbering()  # each walk node id's index, in order of first appearance
+    first_lines: list[int] = []  # the line where each of them first appears
+    lengths: list[int] = []
+
+    def steps():
+        for lineno, line in read_lines(path):
+            if line.startswith(("# nodes=", "# isolated=")):  # node lists are read whole
+                key, _, val = line[2:].partition("=")
+                header[key] = (lineno, val)
+            elif line.startswith("#"):  # graph and config lines: key=value tokens
+                for token in line[1:].strip().split(" "):
+                    if "=" in token:
+                        key, _, val = token.partition("=")
+                        header.setdefault(key, (lineno, val))
+            else:
+                walk, known = line.split(" "), len(seen)
+                yield from map(seen.__getitem__, walk)
+                first_lines.extend([lineno] * (len(seen) - known))
+                lengths.append(len(walk))
+
+    flat = np.fromiter(steps(), dtype=np.int32)
     required = ("graph", *(f.name for f in fields(WalkConfig)), "nodes")
     missing = [k for k in required if k not in header]
     if missing:
@@ -233,13 +251,14 @@ def load_corpus(path) -> WalkCorpus:
         (settings[f.name],) = parse_fields(path, lineno, field_parser(WalkConfig, f), [text], f.name)
     isolated_line, isolated_text = header.get("isolated", (0, ""))
     isolated = tuple(x for x in isolated_text.split(" ") if x)
-    known = set(node_ids)
-    stray = next((nid for nid in isolated if nid not in known), None)
+    index = {nid: i for i, nid in enumerate(node_ids)}
+    stray = next((nid for nid in isolated if nid not in index), None)
     if stray is not None:
         raise ValueError(f"{path}: line {isolated_line}: isolated node {stray!r} is not in # nodes=")
     config = prefixed(path, WalkConfig, **settings)
-    try:
-        return WalkCorpus.of_walks([walk for _, walk in walks], node_ids, config, header["graph"][1], isolated)
-    except ValueError as exc:
-        lineno = next(n for n, walk in walks if not set(walk) <= set(node_ids))
-        raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    for nid, lineno in zip(seen, first_lines):
+        if nid not in index:
+            raise ValueError(f"{path}: line {lineno}: node {nid!r} is not in the corpus's node ids")
+    at = np.array([index[nid] for nid in seen], dtype=np.int32)
+    matrix = _padded(at[flat], np.array(lengths, dtype=np.int64))
+    return WalkCorpus(matrix, node_ids, config, header["graph"][1], isolated)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from oracles import count_components, random_disconnected_graph, reference_agglomerate, reference_hca_labels
@@ -136,6 +138,23 @@ def test_hca_input_validation():
         agglomerate(np.zeros((2, 2)), "centroid")
     with pytest.raises(ValueError, match="n"):
         hca(np.zeros((3, 1)), [4])
+
+
+@pytest.mark.parametrize("dist", [np.float64(1.0), np.zeros(3), np.zeros((2, 3)), np.zeros((2, 2, 2))],
+                         ids=["scalar", "vector", "wide", "cube"])
+def test_agglomerate_rejects_a_matrix_that_is_not_square(dist):
+    with pytest.raises(ValueError, match="need a square symmetric distance matrix"):
+        agglomerate(dist, "single")
+
+
+@pytest.mark.parametrize("x, row", [([[1e200], [-1e200]], 0), ([[1.0], [1e200], [2.0]], 1), ([[1e154], [-1e154]], 0)])
+def test_hca_rejects_rows_whose_squared_distances_overflow(x, row):
+    # finite rows, but |x|^2 or |x - y|^2 is past the largest float: the
+    # message names the rows of x, and no RuntimeWarning leaks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"rows of x overflow; row {row} holds the largest entry"):
+            hca(x, [1])
 
 
 # -- scipy against the reference merge loop ------------------------------------------

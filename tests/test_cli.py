@@ -96,7 +96,8 @@ def test_walks_subcommand_header(metro_dir, tmp_path):
         == 0
     )
     text = corpus_path.read_text()
-    assert text.startswith("# graph=")
+    # generate_walks leaves the fingerprint empty; the writer hashes the graph
+    assert text.startswith(f"# graph={load_graph(metro_dir / 'edges.tsv').fingerprint()}\n")
     assert "p=4.0 q=1.0" in text
     walk_lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
     assert len(walk_lines) == 2 * 21

@@ -211,6 +211,12 @@ def test_alias_tables_match_transition_distribution(weighted_graph):
 # -- walk generation --------------------------------------------------------------------
 
 
+def test_generate_walks_does_not_hash_the_graph(weighted_graph, monkeypatch):
+    # fingerprint() costs O(edges); only the corpus writers of the CLI need it
+    monkeypatch.setattr(type(weighted_graph), "fingerprint", lambda self: pytest.fail("fingerprint() called"))
+    assert generate_walks(weighted_graph, WalkConfig(seed=1)).graph_fingerprint == ""
+
+
 def test_corpus_count_contract(weighted_graph):
     cfg = WalkConfig(walk_length=10, num_walks=10, seed=1)
     corpus = generate_walks(weighted_graph, cfg)
