@@ -2,10 +2,10 @@
 
 Spectral clustering embeds nodes with the eigenvectors of the smallest
 eigenvalues of the symmetric normalized Laplacian and hands the rows to
-k-means.  HCA merges observations bottom-up under single, average or
-complete linkage.  Both are numpy ports of the scipy code they replace
-(``csgraph.laplacian`` and ``hierarchy.linkage``), operation for
-operation, so they give scipy's bytes, ties included.
+k-means.  HCA merges observations bottom-up under average linkage.  Both
+are numpy ports of the scipy code they replace (``csgraph.laplacian`` and
+``hierarchy.linkage(method="average")``), operation for operation, so they
+give scipy's bytes, ties included.
 """
 
 from __future__ import annotations
@@ -96,22 +96,16 @@ def spectral_cluster(g, d: int, runs) -> list[np.ndarray]:
 
 # -- agglomerative hierarchical clustering ------------------------------------
 
-_LINKAGES = ("single", "average", "complete")
-
-
-def agglomerate(distances: np.ndarray, linkage: str) -> list[tuple[int, int, float]]:
-    """Full merge history [(cluster_a, cluster_b, distance), ...] of scipy's
-    ``hierarchy.linkage``.
+def agglomerate(distances: np.ndarray) -> list[tuple[int, int, float]]:
+    """Full average-linkage merge history [(cluster_a, cluster_b, distance),
+    ...] of scipy's ``hierarchy.linkage``.
 
     Input clusters are numbered 0..N-1; merge t creates cluster N+t (the
     linkage-matrix convention), and a < b in every merge.  Merge distances
     are non-decreasing.  Ties are broken as scipy 1.17's ``_hierarchy``
-    breaks them (a minimum spanning tree for single linkage, a
-    nearest-neighbour chain for average and complete), not by the smallest
+    breaks them (by its nearest-neighbour chain), not by the smallest
     (a, b) pair.  Only the upper triangle of ``distances`` is read.
     """
-    if linkage not in _LINKAGES:
-        raise ValueError(f"linkage must be one of {_LINKAGES}")
     dist = np.asarray(distances, dtype=float)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValueError("need a square symmetric distance matrix")
@@ -126,34 +120,15 @@ def agglomerate(distances: np.ndarray, linkage: str) -> list[tuple[int, int, flo
     lower = np.tril_indices(n, -1)
     d[lower] = d.T[lower]
     np.fill_diagonal(d, np.inf)
-    merges = _mst_single_linkage(d) if linkage == "single" else _nn_chain(d, linkage == "average")
+    merges = _nn_chain(d)
     return _label(merges[np.argsort(merges[:, 2], kind="stable")], n)
 
 
-def _mst_single_linkage(d: np.ndarray) -> np.ndarray:
-    """scipy's ``mst_single_linkage``: Prim's tree grown from point 0, one
-    (x, y, distance) row per edge in the order it joins; the first nearest
-    point wins a tie."""
-    n = d.shape[0]
-    merges = np.empty((n - 1, 3))
-    merged = np.zeros(n, dtype=bool)
-    nearest = np.full(n, np.inf)
-    x = 0
-    for k in range(n - 1):
-        merged[x] = True
-        np.minimum(nearest, d[x], out=nearest)
-        nearest[merged] = np.inf
-        y = int(np.argmin(nearest))
-        merges[k] = x, y, nearest[y]
-        x = y
-    return merges
-
-
-def _nn_chain(d: np.ndarray, average: bool) -> np.ndarray:
-    """scipy's ``nn_chain`` on the symmetric matrix ``d`` (inf on the
-    diagonal), which it overwrites: (x, y, distance) rows in merge order,
-    x < y being the slots of the merged clusters; the merged cluster takes
-    slot y, and slot x is set to inf."""
+def _nn_chain(d: np.ndarray) -> np.ndarray:
+    """scipy's ``nn_chain`` for average linkage on the symmetric matrix ``d``
+    (inf on the diagonal), which it overwrites: (x, y, distance) rows in
+    merge order, x < y being the slots of the merged clusters; the merged
+    cluster takes slot y, and slot x is set to inf."""
     n = d.shape[0]
     merges = np.empty((n - 1, 3))
     size = np.ones(n, dtype=np.int64)
@@ -174,7 +149,7 @@ def _nn_chain(d: np.ndarray, average: bool) -> np.ndarray:
         merges[k] = x, y, d[x, y]
         size[x], size[y] = 0, nx + ny
         # Lance-Williams update; inf stays inf in inactive slots and on the diagonal
-        new = (nx * d[x] + ny * d[y]) / (nx + ny) if average else np.maximum(d[x], d[y])
+        new = (nx * d[x] + ny * d[y]) / (nx + ny)
         d[y], d[:, y] = new, new
         d[x], d[:, x] = np.inf, np.inf
     return merges
@@ -199,8 +174,8 @@ def _label(merges: np.ndarray, n: int) -> list[tuple[int, int, float]]:
     return out
 
 
-def hca(x, counts, linkage: str = "average") -> list[np.ndarray]:
-    """Labels of agglomerative clustering on the Euclidean distances of the
+def hca(x, counts) -> list[np.ndarray]:
+    """Labels of average-linkage clustering on the Euclidean distances of the
     rows of ``x``, one :func:`cut` of one merge history per cluster count in
     ``counts``.  Where merge distances tie, scipy's rule decides which merge
     comes first (see :func:`agglomerate`)."""
@@ -214,7 +189,7 @@ def hca(x, counts, linkage: str = "average") -> list[np.ndarray]:
     if not np.all(np.isfinite(dist)):
         row = int(np.argmax(np.abs(x).max(axis=1)))
         raise ValueError(f"the squared distances between the rows of x overflow; row {row} holds the largest entry")
-    merges = agglomerate(dist, linkage)
+    merges = agglomerate(dist)
     return [cut(merges, x.shape[0], n) for n in counts]
 
 

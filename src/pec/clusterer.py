@@ -358,6 +358,8 @@ def louvain(g, seed: int = 0, runs: int = 5) -> tuple[np.ndarray, int, float]:
     """
     if g.num_edges == 0:
         raise ValueError("community detection needs at least one edge")
+    if runs < 1:
+        raise ValueError(f"need runs >= 1, got runs={runs}")
     n = g.num_nodes
     # total edge weight, added left to right over the canonical edge order
     m = float(np.cumsum(g.weights[g.entry_rows() < g.indices])[-1])

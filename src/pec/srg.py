@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .util import (Numbering, check_unique, parse_fields, parse_rows, prefixed, read_csv, read_lines,
+from .util import (Numbering, check_node_id, parse_fields, parse_rows, prefixed, read_csv, read_lines,
                    sq_distances, whole_number, write_csv, write_lines)
 
 __all__ = [
@@ -40,16 +40,7 @@ def _check_node_ids(node_ids) -> tuple[str, ...]:
     if len(set(ids)) != len(ids):
         raise ValueError("node identifiers must be unique")
     for nid in ids:
-        # a leading '#' would read back as a comment line in graph and corpus files
-        if not nid or nid.startswith("#") or any(c.isspace() for c in nid) or "," in nid:
-            raise ValueError(
-                f"invalid node identifier {nid!r}: must be non-empty, "
-                "not start with '#', and have no whitespace or commas"
-            )
-        try:
-            nid.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValueError(f"invalid node identifier {nid!r}: not encodable as UTF-8") from None
+        check_node_id(nid)
     return ids
 
 
@@ -368,14 +359,14 @@ def load_graph(path) -> SpaceRelationGraph:
     """Read a TSV edge list written by :func:`save_graph` (or any file of
     ``u<TAB>v<TAB>weight`` lines; ``#`` lines other than ``#node`` are
     comments)."""
-    declared: list[str] = []
-    seen = Numbering()  # each edge endpoint's index, in order of first appearance
+    declared = Numbering(path, checked=True)
+    seen = Numbering(path, checked=True)  # each edge endpoint's index, in order of first appearance
 
     def parsed():
         for lineno, line in read_lines(path):
             if line.startswith("#"):
                 if line.startswith("#node\t"):
-                    declared.append(line.split("\t", 1)[1])
+                    declared.declare(line.split("\t", 1)[1], lineno)
                 continue
             parts = line.split("\t")
             if len(parts) != 3:
@@ -386,32 +377,29 @@ def load_graph(path) -> SpaceRelationGraph:
                 raise ValueError(f"{path}: line {lineno}: weight must be positive and finite, got {wtext}")
             if u == v:
                 raise ValueError(f"{path}: line {lineno}: self-loop on {u!r}")
+            seen.lineno = lineno
             yield seen[u], seen[v], w
 
     edge = np.fromiter(parsed(), dtype=[("src", np.int64), ("dst", np.int64), ("w", float)])
+    nodes = declared or seen
+    unknown = next((nid for nid in seen if nid not in nodes), None)
+    if unknown is not None:
+        raise ValueError(f"{path}: line {seen.line(unknown)}: edge references unknown node {unknown!r}")
+    g = SpaceRelationGraph(nodes, ())
+    at = np.array([nodes[nid] for nid in seen], dtype=np.int64)
+    src, dst, wts = at[edge["src"]], at[edge["dst"]], edge["w"].copy()
+    del edge  # 24 bytes per edge that the CSR build does not need
     try:
-        g = SpaceRelationGraph(declared or seen, ())
-        unknown = [nid for nid in seen if nid not in g._index]
-        if unknown:
-            raise ValueError(f"edge references unknown node {unknown[0]!r}")
-        at = np.array([g._index[nid] for nid in seen], dtype=np.int64)
-        src, dst, wts = at[edge["src"]], at[edge["dst"]], edge["w"].copy()
-        del edge  # 24 bytes per edge that the CSR build does not need
         g._store(src, dst, wts)
-        return g
     except ValueError as exc:
-        # the graph names a bad node or edge without its line; only then is the file read again for it
-        lines = [(n, ln) for n, ln in read_lines(path) if ln.startswith("#node\t") or not ln.startswith("#")]
-        nodes = [(n, ln[len("#node\t"):]) for n, ln in lines if ln.startswith("#")]
-        edges = [(n, ln.split("\t")[:2]) for n, ln in lines if not ln.startswith("#")]
-        known = check_unique(path, nodes)
-        for n, ends in [(n, [nid]) for n, nid in nodes] + edges:
-            for nid in ends:
-                prefixed(f"{path}: line {n}", _check_node_ids, [nid])
-                if known and nid not in known:
-                    raise ValueError(f"{path}: line {n}: edge references unknown node {nid!r}")
-        check_unique(path, ((n, tuple(sorted(ends))) for n, ends in edges), "edge")
+        # every line was checked as it was read but for repeated edges, which
+        # _store names without their line; only then is the file read again
+        edges = Numbering(path, what="edge")
+        for lineno, line in read_lines(path):
+            if not line.startswith("#"):
+                edges.declare(tuple(sorted(line.split("\t")[:2])), lineno)
         raise ValueError(f"{path}: {exc}") from None
+    return g
 
 
 def _volume(text: str) -> float:
@@ -431,7 +419,7 @@ def load_feature_csv(path) -> FeatureMatrix:
     header = next(rows, (0, []))[1]
     if len(header) < 2 or header[0] != "node":
         raise ValueError(f"{path}: expected header 'node,<f1>,...'")
-    ids, values = parse_rows(path, rows, len(header), float, "feature value")
+    ids, values = parse_rows(path, rows, len(header), float, "feature value", checked=True)
     return prefixed(path, FeatureMatrix, ids, values)
 
 
@@ -442,10 +430,12 @@ def save_od_csv(od: InteractionMatrix, path) -> None:
 
 def load_od_csv(path) -> InteractionMatrix:
     rows = read_csv(path)
-    header = next(rows, (0, []))[1]
+    head_line, header = next(rows, (0, []))
     if len(header) < 2:
         raise ValueError(f"{path}: expected a header row with node identifiers")
     ids, values = parse_rows(path, rows, len(header), _volume, "volume")
     if list(ids) != header[1:]:
         raise ValueError(f"{path}: row identifiers do not match header identifiers")
+    for nid in ids:  # the header's ids, checked once they are known to be the rows'
+        prefixed(f"{path}: line {head_line}", check_node_id, nid)
     return prefixed(path, InteractionMatrix, ids, values)

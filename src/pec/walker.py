@@ -20,7 +20,6 @@ array, drawing from one random stream per seed.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -214,25 +213,24 @@ def save_corpus(corpus: WalkCorpus, path) -> None:
 
 
 def load_corpus(path) -> WalkCorpus:
-    header: dict[str, tuple[int, str]] = {}  # key -> (line, value)
-    seen = Numbering()  # each walk node id's index, in order of first appearance
-    first_lines: list[int] = []  # the line where each of them first appears
+    header = Numbering(path, what="corpus header field")  # each key's line
+    values: dict[str, str] = {}
+    seen = Numbering(path)  # each walk node id's index, in order of first appearance
     lengths: list[int] = []
 
     def steps():
         for lineno, line in read_lines(path):
-            if line.startswith(("# nodes=", "# isolated=")):  # node lists are read whole
-                key, _, val = line[2:].partition("=")
-                header[key] = (lineno, val)
-            elif line.startswith("#"):  # graph and config lines: key=value tokens
-                for token in line[1:].strip().split(" "):
+            if line.startswith("#"):  # node lists are read whole, graph and config lines as key=value tokens
+                whole = line.startswith(("# nodes=", "# isolated="))
+                for token in [line[2:]] if whole else line[1:].strip().split(" "):
                     if "=" in token:
                         key, _, val = token.partition("=")
-                        header.setdefault(key, (lineno, val))
+                        header.declare(key, lineno)
+                        values[key] = val
             else:
-                walk, known = line.split(" "), len(seen)
+                walk = line.split(" ")
+                seen.lineno = lineno
                 yield from map(seen.__getitem__, walk)
-                first_lines.extend([lineno] * (len(seen) - known))
                 lengths.append(len(walk))
 
     flat = np.fromiter(steps(), dtype=np.int32)
@@ -240,25 +238,23 @@ def load_corpus(path) -> WalkCorpus:
     missing = [k for k in required if k not in header]
     if missing:
         raise ValueError(f"{path}: missing corpus header fields: {', '.join(missing)}")
-    nodes_line, nodes_text = header["nodes"]
-    node_ids = tuple(nodes_text.split(" "))
-    repeats = [nid for nid, count in Counter(node_ids).items() if count > 1]
-    if repeats:
-        raise ValueError(f"{path}: line {nodes_line}: node {repeats[0]!r} is listed twice")
+    node_ids = tuple(values["nodes"].split(" "))
+    index = {nid: i for i, nid in enumerate(node_ids)}
+    if len(index) != len(node_ids):  # the first id listed twice is the first whose last place is later
+        twice = next(nid for i, nid in enumerate(node_ids) if index[nid] != i)
+        raise ValueError(f"{path}: line {header.line('nodes')}: node {twice!r} is listed twice")
     settings = {}
     for f in fields(WalkConfig):
-        lineno, text = header[f.name]
-        (settings[f.name],) = parse_fields(path, lineno, field_parser(WalkConfig, f), [text], f.name)
-    isolated_line, isolated_text = header.get("isolated", (0, ""))
-    isolated = tuple(x for x in isolated_text.split(" ") if x)
-    index = {nid: i for i, nid in enumerate(node_ids)}
+        parse = field_parser(WalkConfig, f)
+        (settings[f.name],) = parse_fields(path, header.line(f.name), parse, [values[f.name]], f.name)
+    isolated = tuple(x for x in values.get("isolated", "").split(" ") if x)
     stray = next((nid for nid in isolated if nid not in index), None)
     if stray is not None:
-        raise ValueError(f"{path}: line {isolated_line}: isolated node {stray!r} is not in # nodes=")
+        raise ValueError(f"{path}: line {header.line('isolated')}: isolated node {stray!r} is not in # nodes=")
     config = prefixed(path, WalkConfig, **settings)
-    for nid, lineno in zip(seen, first_lines):
-        if nid not in index:
-            raise ValueError(f"{path}: line {lineno}: node {nid!r} is not in the corpus's node ids")
+    stray = next((nid for nid in seen if nid not in index), None)
+    if stray is not None:
+        raise ValueError(f"{path}: line {seen.line(stray)}: node {stray!r} is not in the corpus's node ids")
     at = np.array([index[nid] for nid in seen], dtype=np.int32)
     matrix = _padded(at[flat], np.array(lengths, dtype=np.int64))
-    return WalkCorpus(matrix, node_ids, config, header["graph"][1], isolated)
+    return WalkCorpus(matrix, node_ids, config, values["graph"], isolated)

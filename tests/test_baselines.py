@@ -81,35 +81,21 @@ def test_spectral_rejects_edgeless_and_bad_d():
 
 def test_hca_three_point_example():
     x = np.array([[0.0], [1.0], [10.0]])
-    (labels,) = hca(x, [2], "average")
+    (labels,) = hca(x, [2])
     assert labels[0] == labels[1] != labels[2]
 
 
 def test_hca_singletons_at_n_equals_points():
     x = np.array([[0.0], [3.0], [9.0]])
-    (labels,) = hca(x, [3], "complete")
+    (labels,) = hca(x, [3])
     assert sorted(labels.tolist()) == [0, 1, 2]
 
 
-def test_hca_single_linkage_recovers_chains():
-    # two chains with internal gap 1, separated by 10
-    left = np.array([[float(i), 0.0] for i in range(5)])
-    right = np.array([[float(i), 15.0] for i in range(5)])
-    x = np.vstack([left, right])
-    (labels,) = hca(x, [2], "single")
-    assert len(set(labels[:5].tolist())) == 1
-    assert len(set(labels[5:].tolist())) == 1
-    assert labels[0] != labels[9]
-
-
-def test_merge_distances_non_decreasing_for_complete_and_average():
-    rng = np.random.default_rng(57)
-    for linkage in ("complete", "average"):
-        x = rng.normal(size=(12, 3))
-        sq = ((x[:, None, :] - x[None, :, :]) ** 2).sum(-1)
-        merges = agglomerate(np.sqrt(sq), linkage)
-        dists = [d for _, _, d in merges]
-        assert all(b >= a - 1e-12 for a, b in zip(dists, dists[1:]))
+def test_merge_distances_non_decreasing():
+    x = np.random.default_rng(57).normal(size=(12, 3))
+    sq = ((x[:, None, :] - x[None, :, :]) ** 2).sum(-1)
+    dists = [d for _, _, d in agglomerate(np.sqrt(sq))]
+    assert all(b >= a - 1e-12 for a, b in zip(dists, dists[1:]))
 
 
 def test_hca_distance_matrix_input():
@@ -120,22 +106,20 @@ def test_hca_distance_matrix_input():
             [8.0, 8.5, 0.0],
         ]
     )
-    labels = cut(agglomerate(dist, "complete"), 3, 2)
+    labels = cut(agglomerate(dist), 3, 2)
     assert labels[0] == labels[1] != labels[2]
 
 
 def test_hca_deterministic_tie_break():
     # four equidistant-ish points with exact ties: smallest pair indices first
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
-    merges = agglomerate(np.abs(x - x.T), "single")
+    merges = agglomerate(np.abs(x - x.T))
     assert merges[0][:2] == (0, 1)
 
 
 def test_hca_input_validation():
     with pytest.raises(ValueError, match="2-D"):
         hca(np.zeros(3), [2])
-    with pytest.raises(ValueError, match="linkage"):
-        agglomerate(np.zeros((2, 2)), "centroid")
     with pytest.raises(ValueError, match="n"):
         hca(np.zeros((3, 1)), [4])
 
@@ -144,7 +128,7 @@ def test_hca_input_validation():
                          ids=["scalar", "vector", "wide", "cube"])
 def test_agglomerate_rejects_a_matrix_that_is_not_square(dist):
     with pytest.raises(ValueError, match="need a square symmetric distance matrix"):
-        agglomerate(dist, "single")
+        agglomerate(dist)
 
 
 @pytest.mark.parametrize("x, row", [([[1e200], [-1e200]], 0), ([[1.0], [1e200], [2.0]], 1), ([[1e154], [-1e154]], 0)])
@@ -175,41 +159,36 @@ def _tie_free_inputs(count, seed=61):
             yield dist, int(rng.integers(1, x.shape[0] + 1))
 
 
-@pytest.mark.parametrize("linkage", ["single", "average", "complete"])
-def test_agglomerate_matches_reference_without_ties(linkage):
+def test_agglomerate_matches_reference_without_ties():
     for dist, n in _tie_free_inputs(200):
-        merges, expected = agglomerate(dist, linkage), reference_agglomerate(dist, linkage)
+        merges, expected = agglomerate(dist), reference_agglomerate(dist, "average")
         assert [m[:2] for m in merges] == [m[:2] for m in expected]
         assert np.allclose([m[2] for m in merges], [m[2] for m in expected], rtol=1e-12)
         labels = cut(merges, dist.shape[0], n)
-        assert np.array_equal(labels, reference_hca_labels(dist, linkage, n))
+        assert np.array_equal(labels, reference_hca_labels(dist, "average", n))
 
 
 def _weight_row_cases():
-    # complete linkage on metro rows is left out: its last merges all tie
-    # at 2*sqrt(2), so which partition a cut gives is the tie rule's choice
     for seed in range(6):
         g, line_truth, transfer_truth = metro_network(default_metro_spec(seed=seed))
-        for linkage in ("single", "average"):
-            for n in (transfer_truth.n_true, line_truth.n_true):
-                yield g.to_weight_matrix(), linkage, n
+        for n in (transfer_truth.n_true, line_truth.n_true):
+            yield g.to_weight_matrix(), n
     for seed in range(3):
         od, truth = planted_od(4, 15, intra_rate=9.0, inter_rate=1.0, seed=seed)
-        for linkage in ("single", "average", "complete"):
-            yield build_srg_from_interactions(od).to_weight_matrix(), linkage, truth.n_true
+        yield build_srg_from_interactions(od).to_weight_matrix(), truth.n_true
 
 
 def test_hca_matches_reference_on_metro_and_od_weight_rows():
-    for x, linkage, n in _weight_row_cases():
+    for x, n in _weight_row_cases():
         sq = np.sum(x**2, axis=1)
         dist = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0))
-        (labels,) = hca(x, [n], linkage)
-        assert np.array_equal(labels, reference_hca_labels(dist, linkage, n))
+        (labels,) = hca(x, [n])
+        assert np.array_equal(labels, reference_hca_labels(dist, "average", n))
 
 
 def test_agglomerate_fewer_than_two_points():
-    assert agglomerate(np.zeros((1, 1)), "single") == []
-    assert agglomerate(np.zeros((0, 0)), "average") == []
+    assert agglomerate(np.zeros((1, 1))) == []
+    assert agglomerate(np.zeros((0, 0))) == []
 
 
 # -- the ports against scipy, the code they replace -------------------------------------
@@ -223,14 +202,13 @@ def _grid_inputs(count, seed=71):
         yield _distances(x)
 
 
-@pytest.mark.parametrize("linkage", ["single", "average", "complete"])
-def test_agglomerate_equals_scipy_linkage_on_tie_heavy_inputs(linkage):
+def test_agglomerate_equals_scipy_linkage_on_tie_heavy_inputs():
     from scipy.cluster import hierarchy  # the oracle only
 
     for dist in _grid_inputs(300):
         condensed = dist[np.triu_indices_from(dist, k=1)]
-        expected = [(int(a), int(b), float(d)) for a, b, d, _ in hierarchy.linkage(condensed, method=linkage)]
-        assert agglomerate(dist, linkage) == expected
+        expected = [(int(a), int(b), float(d)) for a, b, d, _ in hierarchy.linkage(condensed, method="average")]
+        assert agglomerate(dist) == expected
 
 
 def test_normalized_laplacian_equals_scipy_csgraph():
@@ -250,4 +228,4 @@ def test_hca_and_agglomerate_reject_non_finite_input():
             hca([[0.0], [bad], [1.0]], [2])
         dist = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, bad], [2.0, bad, 0.0]])
         with pytest.raises(ValueError, match="non-finite entry"):
-            agglomerate(dist, "average")
+            agglomerate(dist)

@@ -143,6 +143,13 @@ def test_select_n_and_louvain(metro_dir, od_dir, tmp_path, capsys):
     assert len(ids) == 4 * 6 - 3
 
 
+def test_louvain_rejects_fewer_than_one_run(metro_dir, tmp_path, capsys):
+    assert run_cli("louvain", "--graph", metro_dir / "edges.tsv", "--runs", 0, "--out", tmp_path / "c.csv") == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message": "need runs >= 1, got runs=0"}
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_select_n_clips_n_max_below_rows(tmp_path):
     emb = tmp_path / "six.txt"
     rows = [f"n{i} {i % 3} {i * i}" for i in range(6)]

@@ -124,10 +124,11 @@ CORPUS_HEADER = "# graph=abc\n# p=1.0 q=1.0 walk_length=2 num_walks=1 seed=0\n# 
         (load_embeddings, "2 1\na 0.0\n\na 1.0\n", 4, "node 'a' repeats line 2"),
         (load_feature_csv, "node,f1\na,1.0\n\nb,x\n", 4, "feature value"),
         (load_od_csv, "od,a,b\na,0,1\n\nb,x,0\n", 4, "volume"),
+        (load_od_csv, "\nod,a,\na,0,1\n,1,0\n", 2, "invalid node identifier ''"),
         (load_labels, "node_id,label\na,0\n\nb,x\n", 4, "label"),
         (read_config_file, "n_clusters = 2\n\nfoo = 1\n", 3, "unknown config key 'foo'"),
     ],
-    ids=["graph", "corpus", "embeddings", "embeddings-repeat", "features", "od", "labels", "config"],
+    ids=["graph", "corpus", "embeddings", "embeddings-repeat", "features", "od", "od-header-id", "labels", "config"],
 )
 def test_readers_name_the_physical_line_after_a_blank_line(tmp_path, load, text, line, message):
     path = tmp_path / "file"
@@ -168,8 +169,11 @@ def test_save_graph_holds_no_formatted_edge_list(tmp_path):
 # that starts with the file's path.  For every file with a single mutation,
 # the message is pinned in reader_faults.json.  Those messages were recorded
 # from the readers that held every line before they parsed one, and the
-# streamed readers give each of them; the three labels:*:last=2**70 entries
-# are the one exception, a range error where a bare OverflowError was raised.
+# streamed readers give each of them, with these exceptions: the three
+# labels:*:last=2**70 entries, a range error where a bare OverflowError was
+# raised; the nine features:*:{comment,first=empty,first=z z} entries, which
+# name the line of the invalid id; and corpus:{0..3}:duplicate, a header
+# field given twice, which was read without an error.
 
 SAMPLES = {
     "graph": (load_graph, ["#node\ta", "#node\tb", "#node\tc", "a\tb\t1.0", "b\tc\t0.5"]),
@@ -243,16 +247,28 @@ def _outcome(load, path):
     return None
 
 
-def test_readers_keep_their_message_for_every_single_fault(tmp_path):
-    expected = json.loads((Path(__file__).parent / "reader_faults.json").read_text(encoding="utf-8"))
-    seen = {}
+@pytest.fixture(scope="module")
+def single_faults(tmp_path_factory):
+    """The outcome of every file with a single mutation, by reader:line:mutation."""
+    tmp_path, seen = tmp_path_factory.mktemp("faults"), {}
     for reader, (load, lines) in SAMPLES.items():
         for at in range(len(lines)):
             for kind in MUTATIONS:
                 path = tmp_path / f"{reader}.txt"
                 path.write_text(_mutated(lines, [(at, kind)]), encoding="utf-8")
                 seen[f"{reader}:{at}:{kind}"] = _outcome(load, path)
-    assert seen == expected
+    return seen
+
+
+def test_readers_keep_their_message_for_every_single_fault(single_faults):
+    expected = json.loads((Path(__file__).parent / "reader_faults.json").read_text(encoding="utf-8"))
+    assert single_faults == expected
+
+
+def test_every_invalid_node_id_is_named_with_its_line(single_faults):
+    invalid = {key: message for key, message in single_faults.items() if "invalid node identifier" in (message or "")}
+    assert {key.split(":")[0] for key in invalid} == {"graph", "features"}
+    assert all(re.match(r"line \d+: invalid node identifier ", message) for message in invalid.values()), invalid
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -383,6 +383,17 @@ def test_corpus_repeated_node_names_path_and_line(tmp_path):
         load_corpus(path)
 
 
+def test_corpus_header_field_given_twice_names_both_lines(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text(
+        "# graph=abc\n# p=1.0 q=1.0 walk_length=2 num_walks=1 seed=0\n"
+        "# p=4.0 q=0.25 walk_length=9 num_walks=3 seed=7\n# nodes=a b\n# isolated=\na b\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=r"c\.txt: line 3: corpus header field 'p' repeats line 2$"):
+        load_corpus(path)
+
+
 def test_corpus_isolated_node_outside_node_list_names_path_and_line(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text(
