@@ -187,7 +187,7 @@ def _softplus(x):
 def _sigmoid(x):
     e = np.exp(-np.abs(x))
     t = 1.0 + e
-    return np.where(x >= 0, 1.0 / t, e / t)
+    return np.where(x >= 0, 1.0, e) / t
 
 
 def _scores_and_grad(rows_w, scores, grad) -> None:
@@ -251,7 +251,7 @@ class AliasTable:
                 alias[i] = i
         self.size = k
         self.accept = np.array(accept)
-        self.alias = np.array(alias, dtype=np.int64)
+        self.alias = np.array(alias, dtype=np.int32)
 
     def draw_blocks(self, rng: np.random.Generator, rows: int, width: int, block: int):
         """(rows, width) int32 draws, yielded ``block`` rows at a time: a cell per
@@ -263,9 +263,7 @@ class AliasTable:
             rng.integers(0, self.size, size=min(self.DRAW_CHUNK, n_cells - start), dtype=np.int32)
         for start in range(0, rows, block):
             cells = cells_rng.integers(0, self.size, size=(min(block, rows - start), width), dtype=np.int32)
-            miss = rng.random(cells.shape) >= self.accept[cells]
-            cells[miss] = self.alias[cells[miss]]
-            yield cells
+            yield np.where(rng.random(cells.shape) >= self.accept.take(cells), self.alias.take(cells), cells)
 
 
 def _negative_table(mat: np.ndarray, n: int) -> AliasTable:
@@ -353,8 +351,20 @@ def train_many(corpora, cfgs) -> list[EmbeddingMatrix]:
     loss.  Negatives are drawn from the corpus unigram distribution raised
     to the 3/4 power.  Center vectors start uniform in [-0.5/d, 0.5/d],
     context vectors at zero.  Deterministic for fixed configs.  When runs
-    diverge, the first of them in run order raises its TrainingDiverged.
+    fail, the first of them in run order raises what it raises alone
+    (:func:`_train_outcomes`).
     """
+    outcomes = _train_outcomes(corpora, cfgs)
+    failed = next((run for run in outcomes if isinstance(run, Exception)), None)
+    if failed is not None:
+        raise failed
+    return outcomes
+
+
+def _train_outcomes(corpora, cfgs) -> list:
+    """Each run of :func:`train_many`'s: its EmbeddingMatrix, or the
+    TrainingDiverged or ValueError that training it alone raises.  A diverged
+    run trains on with the others, as runs share no row, and fails alone."""
     corpora, cfgs = list(corpora), list(cfgs)
     if not corpora or len(corpora) != len(cfgs):
         raise ValueError("need one config per corpus, and at least one run")
@@ -389,18 +399,23 @@ def train_many(corpora, cfgs) -> list[EmbeddingMatrix]:
             del codes  # not held while the next epoch builds its own
             for losses, loss_sum in zip(epoch_losses, loss_sums):
                 losses.append(loss_sum / n_pairs)
-    for run_weights, losses in zip(weights, epoch_losses):  # a diverged run trains on, as runs share no row
-        bad = [x for x in losses if not np.isfinite(x)]
-        if bad:
-            raise TrainingDiverged(
-                f"non-finite training loss ({bad[0]}); lower initial_lr (currently {cfg.initial_lr})"
-            )
-        if not np.all(np.isfinite(run_weights[:n])):
-            raise TrainingDiverged("non-finite embedding entries; lower initial_lr")
-    return [
-        EmbeddingMatrix(corpus.node_ids, w[:n], w[n:], tuple(losses))
-        for corpus, w, losses in zip(corpora, weights, epoch_losses)
-    ]
+    return [_outcome(corpus, w, losses, cfg) for corpus, w, losses in zip(corpora, weights, epoch_losses)]
+
+
+def _outcome(corpus: WalkCorpus, weights: np.ndarray, losses: list[float], cfg: TrainConfig):
+    """One trained run's EmbeddingMatrix, or the exception it fails with."""
+    n = len(corpus.node_ids)
+    bad = [x for x in losses if not np.isfinite(x)]
+    if bad:
+        return TrainingDiverged(
+            f"non-finite training loss ({bad[0]}); lower initial_lr (currently {cfg.initial_lr})"
+        )
+    if not np.all(np.isfinite(weights[:n])):
+        return TrainingDiverged("non-finite embedding entries; lower initial_lr")
+    try:
+        return EmbeddingMatrix(corpus.node_ids, weights[:n], weights[n:], tuple(losses))
+    except ValueError as exc:  # non-finite context vectors
+        return exc
 
 
 def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .baselines import hca, spectral_cluster
 from .clusterer import ClusterConfig, kmeans
-from .embedder import TrainConfig, TrainingDiverged, pair_count, train, train_many
+from .embedder import TrainConfig, TrainingDiverged, _train_outcomes, pair_count, train
 from .srg import InteractionMatrix, build_srg_from_interactions
 from .util import derive_seed, field_parser, knobs, parse_rows, prefixed, read_csv, write_csv
 from .walker import WalkConfig, generate_walks
@@ -262,39 +262,47 @@ def _embed_inputs(g, wcfg: WalkConfig, tcfg: TrainConfig, seed: int):
     return corpus, replace(tcfg, seed=derive_seed(seed, "train"))
 
 
-def _lockstep_groups(runs, wcfg: WalkConfig, tcfg: TrainConfig):
-    """``runs`` as lists of (corpus, training config, k-means seeds), one
-    list per lockstep group: consecutive runs of one pair count, while the
-    group's pairs stay within LOCKSTEP_PAIRS.  Each run's walks are
-    generated when it is read, and only they are kept until its group trains."""
-    group, run_pairs = [], 0
-    for g, run_seed, km_seeds in runs:
+def _lockstep_groups(runs):
+    """``runs`` as lists of (corpus, training config, k-means restarts,
+    k-means seeds), one list per lockstep group: consecutive runs of one node
+    count, one training config apart from the seed and one pair count, while
+    the group's pairs stay within LOCKSTEP_PAIRS.  Runs of different sweep
+    cells may share a group.  Each run's walks are generated when it is read,
+    and only they are kept until its group trains."""
+    group, key = [], None
+    for g, (wcfg, tcfg, ccfg), run_seed, km_seeds in runs:
         corpus, cfg = _embed_inputs(g, wcfg, tcfg, run_seed)
         n_pairs = pair_count(corpus, cfg.window)
-        if group and (n_pairs != run_pairs or (len(group) + 1) * n_pairs > LOCKSTEP_PAIRS):
+        run_key = (g.num_nodes, tcfg, n_pairs)
+        if group and (run_key != key or (len(group) + 1) * n_pairs > LOCKSTEP_PAIRS):
             yield group
             group = []
-        group.append((corpus, cfg, km_seeds))
-        run_pairs = n_pairs
+        group.append((corpus, cfg, ccfg.restarts, km_seeds))
+        key = run_key
     if group:
         yield group
 
 
-def _score_runs(runs, truths, wcfg: WalkConfig, tcfg: TrainConfig, restarts: int) -> np.ndarray:
-    """Macro-F1 of every run against every truth, one contiguous row per truth.
-    A run is (graph, run seed, one k-means seed per truth): one embedding
-    (:func:`_embed_inputs`), then k-means at each truth's class count.  Runs
-    train in lockstep groups (:func:`_lockstep_groups`) and are scored in run
-    order.  ``runs`` is read one run at a time, so it can build each graph
-    lazily; a group walks all its runs before any trains, so a walk error
-    comes before the TrainingDiverged of an earlier run in its group."""
-    scores = []
-    for group in _lockstep_groups(runs, wcfg, tcfg):
-        embeddings = train_many([corpus for corpus, _, _ in group], [cfg for _, cfg, _ in group])
-        for emb, (corpus, _, km_seeds) in zip(embeddings, group):
+def _score_runs(runs, truths):
+    """One outcome per run, yielded in run order as its lockstep group is
+    scored: the run's Macro-F1 against every truth, or the TrainingDiverged
+    or ValueError its training raised.  A run is (graph, its stage configs
+    as :func:`_resolve_params` gives them, run seed, one k-means seed per
+    truth): one embedding (:func:`_embed_inputs`), then k-means at each
+    truth's class count with the cluster config's restarts.  Runs train in
+    lockstep groups (:func:`_lockstep_groups`), and a run that fails takes
+    no other run of its group with it, so every outcome is that of the run
+    alone.  ``runs`` is read one run at a time, so it can build each graph
+    lazily; a group walks all its runs before any trains, so an error in
+    reading a run comes before the outcomes of the earlier runs of its group."""
+    for group in _lockstep_groups(runs):
+        trained = _train_outcomes([corpus for corpus, *_ in group], [cfg for _, cfg, *_ in group])
+        for emb, (corpus, _, restarts, km_seeds) in zip(trained, group):
+            if isinstance(emb, Exception):
+                yield emb
+                continue
             labels = [kmeans(emb.vectors, t.n_true, seed=s, restarts=restarts).labels for t, s in zip(truths, km_seeds)]
-            scores.append([macro_f1(lab, t, node_ids=corpus.node_ids).macro_f1 for lab, t in zip(labels, truths)])
-    return np.ascontiguousarray(np.array(scores).T)
+            yield [macro_f1(lab, t, node_ids=corpus.node_ids).macro_f1 for lab, t in zip(labels, truths)]
 
 
 def run_embedding_clustering(g, n: int, params: dict | None = None, seed: int = 0):
@@ -418,11 +426,13 @@ def sweep(
     ``include_baselines``, spectral clustering is scored once per embedding
     dimension and average-linkage HCA once per sweep, and every cell carries
     both.  A cell whose values are out of range or whose training diverges
-    is recorded and skipped; an unknown parameter name, or a truth that does
-    not fit the graph, or two truths of one name (:func:`check_truths`),
-    raise ValueError up front.
-    A cell's repeats train in lockstep groups (:func:`_score_runs`); cells
-    run in order.
+    is recorded, with the error of its first failed run in run order, and
+    skipped; an unknown parameter name, or a truth that does not fit the
+    graph, or two truths of one name (:func:`check_truths`), raise
+    ValueError up front.
+    Every cell is resolved first; then one :func:`_score_runs` scores the
+    runs of every valid cell, cell by cell, so a lockstep group may span
+    cells, and a failed run fails its own cell alone.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -432,31 +442,46 @@ def sweep(
     param_names = tuple(grid.keys())
     if not param_names:
         return SweepReport((), (), repeats, tuple(names))
-    cells_values = list(itertools.product(*[list(grid[k]) for k in param_names]))
+    cells_params = [dict(zip(param_names, v)) for v in itertools.product(*[list(grid[k]) for k in param_names])]
+    resolved = []  # each cell's stage configs, or the ValueError that rejects its values
+    for cell_params in cells_params:
+        try:
+            resolved.append(_resolve_params({**(base_params or {}), **cell_params}))
+        except ValueError as exc:
+            resolved.append(exc)
+
+    def runs():
+        for cell_idx, stages in enumerate(resolved):
+            for rep in range(0 if isinstance(stages, Exception) else repeats):
+                run_seed = derive_seed(seed, "cell", cell_idx, rep)
+                yield g, stages, run_seed, [derive_seed(run_seed, name, "kmeans") for name in names]
+
+    outcomes = _score_runs(runs(), truths)
     cells: list[SweepCell] = []
     sc_scores: dict[int, dict] = {}  # per dim
     hca_scores: dict[str, float] = {}  # the tree depends on the graph alone
-
-    for cell_idx, values in enumerate(cells_values):
-        cell_params = dict(zip(param_names, values))
+    for cell_params, stages in zip(cells_params, resolved):
+        # a cell whose values are rejected has that ValueError for its one outcome
+        rows = [stages] if isinstance(stages, Exception) else list(itertools.islice(outcomes, repeats))
         try:
-            wcfg, tcfg, ccfg = _resolve_params({**(base_params or {}), **cell_params})
-            run_seeds = [derive_seed(seed, "cell", cell_idx, rep) for rep in range(repeats)]
-            runs = ((g, s, [derive_seed(s, name, "kmeans") for name in names]) for s in run_seeds)
+            failed = next((row for row in rows if isinstance(row, Exception)), None)
+            if failed is not None:
+                raise failed
             scores = {
                 name: {
                     "mean": float(row.mean()),
                     "std": float(row.std()),
                     "sem": float(row.std(ddof=1) / math.sqrt(repeats)) if repeats > 1 else None,
                 }
-                for name, row in zip(names, _score_runs(runs, truths, wcfg, tcfg, ccfg.restarts))
+                for name, row in zip(names, np.ascontiguousarray(np.array(rows).T))
             }
             baselines: dict[str, dict] = {}
             if include_baselines:
-                if tcfg.dim not in sc_scores:
-                    sc_scores[tcfg.dim] = _sc_scores(g, truths, tcfg.dim, repeats, seed)
+                dim = stages[1].dim
+                if dim not in sc_scores:
+                    sc_scores[dim] = _sc_scores(g, truths, dim, repeats, seed)
                 hca_scores = hca_scores or _hca_scores(g, truths)
-                baselines = {t: {"sc": sc_scores[tcfg.dim][t], "hca": hca_scores[t]} for t in names}
+                baselines = {t: {"sc": sc_scores[dim][t], "hca": hca_scores[t]} for t in names}
             cells.append(SweepCell(cell_params, scores, baselines))
         except (ValueError, TrainingDiverged) as exc:  # record the failure, keep sweeping
             cells.append(SweepCell(cell_params, {}, {}, error=f"{type(exc).__name__}: {exc}"))
@@ -576,7 +601,8 @@ def noise_robustness(
     ``mode``, ``params``, every (kind, level) and every truth (as in
     :func:`check_truths`) are checked before the first run.  Runs train in
     lockstep groups (:func:`_score_runs`); each noisy graph is built when its
-    run starts, and only its walks are kept until its group trains.
+    run starts, and only its walks are kept until its group trains.  The
+    first failed run, in run order, raises its error.
 
     ``truth`` is one GroundTruth, which gives one NoiseReport, or a sequence
     of them, which gives a tuple of reports in the same order.  Each run
@@ -588,7 +614,7 @@ def noise_robustness(
         raise ValueError("repeats must be at least 1")
     _check_noise_mode(mode)
     curve_names = [NoiseSpec(kind, level).label for kind, level in noise]
-    wcfg, tcfg, ccfg = _resolve_params(params)
+    stages = _resolve_params(params)
     truths = check_truths(g, [truth] if isinstance(truth, GroundTruth) else truth)
     weight = g.to_weight_matrix()
 
@@ -600,9 +626,14 @@ def noise_robustness(
                 spec = NoiseSpec(*noise[si], seed=derive_seed(seed, "noise", si, rep))
                 graph = build_srg_from_interactions(InteractionMatrix(g.node_ids, perturb(weight, spec, mode)))
                 run_seed = derive_seed(seed, "run", si, rep)
-            yield graph, run_seed, [derive_seed(run_seed, "kmeans")] * len(truths)
+            yield graph, stages, run_seed, [derive_seed(run_seed, "kmeans")] * len(truths)
 
-    scores = _score_runs(runs(), truths, wcfg, tcfg, ccfg.restarts)
+    scored = []
+    for row in _score_runs(runs(), truths):
+        if isinstance(row, Exception):  # no later group trains
+            raise row
+        scored.append(row)
+    scores = np.ascontiguousarray(np.array(scored).T)  # one contiguous row per truth
     reports = tuple(
         NoiseReport(
             truth_name=t.name,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .util import Numbering, field_parser, parse_fields, prefixed, read_lines, write_lines
+from .util import Numbering, check_node_id, field_parser, parse_fields, prefixed, read_lines, write_lines
 
 __all__ = [
     "WalkConfig",
@@ -239,6 +239,8 @@ def load_corpus(path) -> WalkCorpus:
     if missing:
         raise ValueError(f"{path}: missing corpus header fields: {', '.join(missing)}")
     node_ids = tuple(values["nodes"].split(" "))
+    for nid in node_ids:
+        prefixed(f"{path}: line {header.line('nodes')}", check_node_id, nid)
     index = {nid: i for i, nid in enumerate(node_ids)}
     if len(index) != len(node_ids):  # the first id listed twice is the first whose last place is later
         twice = next(nid for i, nid in enumerate(node_ids) if index[nid] != i)

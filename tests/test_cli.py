@@ -243,13 +243,13 @@ def test_two_truth_noise_pipeline_trains_each_embedding_once(metro_dir, tmp_path
         calls.append(cfg.seed)
         return real_train(corpus, cfg)
 
-    def counting_train_many(corpora, cfgs):
+    def counting_train_outcomes(corpora, cfgs):
         calls.extend(cfg.seed for cfg in cfgs)
-        return real_train_many(corpora, cfgs)
+        return real_train_outcomes(corpora, cfgs)
 
-    real_train, real_train_many = pec.cli.train, pec.evaluator.train_many
+    real_train, real_train_outcomes = pec.cli.train, pec.evaluator._train_outcomes
     monkeypatch.setattr(pec.cli, "train", counting_train)
-    monkeypatch.setattr(pec.evaluator, "train_many", counting_train_many)
+    monkeypatch.setattr(pec.evaluator, "_train_outcomes", counting_train_outcomes)
     truths = ["line-membership", "transfer-vs-not"]
     noise, repeats = ["gaussian:1", "poisson:4"], 2
     args = [

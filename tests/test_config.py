@@ -200,10 +200,10 @@ def test_experiments_reject_repeats_below_one(tiny_metro):
 def test_sweep_propagates_programming_errors(tiny_metro, monkeypatch):
     g, line_t, _ = tiny_metro
 
-    def broken_train_many(corpora, cfgs):
+    def broken_train_outcomes(corpora, cfgs):
         raise TypeError("not a domain error")
 
-    monkeypatch.setattr(pec.evaluator, "train_many", broken_train_many)
+    monkeypatch.setattr(pec.evaluator, "_train_outcomes", broken_train_outcomes)
     with pytest.raises(TypeError, match="not a domain error"):
         sweep(g, [line_t], grid={"p": [1.0]}, base_params=FAST_PARAMS, repeats=1)
 
@@ -241,7 +241,7 @@ def test_pipeline_fraction_for_k_nn_fails_in_the_graph_stage(tmp_path):
 def test_sweep_grid_fraction_for_int_setting_is_an_error_cell(tiny_metro, monkeypatch):
     g, line_t, _ = tiny_metro
     trained = []
-    monkeypatch.setattr(pec.evaluator, "train_many", lambda corpora, cfgs: trained.extend(cfgs))
+    monkeypatch.setattr(pec.evaluator, "_train_outcomes", lambda corpora, cfgs: trained.extend(cfgs))
     report = sweep(g, [line_t], grid={"dim": [2.5]}, base_params=FAST_PARAMS, repeats=1)
     assert trained == []
     assert report.cells[0].params == {"dim": 2.5}

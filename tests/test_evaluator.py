@@ -259,7 +259,7 @@ def test_noise_spec_validation(tiny_metro, monkeypatch):
         raise AssertionError("a run started before every noise setting was checked")
 
     g, _, transfer_t = tiny_metro
-    monkeypatch.setattr(pec.evaluator, "train_many", no_run)
+    monkeypatch.setattr(pec.evaluator, "_train_outcomes", no_run)
     with pytest.raises(ValueError, match="finite and nonnegative"):
         noise_robustness(g, transfer_t, [("gaussian", 1.0), ("gaussian", float("inf"))], repeats=1)
     with pytest.raises(ValueError, match="mode"):
@@ -291,7 +291,7 @@ def test_experiments_check_every_truth_before_any_training(tiny_metro, monkeypat
     def no_run(*args, **kwargs):
         raise AssertionError("a run started before every truth was checked")
 
-    monkeypatch.setattr(pec.evaluator, "train_many", no_run)
+    monkeypatch.setattr(pec.evaluator, "_train_outcomes", no_run)
     foreign = truth_of([0, 1] * (g.num_nodes // 2), name="foreign")
     one_class = GroundTruth.from_labels(g.node_ids, [0] * g.num_nodes, name="flat")
     twin = "distinct names: two of them are both named 'line-membership'"
@@ -370,13 +370,13 @@ def test_sweep_csv_output(tmp_path, tiny_metro):
 def test_sweep_trains_once_per_cell_and_repeat(tiny_metro, monkeypatch):
     g, line_t, transfer_t = tiny_metro
     calls = []
-    real_train_many = pec.evaluator.train_many
+    real_train_outcomes = pec.evaluator._train_outcomes
 
-    def counting_train_many(corpora, cfgs):  # counts runs, not calls: a group trains several
+    def counting_train_outcomes(corpora, cfgs):  # counts runs, not calls: a group trains several
         calls.extend(cfg.seed for cfg in cfgs)
-        return real_train_many(corpora, cfgs)
+        return real_train_outcomes(corpora, cfgs)
 
-    monkeypatch.setattr(pec.evaluator, "train_many", counting_train_many)
+    monkeypatch.setattr(pec.evaluator, "_train_outcomes", counting_train_outcomes)
     report = sweep(
         g, [line_t, transfer_t], grid={"p": [0.5, 2.0]}, base_params=FAST_PARAMS, repeats=2, seed=3
     )
@@ -467,22 +467,22 @@ def test_score_runs_starts_a_group_where_the_pair_count_changes(monkeypatch):
     linked = build_srg_from_adjacency([*edges, ("l0", "r0"), ("l1", "x")])
     isolated = build_srg_from_adjacency([*edges, ("l0", "r0")], node_ids=linked.node_ids)
     truth = GroundTruth.from_labels(linked.node_ids, [nid[0] == "r" for nid in linked.node_ids])
-    runs = [(g, 10 + i, [20 + i]) for i, g in enumerate([linked, linked, isolated, isolated, linked])]
-    wcfg, tcfg, _ = pec.evaluator._resolve_params(FAST_PARAMS)
+    stages = pec.evaluator._resolve_params({**FAST_PARAMS, "restarts": 1})
+    runs = [(g, stages, 10 + i, [20 + i]) for i, g in enumerate([linked, linked, isolated, isolated, linked])]
     groups = []
-    real_train_many = pec.evaluator.train_many
+    real_train_outcomes = pec.evaluator._train_outcomes
 
-    def recording_train_many(corpora, cfgs):
+    def recording_train_outcomes(corpora, cfgs):
         groups.append([pair_count(c, cfg.window) for c, cfg in zip(corpora, cfgs)])
-        return real_train_many(corpora, cfgs)
+        return real_train_outcomes(corpora, cfgs)
 
-    monkeypatch.setattr(pec.evaluator, "train_many", recording_train_many)
-    grouped = pec.evaluator._score_runs(iter(runs), [truth], wcfg, tcfg, 1)
+    monkeypatch.setattr(pec.evaluator, "_train_outcomes", recording_train_outcomes)
+    grouped = list(pec.evaluator._score_runs(iter(runs), [truth]))
     full, short = groups[0][0], groups[1][0]
     assert short < full and groups == [[full, full], [short, short], [full]]
     groups.clear()
     monkeypatch.setattr(pec.evaluator, "LOCKSTEP_PAIRS", full)  # one run per group
-    assert np.array_equal(pec.evaluator._score_runs(iter(runs), [truth], wcfg, tcfg, 1), grouped)
+    assert list(pec.evaluator._score_runs(iter(runs), [truth])) == grouped
     assert groups == [[full], [full], [short], [short], [full]]
 
 
@@ -509,13 +509,13 @@ def test_noise_robustness_holds_one_lockstep_group_at_a_time():
 def test_noise_robustness_of_two_truths_equals_each_alone(tiny_metro, monkeypatch):
     g, line_t, transfer_t = tiny_metro
     calls = []
-    real_train_many = pec.evaluator.train_many
+    real_train_outcomes = pec.evaluator._train_outcomes
 
-    def counting_train_many(corpora, cfgs):  # counts runs, not calls: a group trains several
+    def counting_train_outcomes(corpora, cfgs):  # counts runs, not calls: a group trains several
         calls.extend(cfg.seed for cfg in cfgs)
-        return real_train_many(corpora, cfgs)
+        return real_train_outcomes(corpora, cfgs)
 
-    monkeypatch.setattr(pec.evaluator, "train_many", counting_train_many)
+    monkeypatch.setattr(pec.evaluator, "_train_outcomes", counting_train_outcomes)
     kwargs = dict(noise=[("gaussian", 1.0), ("poisson", 2.0)], params=FAST_PARAMS, repeats=2, seed=8)
     both = noise_robustness(g, [line_t, transfer_t], **kwargs)
     assert len(calls) == (1 + 2) * 2

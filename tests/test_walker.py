@@ -383,6 +383,18 @@ def test_corpus_repeated_node_names_path_and_line(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("nodes, bad", [("a  b", "''"), ("a #b", "'#b'"), ("a b,c", "'b,c'")])
+def test_corpus_node_list_ids_are_held_to_the_node_id_rule(tmp_path, nodes, bad):
+    # two spaces read as an empty id between a and b
+    path = tmp_path / "c.txt"
+    path.write_text(
+        f"# graph=abc\n# p=1.0 q=1.0 walk_length=2 num_walks=1 seed=0\n# nodes={nodes}\n# isolated=\na a\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=rf"c\.txt: line 3: invalid node identifier {bad}: "):
+        load_corpus(path)
+
+
 def test_corpus_header_field_given_twice_names_both_lines(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text(
