@@ -459,6 +459,19 @@ def test_sweep_baselines_build_one_spectral_embedding_per_dim_and_one_tree(tiny_
     ]
 
 
+def recording_group_pairs(monkeypatch) -> list:
+    """Each lockstep group's pair counts, run by run, as the experiments train them."""
+    groups = []
+    real_train_outcomes = pec.evaluator._train_outcomes
+
+    def recording_train_outcomes(corpora, cfgs):
+        groups.append([pair_count(c, cfg.window) for c, cfg in zip(corpora, cfgs)])
+        return real_train_outcomes(corpora, cfgs)
+
+    monkeypatch.setattr(pec.evaluator, "_train_outcomes", recording_train_outcomes)
+    return groups
+
+
 def test_score_runs_starts_a_group_where_the_pair_count_changes(monkeypatch):
     # node x is isolated in the second graph, so its walks are one step long
     # and that graph's corpus has fewer pairs
@@ -469,14 +482,7 @@ def test_score_runs_starts_a_group_where_the_pair_count_changes(monkeypatch):
     truth = GroundTruth.from_labels(linked.node_ids, [nid[0] == "r" for nid in linked.node_ids])
     stages = pec.evaluator._resolve_params({**FAST_PARAMS, "restarts": 1})
     runs = [(g, stages, 10 + i, [20 + i]) for i, g in enumerate([linked, linked, isolated, isolated, linked])]
-    groups = []
-    real_train_outcomes = pec.evaluator._train_outcomes
-
-    def recording_train_outcomes(corpora, cfgs):
-        groups.append([pair_count(c, cfg.window) for c, cfg in zip(corpora, cfgs)])
-        return real_train_outcomes(corpora, cfgs)
-
-    monkeypatch.setattr(pec.evaluator, "_train_outcomes", recording_train_outcomes)
+    groups = recording_group_pairs(monkeypatch)
     grouped = list(pec.evaluator._score_runs(iter(runs), [truth]))
     full, short = groups[0][0], groups[1][0]
     assert short < full and groups == [[full, full], [short, short], [full]]
@@ -484,6 +490,44 @@ def test_score_runs_starts_a_group_where_the_pair_count_changes(monkeypatch):
     monkeypatch.setattr(pec.evaluator, "LOCKSTEP_PAIRS", full)  # one run per group
     assert list(pec.evaluator._score_runs(iter(runs), [truth])) == grouped
     assert groups == [[full], [full], [short], [short], [full]]
+
+
+def test_sweep_groups_span_cells_and_change_no_score(monkeypatch):
+    # metro-sweep's shape: 4 cells x 1 repeat of 70,000 pairs; three fit in
+    # LOCKSTEP_PAIRS (2**18), four do not
+    g, line_t, transfer_t = metro_network(default_metro_spec())
+    params = {"walk_length": 10, "num_walks": 10, "dim": 5, "epochs": 1, "restarts": 1}
+    kwargs = dict(grid={"p": [0.25, 4.0], "q": [0.25, 4.0]}, base_params=params, repeats=1, seed=901)
+    groups = recording_group_pairs(monkeypatch)
+    shared = sweep(g, [line_t, transfer_t], **kwargs).to_json()
+    assert groups == [[70_000] * 3, [70_000]]
+    assert all(row["error"] is None for row in shared["tables"]["line-membership"])
+    groups.clear()
+    monkeypatch.setattr(pec.evaluator, "LOCKSTEP_PAIRS", 70_000)  # one run per group
+    assert sweep(g, [line_t, transfer_t], **kwargs).to_json() == shared
+    assert groups == [[70_000]] * 4
+
+
+def test_sweep_records_a_diverging_run_of_a_shared_group_as_if_alone(monkeypatch):
+    # at lr 15-20 runs split into diverging and not, with an inf or a nan loss
+    # (see test_train_many_raises_what_the_first_diverging_run_raises); each
+    # learning rate's three cells share one group of six runs
+    g, _, transfer_t = metro_network(default_metro_spec())
+    params = {"walk_length": 6, "num_walks": 1, "dim": 4, "epochs": 3, "restarts": 1}
+    kwargs = dict(grid={"initial_lr": [15.0, 20.0], "p": [0.25, 1.0, 4.0]}, base_params=params, repeats=2, seed=7)
+    groups = recording_group_pairs(monkeypatch)
+    shared = sweep(g, [transfer_t], **kwargs).to_json()
+    (run_pairs,) = set(groups[0])
+    assert [len(group) for group in groups] == [6, 6]
+    errors = [row["error"] for row in shared["tables"]["transfer-vs-not"]]
+    assert all(error.startswith("TrainingDiverged: non-finite training loss (") for error in errors if error)
+    # cell 0's second run trains and cell 3's runs give nan, then inf: a
+    # cell records its first failed run
+    assert [error and error.split("(")[1][:3] for error in errors] == ["inf", None, "inf", "nan", "inf", "inf"]
+    groups.clear()
+    monkeypatch.setattr(pec.evaluator, "LOCKSTEP_PAIRS", run_pairs)  # one run per group
+    assert sweep(g, [transfer_t], **kwargs).to_json() == shared
+    assert groups == [[run_pairs]] * 12
 
 
 # Held besides the pair codes (4 bytes per pair) of one lockstep group: the
@@ -504,6 +548,28 @@ def test_noise_robustness_holds_one_lockstep_group_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak <= 5 * pec.evaluator.LOCKSTEP_PAIRS + NOISE_FIXED_BYTES
+
+
+# Held besides the pair codes of one lockstep group: the graph, one run's
+# training buffers and its k-means, and each cell's configs and scores.
+# Measured at the LOCKSTEP_PAIRS budget (groups of 3, 3 and 2): 1.9 MB in
+# all; one run per group 0.8 MB, groups of 4 2.5 MB, and all 8 runs in one
+# group 4.7 MB.
+SWEEP_FIXED_BYTES = 1_000_000
+
+
+def test_sweep_holds_one_lockstep_group_at_a_time():
+    # 8 cells x 1 repeat of 70,000 pairs, 560,000 pairs in all
+    g, line_t, transfer_t = metro_network(default_metro_spec())
+    params = {"walk_length": 10, "num_walks": 10, "dim": 5, "epochs": 1, "restarts": 1}
+    grid = {"p": [0.25, 0.5, 2.0, 4.0], "q": [0.25, 4.0]}
+    tracemalloc.start()
+    try:
+        sweep(g, [line_t, transfer_t], grid=grid, base_params=params, repeats=1, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * pec.evaluator.LOCKSTEP_PAIRS + SWEEP_FIXED_BYTES
 
 
 def test_noise_robustness_of_two_truths_equals_each_alone(tiny_metro, monkeypatch):
