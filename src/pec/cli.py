@@ -49,7 +49,7 @@ from .srg import (
     InteractionMatrix,
 )
 from .synth import blobs, default_metro_spec, metro_network, planted_od
-from .util import derive_seed, field_parser, knobs, parse_fields, read_lines, sha256_file, write_json
+from .util import Numbering, derive_seed, field_parser, knobs, parse_fields, read_lines, sha256_file, write_json
 from .walker import WalkConfig, generate_walks, load_corpus, save_corpus
 
 __all__ = ["PipelineConfig", "PipelineError", "run_pipeline", "main"]
@@ -74,6 +74,14 @@ def _parse_noise_entry(entry: str) -> tuple[str, float]:
     return spec.kind, spec.level
 
 
+def _parse_bool(text: str) -> bool:
+    """A yes/no setting: true/false, yes/no or 1/0, in any case."""
+    value = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}.get(text.lower())
+    if value is None:
+        raise ValueError(f"expected true, false, yes, no, 1 or 0, got {text!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything one end-to-end run needs.
@@ -94,10 +102,9 @@ class PipelineConfig:
     features_path: str | None = field(default=None, metadata={"flag": "--features"})
     od_path: str | None = field(default=None, metadata={"flag": "--od"})
     edges_path: str | None = field(default=None, metadata={"flag": "--edges"})
-    # SRG-I options
+    # SRG-I options: a given k_nn or tau sparsifies (see build_srg_from_features)
     similarity: str = field(default="gaussian", metadata={"choices": ("gaussian", "cosine")})
     sigma: float = 1.0
-    sparsify: str = field(default="none", metadata={"choices": ("none", "knn", "threshold")})
     k_nn: int | None = None
     tau: float | None = None
     # evaluation options
@@ -110,15 +117,15 @@ class PipelineConfig:
     # run options
     out_dir: str = "pec-run"
     seed: int = 0
-    geojson: bool = field(default=False, metadata={"parse": lambda s: s.lower() in ("1", "true", "yes")})
+    geojson: bool = field(default=False, metadata={"parse": _parse_bool})
 
     def __post_init__(self) -> None:
         inputs = [self.features_path, self.od_path, self.edges_path]
         if sum(x is not None for x in inputs) != 1:
             raise ValueError("give exactly one input: features, od or edges")
         for path in inputs + list(self.truth_paths):
-            if path is not None and not Path(path).exists():
-                raise ValueError(f"input file not found: {path}")
+            if path is not None and not Path(path).is_file():
+                raise ValueError(f"input file not found: {path!r}")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
         if self.noise and not self.truth_paths:
@@ -146,9 +153,10 @@ def _echo(cfg: PipelineConfig) -> dict:
 
 def read_config_file(path) -> dict:
     """Parse ``key = value`` lines ('#' starts a comment) into settings by
-    field name.  Keys are the flat setting names of :func:`_settings`;
-    list settings take comma-separated values."""
+    field name.  Keys are the flat setting names of :func:`_settings`, each
+    on one line at most; list settings take comma-separated values."""
     by_key = {f.metadata.get("key", f.name): (cls, f) for cls, f in _settings()}
+    seen = Numbering(path, what="config key")
     out: dict = {}
     for lineno, line in read_lines(path):
         stripped = line.split("#", 1)[0].strip()
@@ -160,6 +168,7 @@ def read_config_file(path) -> dict:
         key, raw = key.strip().replace("-", "_"), raw.strip()
         if key not in by_key:
             raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
+        seen.declare(key, lineno)
         cls, f = by_key[key]
         many = isinstance(f.default, tuple)
         values = parse_fields(path, lineno, field_parser(cls, f), raw.split(",") if many else [raw], key)
@@ -198,15 +207,7 @@ def _load_input(cfg: PipelineConfig):
     the input is one (else None)."""
     if cfg.features_path is not None:
         feats = load_feature_csv(cfg.features_path)
-        graph = build_srg_from_features(
-            feats,
-            similarity=cfg.similarity,
-            sigma=cfg.sigma,
-            sparsify=cfg.sparsify,
-            k_nn=cfg.k_nn,
-            tau=cfg.tau,
-        )
-        return graph, None
+        return build_srg_from_features(feats, cfg.similarity, cfg.sigma, cfg.k_nn, cfg.tau), None
     if cfg.od_path is not None:
         od = load_od_csv(cfg.od_path)
         return build_srg_from_interactions(od), od
@@ -385,8 +386,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _parse_grid(entries) -> dict:
-    """``name=v1,v2,...`` entries, each value read by its field's parser;
-    an unknown name keeps its values as text for ``sweep`` to reject."""
+    """``name=v1,v2,...`` entries, each name once and each value read by its
+    field's parser; an unknown name keeps its values as text for ``sweep``
+    to reject."""
     parsers = {f.name: field_parser(cls, f) for cls in STAGES.values() for f in knobs(cls)}
     grid = {}
     for entry in entries or []:
@@ -394,6 +396,8 @@ def _parse_grid(entries) -> dict:
         if not values:
             raise ValueError(f"bad grid entry {entry!r}; expected name=v1,v2,...")
         key = key.strip().replace("-", "_")
+        if key in grid:
+            raise ValueError(f"grid name {key!r} is given twice")
         parse = parsers.get(key, str)
         try:
             grid[key] = [parse(v) for v in values.split(",")]
@@ -429,11 +433,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_perturb(args) -> int:
     od = load_od_csv(args.matrix)
-    level = args.sigma if args.kind == "gaussian" else args.lam
-    if level is None:
-        raise ValueError("give --sigma for gaussian noise or --lambda for poisson noise")
-    noisy = perturb(od.volumes, NoiseSpec(args.kind, level, seed=args.seed), mode=args.mode)
-    save_od_csv(InteractionMatrix(od.node_ids, np.maximum(noisy, 0.0)), args.out)
+    spec = NoiseSpec(*args.noise, seed=args.seed)
+    noisy = perturb(od.volumes, spec, mode=args.noise_mode or PipelineConfig.noise_mode)
+    save_od_csv(InteractionMatrix(od.node_ids, noisy), args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -488,7 +490,7 @@ def _cmd_pipeline(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
-_INPUT_SETTINGS = ("features_path", "od_path", "edges_path", "similarity", "sigma", "sparsify", "k_nn", "tau")
+_INPUT_SETTINGS = ("features_path", "od_path", "edges_path", "similarity", "sigma", "k_nn", "tau")
 
 
 def _names(cls) -> tuple[str, ...]:
@@ -590,10 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("perturb", help="add seeded noise to an interaction matrix")
     pe.add_argument("--matrix", required=True)
-    pe.add_argument("--kind", choices=("gaussian", "poisson"), required=True)
-    pe.add_argument("--sigma", type=float)
-    pe.add_argument("--lambda", dest="lam", type=float)
-    pe.add_argument("--mode", choices=("scale-noise", "clip-result"), default="scale-noise")
+    pe.add_argument("--noise", type=_parse_noise_entry, required=True, metavar="KIND:LEVEL")
+    _add_flags(pe, _fields(PipelineConfig, ("noise_mode",)))
     pe.add_argument("--seed", type=int, default=0)
     pe.add_argument("--out", required=True)
     pe.set_defaults(func=_cmd_perturb)

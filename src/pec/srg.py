@@ -260,7 +260,6 @@ def build_srg_from_features(
     features: FeatureMatrix,
     similarity: str = "gaussian",
     sigma: float = 1.0,
-    sparsify: str = "none",
     k_nn: int | None = None,
     tau: float | None = None,
 ) -> SpaceRelationGraph:
@@ -272,10 +271,13 @@ def build_srg_from_features(
     Gaussian kernel, which maps it into the required (0, 1] weight range.
     Zero-similarity pairs produce no edge.
 
-    sparsify: "none" keeps the full similarity graph; "knn" keeps the union
-    of every node's ``k_nn`` strongest edges (symmetric by construction);
-    "threshold" keeps edges with weight >= ``tau``.
+    A given ``k_nn`` keeps the union of every node's ``k_nn`` strongest
+    edges (symmetric by construction); a given ``tau`` keeps edges with
+    weight >= ``tau``; neither keeps the full similarity graph.  Giving
+    both is an error.
     """
+    if k_nn is not None and tau is not None:
+        raise ValueError(f"give k_nn or tau, not both (got k_nn={k_nn!r} and tau={tau!r})")
     n = len(features.node_ids)
     if similarity == "gaussian":
         if not (sigma > 0.0):
@@ -288,24 +290,20 @@ def build_srg_from_features(
     np.fill_diagonal(sim, 0.0)
 
     keep = sim > 0.0
-    if sparsify == "none":
-        pass
-    elif sparsify == "knn":
-        k = None if k_nn is None else prefixed("k_nn", whole_number, k_nn)
-        if k is None or not 1 <= k < n:
-            raise ValueError("knn sparsification requires 1 <= k_nn < N")
+    if k_nn is not None:
+        k = prefixed("k_nn", whole_number, k_nn)
+        if not 1 <= k < n:
+            raise ValueError(f"k_nn must satisfy 1 <= k_nn < N = {n}, got {k}")
         # strongest first, ties toward the smaller neighbor index; kept
         # entries (sim > 0) all rank before the zeros
         sel = np.zeros_like(keep)
         np.put_along_axis(sel, np.argsort(-sim, axis=1, kind="stable")[:, :k], True, axis=1)
         sel &= keep
         keep &= sel | sel.T
-    elif sparsify == "threshold":
-        if tau is None or not (0.0 <= float(tau) <= 1.0):
-            raise ValueError("threshold sparsification requires tau in [0, 1]")
+    elif tau is not None:
+        if not (0.0 <= float(tau) <= 1.0):
+            raise ValueError(f"tau must be in [0, 1], got {tau!r}")
         keep &= sim >= float(tau)
-    else:
-        raise ValueError(f"unknown sparsify mode {sparsify!r}")
 
     return SpaceRelationGraph.from_weight_matrix(features.node_ids, np.where(keep, sim, 0.0))
 

@@ -10,8 +10,10 @@ import pytest
 import pec.cli
 import pec.evaluator
 from pec.cli import main, read_config_file
-from pec.evaluator import load_labels
-from pec.srg import load_graph
+from pec.embedder import EmbeddingMatrix, save_embeddings
+from pec.evaluator import NoiseSpec, load_labels, perturb
+from pec.srg import build_srg_from_features, load_graph, save_graph
+from pec.synth import blobs
 from pec.util import sha256_file
 
 
@@ -183,8 +185,8 @@ def test_perturb_subcommand(od_dir, tmp_path):
     noisy = tmp_path / "noisy.csv"
     assert (
         run_cli(
-            "perturb", "--matrix", od_dir / "od.csv", "--kind", "gaussian",
-            "--sigma", 1.0, "--seed", 7, "--out", noisy,
+            "perturb", "--matrix", od_dir / "od.csv", "--noise", "gaussian:1",
+            "--seed", 7, "--out", noisy,
         )
         == 0
     )
@@ -194,6 +196,37 @@ def test_perturb_subcommand(od_dir, tmp_path):
     perturbed = load_od_csv(noisy)
     delta = perturbed.volumes - original.volumes
     assert delta.min() >= 0.0 and delta.max() <= 1.0
+    clipped = tmp_path / "clipped.csv"
+    assert run_cli("perturb", "--matrix", od_dir / "od.csv", "--noise", "poisson:3",
+                   "--noise-mode", "clip-result", "--seed", 7, "--out", clipped) == 0
+    expected = perturb(original.volumes, NoiseSpec("poisson", 3.0, seed=7), mode="clip-result")
+    assert np.array_equal(load_od_csv(clipped).volumes, expected)
+
+
+def test_blob_features_pipeline_builds_the_library_knn_graph(tmp_path):
+    fixture, out = tmp_path / "blobs", tmp_path / "run"
+    assert run_cli("synth", "blobs", "--out-dir", fixture) == 0
+    assert run_cli(
+        "pipeline", "--features", fixture / "features.csv", "--k-nn", 3, "--n-clusters", 3,
+        "--truth", fixture / "blob-membership.csv", "--walk-length", 5, "--num-walks", 2,
+        "--dim", 3, "--epochs", 1, "--out-dir", out,
+    ) == 0
+    feats, _ = blobs(3, 30, dims=5, spread=0.5, separation=5.0, seed=0)  # the synth defaults
+    save_graph(build_srg_from_features(feats, k_nn=3), tmp_path / "library.tsv")
+    assert (out / "graph.tsv").read_bytes() == (tmp_path / "library.tsv").read_bytes()
+    assert json.loads((out / "manifest.json").read_text())["config"]["k_nn"] == 3
+
+
+def test_cluster_geojson_lists_every_node_once(tmp_path):
+    ids = tuple(f"u{i}" for i in range(7))
+    vectors = np.arange(14.0).reshape(7, 2)
+    save_embeddings(EmbeddingMatrix(ids, vectors, vectors.copy()), tmp_path / "emb.txt")
+    geo, labels = tmp_path / "clusters.geojson", tmp_path / "labels.csv"
+    assert run_cli("cluster", "--embeddings", tmp_path / "emb.txt", "--n-clusters", 2,
+                   "--out", labels, "--geojson", geo) == 0
+    props = [f["properties"] for f in json.loads(geo.read_text())["features"]]
+    assert [p["node"] for p in props] == list(ids)
+    assert [p["label"] for p in props] == load_labels(labels)[1].tolist()
 
 
 def test_sweep_subcommand(metro_dir, tmp_path):

@@ -2,12 +2,13 @@
 the manifest echo and experiment parameters; bad values fail up front."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 import pec.evaluator
-from pec.cli import PipelineConfig, PipelineError, main, run_pipeline
+from pec.cli import PipelineConfig, PipelineError, main, read_config_file, run_pipeline
 from pec.clusterer import ClusterConfig
 from pec.embedder import TrainConfig
 from pec.evaluator import noise_robustness, run_embedding_clustering, sweep
@@ -160,6 +161,54 @@ def test_unknown_config_key_names_key_and_line(od_dir, tmp_path, capsys):
     assert "'foo'" in message and "line 2" in message and str(cfg) in message
 
 
+def test_config_key_on_two_lines_names_both_lines(od_dir, tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    truth = od_dir / "block-membership.csv"
+    cfg.write_text(f"od_path = {od_dir / 'od.csv'}\ntruth = {truth}\n# comment\ntruth = {truth}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(cfg))}: line 4: config key 'truth' repeats line 2$"):
+        read_config_file(cfg)
+    assert run_cli("pipeline", "--config", cfg, "--n-clusters", 2, "--out-dir", tmp_path / "never") == 1
+    assert "config key 'truth' repeats line 2" in error_of(capsys)["message"]
+    assert not (tmp_path / "never").exists()
+
+
+def test_sweep_grid_name_given_twice_is_rejected(tmp_path, capsys):
+    assert run_cli("synth", "metro", "--lines", 3, "--stations", 4, "--out-dir", tmp_path) == 0
+    for first, second, name in (("p=1,2", "p=4", "p"), ("walk_length=5", "walk-length=6", "walk_length")):
+        code = run_cli("sweep", "--graph", tmp_path / "edges.tsv", "--truth", tmp_path / "line-membership.csv",
+                       "--grid", first, "--grid", second, "--repeats", 1, "--out-dir", tmp_path / "sw")
+        assert code == 1
+        assert error_of(capsys)["message"] == f"grid name {name!r} is given twice"
+    assert not (tmp_path / "sw").exists()
+
+
+def test_geojson_config_value_is_a_yes_or_no(tmp_path):
+    cfg = tmp_path / "geo.cfg"
+    for value, expected in (("true", True), ("YES", True), ("1", True), ("False", False), ("no", False), ("0", False)):
+        cfg.write_text(f"# run\ngeojson = {value}\n", encoding="utf-8")
+        assert read_config_file(cfg) == {"geojson": expected}
+    for value in ("maybe", "on", ""):
+        cfg.write_text(f"# run\ngeojson = {value}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(cfg))}: line 2: geojson: expected true, false"):
+            read_config_file(cfg)
+
+
+def test_input_path_that_is_a_directory_or_empty_fails_before_out_dir(od_dir, tmp_path, capsys):
+    out = tmp_path / "never"
+    cases = [["--edges", tmp_path], ["--od", od_dir / "od.csv", "--truth", od_dir]]
+    for flags in cases:
+        assert run_cli("pipeline", *flags, "--n-clusters", 2, "--out-dir", out) == 1
+        err = error_of(capsys)
+        assert err["error"] == "ValueError" and "stage" not in err
+        assert err["message"].startswith("input file not found: ")
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(f"od_path = {od_dir / 'od.csv'}\ntruth =\n", encoding="utf-8")
+    assert run_cli("pipeline", "--config", cfg, "--n-clusters", 2, "--out-dir", out) == 1
+    err = error_of(capsys)
+    assert err["error"] == "ValueError" and err["message"] == "input file not found: ''"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags, match",
     [
@@ -230,7 +279,7 @@ def test_pipeline_fraction_for_k_nn_fails_in_the_graph_stage(tmp_path):
     features = tmp_path / "f.csv"
     save_feature_csv(FeatureMatrix([f"n{i}" for i in range(6)], np.arange(12.0).reshape(6, 2)), features)
     out = tmp_path / "run"
-    cfg = PipelineConfig(features_path=str(features), sparsify="knn", k_nn=2.5, out_dir=str(out),
+    cfg = PipelineConfig(features_path=str(features), k_nn=2.5, out_dir=str(out),
                          cluster=ClusterConfig(n_clusters=2))
     with pytest.raises(PipelineError, match="k_nn: expected a whole number, got 2.5") as failure:
         run_pipeline(cfg)

@@ -88,7 +88,7 @@ def test_knn_sparsify_keeps_union_and_symmetry():
     values = rng.normal(size=(8, 2))
     feats = FeatureMatrix([f"n{i}" for i in range(8)], values)
     full = build_srg_from_features(feats, sigma=1.0)
-    sparse = build_srg_from_features(feats, sigma=1.0, sparsify="knn", k_nn=2)
+    sparse = build_srg_from_features(feats, sigma=1.0, k_nn=2)
     full_edges = edge_map(full)
     sparse_edges = edge_map(sparse)
     assert set(sparse_edges) <= set(full_edges)
@@ -104,18 +104,27 @@ def test_knn_sparsify_keeps_union_and_symmetry():
 
 def test_knn_takes_a_whole_number_of_neighbors():
     feats = FeatureMatrix([f"n{i}" for i in range(6)], np.random.default_rng(3).normal(size=(6, 2)))
-    assert build_srg_from_features(feats, sparsify="knn", k_nn=2.0) == build_srg_from_features(
-        feats, sparsify="knn", k_nn=2
-    )
+    assert build_srg_from_features(feats, k_nn=2.0) == build_srg_from_features(feats, k_nn=2)
     with pytest.raises(ValueError, match=r"^k_nn: expected a whole number, got 2\.5$"):
-        build_srg_from_features(feats, sparsify="knn", k_nn=2.5)
+        build_srg_from_features(feats, k_nn=2.5)
 
 
 def test_threshold_sparsify():
     feats = FeatureMatrix(["a", "b", "c"], [[0.0], [1.0], [2.0]])
-    g = build_srg_from_features(feats, sigma=1.0, sparsify="threshold", tau=0.5)
+    g = build_srg_from_features(feats, sigma=1.0, tau=0.5)
     # exp(-0.5) ~ 0.607 passes; exp(-2) ~ 0.135 does not
     assert set(edge_map(g)) == {("a", "b"), ("b", "c")}
+
+
+def test_k_nn_and_tau_are_range_checked_and_never_both_given():
+    feats = FeatureMatrix(["a", "b", "c"], [[0.0], [1.0], [2.0]])
+    with pytest.raises(ValueError, match=r"^give k_nn or tau, not both \(got k_nn=1 and tau=0\.5\)$"):
+        build_srg_from_features(feats, k_nn=1, tau=0.5)
+    for kwargs, message in ((dict(k_nn=3), r"^k_nn must satisfy 1 <= k_nn < N = 3, got 3$"),
+                            (dict(k_nn=0), r"^k_nn must satisfy 1 <= k_nn < N = 3, got 0$"),
+                            (dict(tau=1.5), r"^tau must be in \[0, 1\], got 1\.5$")):
+        with pytest.raises(ValueError, match=message):
+            build_srg_from_features(feats, **kwargs)
 
 
 def test_weights_in_unit_interval():
@@ -191,13 +200,15 @@ def _same_graph(g, ref):
     data=st.data(),
 )
 def test_feature_builder_matches_edge_list_reference(values, similarity, sigma, sparsify, data):
+    # the reference names its mode; the builder takes it from the value given
     feats = FeatureMatrix([f"n{i}" for i in range(len(values))], values)
     # a zero row has no direction for cosine; test_cosine_zero_row_rejected covers it
     assume(similarity == "gaussian" or np.all(np.linalg.norm(feats.values, axis=1) > 0))
     k_nn = data.draw(st.integers(1, len(values) - 1)) if sparsify == "knn" else None
     tau = data.draw(st.floats(0.0, 1.0)) if sparsify == "threshold" else None
-    kwargs = dict(similarity=similarity, sigma=sigma, sparsify=sparsify, k_nn=k_nn, tau=tau)
-    _same_graph(build_srg_from_features(feats, **kwargs), reference_srg_from_features(feats, **kwargs))
+    kwargs = dict(similarity=similarity, sigma=sigma, k_nn=k_nn, tau=tau)
+    ref = reference_srg_from_features(feats, sparsify=sparsify, **kwargs)
+    _same_graph(build_srg_from_features(feats, **kwargs), ref)
 
 
 @settings(max_examples=100, deadline=None)
