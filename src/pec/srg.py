@@ -313,10 +313,11 @@ def build_srg_from_interactions(od: InteractionMatrix) -> SpaceRelationGraph:
 
     Directed volumes are folded to undirected by the arithmetic mean
     (A + A^T) / 2, then normalized by the global maximum so the strongest
-    pair has weight 1.  Zero pairs produce no edge.
+    pair has weight 1.  Zero pairs produce no edge.  The mean's 1/2 cancels
+    in the normalization and is left out, so a tiny positive volume does not
+    underflow to zero.
     """
     sym = od.volumes + od.volumes.T
-    sym /= 2.0
     np.fill_diagonal(sym, 0.0)
     top = sym.max()
     if top <= 0.0:

@@ -230,7 +230,9 @@ def reference_srg_from_features(features, similarity="gaussian", sigma=1.0, spar
 
 
 def reference_srg_from_interactions(od):
-    sym = (od.volumes + od.volumes.T) / 2.0
+    # the mean (A + A^T) / 2 over its maximum; the 1/2 cancels, and halving
+    # the smallest subnormal volume would round it to zero
+    sym = od.volumes + od.volumes.T
     np.fill_diagonal(sym, 0.0)
     return _reference_edge_list_graph(od.node_ids, sym / sym.max())
 

@@ -176,6 +176,12 @@ def test_interactions_all_zero_rejected():
         build_srg_from_interactions(od)
 
 
+def test_interactions_smallest_subnormal_volume_kept():
+    # halving 5e-324 before normalizing would round the only pair to zero
+    od = InteractionMatrix(["a", "b"], [[0.0, 0.0], [5e-324, 0.0]])
+    assert edge_map(build_srg_from_interactions(od)) == {("a", "b"): 1.0}
+
+
 def test_interactions_diagonal_ignored():
     od = InteractionMatrix(["a", "b"], [[100.0, 1.0], [1.0, 100.0]])
     g = build_srg_from_interactions(od)
