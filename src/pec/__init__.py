@@ -24,7 +24,6 @@ from .embedder import (
     EmbeddingMatrix,
     TrainConfig,
     TrainingDiverged,
-    extract_pairs,
     load_embeddings,
     save_embeddings,
     sgns_loss_and_grad,

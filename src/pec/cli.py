@@ -102,9 +102,9 @@ class PipelineConfig:
     features_path: str | None = field(default=None, metadata={"flag": "--features"})
     od_path: str | None = field(default=None, metadata={"flag": "--od"})
     edges_path: str | None = field(default=None, metadata={"flag": "--edges"})
-    # SRG-I options: a given k_nn or tau sparsifies (see build_srg_from_features)
-    similarity: str = field(default="gaussian", metadata={"choices": ("gaussian", "cosine")})
-    sigma: float = 1.0
+    # SRG-I options, for a features input only (see build_srg_from_features)
+    similarity: str | None = field(default=None, metadata={"choices": ("gaussian", "cosine")})
+    sigma: float | None = None
     k_nn: int | None = None
     tau: float | None = None
     # evaluation options
@@ -123,6 +123,9 @@ class PipelineConfig:
         inputs = [self.features_path, self.od_path, self.edges_path]
         if sum(x is not None for x in inputs) != 1:
             raise ValueError("give exactly one input: features, od or edges")
+        srg_i = [name for name in _SRG_I_SETTINGS if getattr(self, name) is not None]
+        if srg_i and self.features_path is None:
+            raise ValueError(f"{', '.join(srg_i)}: SRG-I settings apply only to a features input (--features)")
         for path in inputs + list(self.truth_paths):
             if path is not None and not Path(path).is_file():
                 raise ValueError(f"input file not found: {path!r}")
@@ -207,7 +210,7 @@ def _load_input(cfg: PipelineConfig):
     the input is one (else None)."""
     if cfg.features_path is not None:
         feats = load_feature_csv(cfg.features_path)
-        return build_srg_from_features(feats, cfg.similarity, cfg.sigma, cfg.k_nn, cfg.tau), None
+        return build_srg_from_features(feats, cfg.similarity or "gaussian", cfg.sigma, cfg.k_nn, cfg.tau), None
     if cfg.od_path is not None:
         od = load_od_csv(cfg.od_path)
         return build_srg_from_interactions(od), od
@@ -307,8 +310,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         if od is not None:
             freq = interaction_frequency_report(od, labels)
             freq.save_csv(artifact("frequency.csv"))
-    except PipelineError:
-        raise
     except Exception as exc:
         raise PipelineError(stage, exc) from exc
 
@@ -490,7 +491,27 @@ def _cmd_pipeline(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
-_INPUT_SETTINGS = ("features_path", "od_path", "edges_path", "similarity", "sigma", "k_nn", "tau")
+_SRG_I_SETTINGS = ("similarity", "sigma", "k_nn", "tau")
+_INPUT_SETTINGS = ("features_path", "od_path", "edges_path", *_SRG_I_SETTINGS)
+
+
+class _StoreOnce(argparse.Action):
+    """``store`` for a flag given once: a repeat is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if hasattr(namespace, f"{self.dest} given"):
+            raise argparse.ArgumentError(self, "given more than once")
+        setattr(namespace, f"{self.dest} given", True)
+        setattr(namespace, self.dest, values)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, for pec and each subcommand, storing through :class:`_StoreOnce`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for name in (None, "store"):
+            self.register("action", name, _StoreOnce)
 
 
 def _names(cls) -> tuple[str, ...]:
@@ -526,7 +547,7 @@ def _given(args, names) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pec",
         description="Graph embedding clustering pipeline for urban structure detection",
     )

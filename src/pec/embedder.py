@@ -62,7 +62,6 @@ __all__ = [
     "TrainConfig",
     "EmbeddingMatrix",
     "TrainingDiverged",
-    "extract_pairs",
     "sgns_loss_and_grad",
     "pair_count",
     "train",
@@ -125,8 +124,6 @@ class EmbeddingMatrix:
             raise ValueError("vector matrices must have identical shapes")
         if self.vectors.shape[0] != len(self.node_ids):
             raise ValueError("one vector row per node required")
-        if not (np.all(np.isfinite(self.vectors)) and np.all(np.isfinite(self.context_vectors))):
-            raise ValueError("embedding entries must be finite")
 
     @property
     def dim(self) -> int:
@@ -137,8 +134,6 @@ def _pair_indices(mat: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]
     """Center and context indices, walk by walk, position by position, then
     by ascending offset from -window to +window."""
     w = min(window, mat.shape[1] - 1)
-    if w < 1:  # no walk has two nodes
-        return np.zeros(0, dtype=mat.dtype), np.zeros(0, dtype=mat.dtype)
     padded = np.pad(mat, ((0, 0), (w, w)), constant_values=-1)
     ctx = np.lib.stride_tricks.sliding_window_view(padded, 2 * w + 1, axis=1)  # (walks, pos, offset)
     cen = mat[:, :, None]
@@ -168,16 +163,6 @@ def _pair_codes(mat: np.ndarray, window: int, n_pairs: int, n: int) -> np.ndarra
         at += cen.size
         del cen, ctx  # not held while the next chunk is built
     return codes
-
-
-def extract_pairs(corpus: WalkCorpus, window: int) -> list[tuple[str, str]]:
-    """(center, context) pairs for every walk position within the window."""
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    if not len(corpus.matrix):
-        raise ValueError("corpus is empty")
-    centers, contexts = _pair_indices(corpus.matrix, window)
-    return [(corpus.node_ids[c], corpus.node_ids[x]) for c, x in zip(centers, contexts)]
 
 
 def _softplus(x):
@@ -340,31 +325,20 @@ def _sgd_epoch(weights, codes, neg_tables, rngs, cfg, done, total_updates) -> li
     return loss_sums
 
 
-def train_many(corpora, cfgs) -> list[EmbeddingMatrix]:
+def train_many(corpora, cfgs) -> list[EmbeddingMatrix | TrainingDiverged]:
     """Learn node vectors for independent runs in lockstep: run r trains
-    ``corpora[r]`` with ``cfgs[r]``, and its result is byte for byte that of
-    training it alone.
+    ``corpora[r]`` with ``cfgs[r]``.  Returns one outcome per run, in run
+    order: its EmbeddingMatrix, byte for byte that of training it alone, or
+    the TrainingDiverged that training it alone raises.  A diverged run
+    trains on with the others, as runs share no row, and fails alone.
 
     The runs must share the node count, the config apart from the seed, and
     the pair count (:func:`pair_count`), so they share the batches and the
     learning-rate schedule; each keeps its own generator, negatives and
     loss.  Negatives are drawn from the corpus unigram distribution raised
     to the 3/4 power.  Center vectors start uniform in [-0.5/d, 0.5/d],
-    context vectors at zero.  Deterministic for fixed configs.  When runs
-    fail, the first of them in run order raises what it raises alone
-    (:func:`_train_outcomes`).
+    context vectors at zero.  Deterministic for fixed configs.
     """
-    outcomes = _train_outcomes(corpora, cfgs)
-    failed = next((run for run in outcomes if isinstance(run, Exception)), None)
-    if failed is not None:
-        raise failed
-    return outcomes
-
-
-def _train_outcomes(corpora, cfgs) -> list:
-    """Each run of :func:`train_many`'s: its EmbeddingMatrix, or the
-    TrainingDiverged or ValueError that training it alone raises.  A diverged
-    run trains on with the others, as runs share no row, and fails alone."""
     corpora, cfgs = list(corpora), list(cfgs)
     if not corpora or len(corpora) != len(cfgs):
         raise ValueError("need one config per corpus, and at least one run")
@@ -403,24 +377,26 @@ def _train_outcomes(corpora, cfgs) -> list:
 
 
 def _outcome(corpus: WalkCorpus, weights: np.ndarray, losses: list[float], cfg: TrainConfig):
-    """One trained run's EmbeddingMatrix, or the exception it fails with."""
+    """One trained run's EmbeddingMatrix, or the TrainingDiverged it fails
+    with: a non-finite epoch loss, or a non-finite entry in its 2N rows."""
     n = len(corpus.node_ids)
     bad = [x for x in losses if not np.isfinite(x)]
     if bad:
         return TrainingDiverged(
             f"non-finite training loss ({bad[0]}); lower initial_lr (currently {cfg.initial_lr})"
         )
-    if not np.all(np.isfinite(weights[:n])):
+    if not np.all(np.isfinite(weights)):
         return TrainingDiverged("non-finite embedding entries; lower initial_lr")
-    try:
-        return EmbeddingMatrix(corpus.node_ids, weights[:n], weights[n:], tuple(losses))
-    except ValueError as exc:  # non-finite context vectors
-        return exc
+    return EmbeddingMatrix(corpus.node_ids, weights[:n], weights[n:], tuple(losses))
 
 
 def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
-    """Learn node vectors from the corpus: :func:`train_many` of one run."""
-    return train_many([corpus], [cfg])[0]
+    """Learn node vectors from the corpus: :func:`train_many` of one run;
+    raises its TrainingDiverged."""
+    [outcome] = train_many([corpus], [cfg])
+    if isinstance(outcome, TrainingDiverged):
+        raise outcome
+    return outcome
 
 
 def save_embeddings(emb: EmbeddingMatrix, path) -> None:
@@ -445,7 +421,8 @@ def load_embeddings(path) -> EmbeddingMatrix:
     found = sum(1 for _ in read_lines(path)) - 1  # a first pass that holds no line
     if found != n:
         raise ValueError(f"{path}: header declares {n} rows, found {found}")
-    ids, vectors = parse_rows(path, ((lineno, text.split(" ")) for lineno, text in lines), d + 1, float, "vector entry")
+    rows = ((lineno, text.split(" ")) for lineno, text in lines)
+    ids, vectors = parse_rows(path, rows, d + 1, float, "vector entry", checked=True)
     bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
     if bad.size:
         lineno = next(itertools.islice(read_lines(path), bad[0] + 1, None))[0]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .baselines import hca, spectral_cluster
 from .clusterer import ClusterConfig, kmeans
-from .embedder import TrainConfig, TrainingDiverged, _train_outcomes, pair_count, train
+from .embedder import TrainConfig, TrainingDiverged, pair_count, train, train_many
 from .srg import InteractionMatrix, build_srg_from_interactions
 from .util import derive_seed, field_parser, knobs, parse_rows, prefixed, read_csv, write_csv
 from .walker import WalkConfig, generate_walks
@@ -286,9 +286,9 @@ def _lockstep_groups(runs):
 def _score_runs(runs, truths):
     """One outcome per run, yielded in run order as its lockstep group is
     scored: the run's Macro-F1 against every truth, or the TrainingDiverged
-    or ValueError its training raised.  A run is (graph, its stage configs
-    as :func:`_resolve_params` gives them, run seed, one k-means seed per
-    truth): one embedding (:func:`_embed_inputs`), then k-means at each
+    its training returned (:func:`train_many`).  A run is (graph, its stage
+    configs as :func:`_resolve_params` gives them, run seed, one k-means seed
+    per truth): one embedding (:func:`_embed_inputs`), then k-means at each
     truth's class count with the cluster config's restarts.  Runs train in
     lockstep groups (:func:`_lockstep_groups`), and a run that fails takes
     no other run of its group with it, so every outcome is that of the run
@@ -296,7 +296,7 @@ def _score_runs(runs, truths):
     lazily; a group walks all its runs before any trains, so an error in
     reading a run comes before the outcomes of the earlier runs of its group."""
     for group in _lockstep_groups(runs):
-        trained = _train_outcomes([corpus for corpus, *_ in group], [cfg for _, cfg, *_ in group])
+        trained = train_many([corpus for corpus, *_ in group], [cfg for _, cfg, *_ in group])
         for emb, (corpus, _, restarts, km_seeds) in zip(trained, group):
             if isinstance(emb, Exception):
                 yield emb
@@ -717,7 +717,7 @@ def load_labels(path) -> tuple[tuple[str, ...], np.ndarray]:
     rows = read_csv(path)
     if next(rows, (0, []))[1] != ["node_id", "label"]:
         raise ValueError(f"{path}: expected header 'node_id,label'")
-    ids, labels = parse_rows(path, rows, 2, _label, "label", dtype=np.int64)
+    ids, labels = parse_rows(path, rows, 2, _label, "label", dtype=np.int64, checked=True)
     return ids, labels.reshape(-1)
 
 

@@ -259,16 +259,16 @@ def _cosine_similarity(values: np.ndarray) -> np.ndarray:
 def build_srg_from_features(
     features: FeatureMatrix,
     similarity: str = "gaussian",
-    sigma: float = 1.0,
+    sigma: float | None = None,
     k_nn: int | None = None,
     tau: float | None = None,
 ) -> SpaceRelationGraph:
     """Build an SRG-I: edge weights are pairwise feature similarities.
 
-    similarity: "gaussian" (exp(-||x-y||^2 / 2 sigma^2)) or "cosine"
-    (negative cosine values are clamped to zero: anti-correlated rows are
-    treated as unrelated).  Euclidean distance enters only through the
-    Gaussian kernel, which maps it into the required (0, 1] weight range.
+    similarity: "gaussian" (exp(-||x-y||^2 / 2 sigma^2), sigma 1.0 when not
+    given) or "cosine" (negative values clamped to zero: anti-correlated rows
+    are unrelated; it takes no sigma).  Euclidean distance enters only through
+    the Gaussian kernel, which maps it into the required (0, 1] weight range.
     Zero-similarity pairs produce no edge.
 
     A given ``k_nn`` keeps the union of every node's ``k_nn`` strongest
@@ -280,10 +280,12 @@ def build_srg_from_features(
         raise ValueError(f"give k_nn or tau, not both (got k_nn={k_nn!r} and tau={tau!r})")
     n = len(features.node_ids)
     if similarity == "gaussian":
-        if not (sigma > 0.0):
+        if not (sigma is None or sigma > 0.0):
             raise ValueError("gaussian similarity requires sigma > 0")
-        sim = _gaussian_similarity(features.values, float(sigma))
+        sim = _gaussian_similarity(features.values, 1.0 if sigma is None else float(sigma))
     elif similarity == "cosine":
+        if sigma is not None:
+            raise ValueError(f"cosine similarity takes no sigma, got sigma={sigma!r}")
         sim = _cosine_similarity(features.values)
     else:
         raise ValueError(f"unknown similarity {similarity!r}")

@@ -181,6 +181,22 @@ def test_evaluate_rejects_repeated_node(tmp_path, capsys):
     assert "pred.csv: line 4" in err["message"]
 
 
+def test_label_and_embedding_readers_hold_ids_to_the_node_id_rule(tmp_path, capsys):
+    emb = tmp_path / "emb.txt"
+    emb.write_text("3 2\n 0.1 0.2\n#b 0.3 0.4\nc 0.5 0.6\n", encoding="utf-8")
+    labels = tmp_path / "labels.csv"
+    assert run_cli("cluster", "--embeddings", emb, "--n-clusters", 2, "--out", labels) == 1
+    assert json.loads(capsys.readouterr().err.strip())["message"] == (
+        f"{emb}: line 2: invalid node identifier '': must be non-empty, not start with '#', "
+        "and have no whitespace or commas"
+    )
+    assert not labels.exists()
+    pred = tmp_path / "pred.csv"
+    pred.write_text("node_id,label\na,0\nz z,1\n", encoding="utf-8")
+    assert run_cli("evaluate", "--pred", pred, "--truth", pred) == 1
+    assert f"{pred}: line 3: invalid node identifier 'z z'" in json.loads(capsys.readouterr().err.strip())["message"]
+
+
 def test_perturb_subcommand(od_dir, tmp_path):
     noisy = tmp_path / "noisy.csv"
     assert (
@@ -276,13 +292,13 @@ def test_two_truth_noise_pipeline_trains_each_embedding_once(metro_dir, tmp_path
         calls.append(cfg.seed)
         return real_train(corpus, cfg)
 
-    def counting_train_outcomes(corpora, cfgs):
+    def counting_train_many(corpora, cfgs):
         calls.extend(cfg.seed for cfg in cfgs)
-        return real_train_outcomes(corpora, cfgs)
+        return real_train_many(corpora, cfgs)
 
-    real_train, real_train_outcomes = pec.cli.train, pec.evaluator._train_outcomes
+    real_train, real_train_many = pec.cli.train, pec.evaluator.train_many
     monkeypatch.setattr(pec.cli, "train", counting_train)
-    monkeypatch.setattr(pec.evaluator, "_train_outcomes", counting_train_outcomes)
+    monkeypatch.setattr(pec.evaluator, "train_many", counting_train_many)
     truths = ["line-membership", "transfer-vs-not"]
     noise, repeats = ["gaussian:1", "poisson:4"], 2
     args = [

@@ -1,6 +1,7 @@
 """The hyperparameter schema: config fields drive flags, config-file keys,
 the manifest echo and experiment parameters; bad values fail up front."""
 
+import argparse
 import json
 import re
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import pec.evaluator
-from pec.cli import PipelineConfig, PipelineError, main, read_config_file, run_pipeline
+from pec.cli import PipelineConfig, PipelineError, _StoreOnce, build_parser, main, read_config_file, run_pipeline
 from pec.clusterer import ClusterConfig
 from pec.embedder import TrainConfig
 from pec.evaluator import noise_robustness, run_embedding_clustering, sweep
@@ -249,10 +250,10 @@ def test_experiments_reject_repeats_below_one(tiny_metro):
 def test_sweep_propagates_programming_errors(tiny_metro, monkeypatch):
     g, line_t, _ = tiny_metro
 
-    def broken_train_outcomes(corpora, cfgs):
+    def broken_train_many(corpora, cfgs):
         raise TypeError("not a domain error")
 
-    monkeypatch.setattr(pec.evaluator, "_train_outcomes", broken_train_outcomes)
+    monkeypatch.setattr(pec.evaluator, "train_many", broken_train_many)
     with pytest.raises(TypeError, match="not a domain error"):
         sweep(g, [line_t], grid={"p": [1.0]}, base_params=FAST_PARAMS, repeats=1)
 
@@ -290,8 +291,85 @@ def test_pipeline_fraction_for_k_nn_fails_in_the_graph_stage(tmp_path):
 def test_sweep_grid_fraction_for_int_setting_is_an_error_cell(tiny_metro, monkeypatch):
     g, line_t, _ = tiny_metro
     trained = []
-    monkeypatch.setattr(pec.evaluator, "_train_outcomes", lambda corpora, cfgs: trained.extend(cfgs))
+    monkeypatch.setattr(pec.evaluator, "train_many", lambda corpora, cfgs: trained.extend(cfgs))
     report = sweep(g, [line_t], grid={"dim": [2.5]}, base_params=FAST_PARAMS, repeats=1)
     assert trained == []
     assert report.cells[0].params == {"dim": 2.5}
     assert "dim: expected a whole number" in report.cells[0].error
+
+
+def test_pipeline_needs_exactly_one_input(od_dir, tmp_path, capsys):
+    out = tmp_path / "never"
+    for inputs in ([], ["--od", od_dir / "od.csv", "--edges", od_dir / "od.csv"]):
+        assert run_cli("pipeline", *inputs, "--n-clusters", 2, "--out-dir", out) == 1
+        assert error_of(capsys) == {"error": "ValueError", "message": "give exactly one input: features, od or edges"}
+    assert not out.exists()
+
+
+def test_srg_i_settings_need_a_features_input(od_dir, tmp_path, capsys):
+    out, od = tmp_path / "never", od_dir / "od.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"od_path = {od}\nsigma = 2\n", encoding="utf-8")
+    cases = [
+        (["build-graph", "--od", od, "--k-nn", 3, "--similarity", "cosine", "--sigma", -5, "--out", out / "g.tsv"],
+         "similarity, sigma, k_nn"),
+        (["pipeline", "--edges", od, "--tau", 0.5, "--n-clusters", 2, "--out-dir", out], "tau"),
+        (["pipeline", "--config", cfg, "--n-clusters", 2, "--out-dir", out], "sigma"),
+    ]
+    for argv, names in cases:
+        assert run_cli(*argv) == 1
+        message = error_of(capsys)["message"]
+        assert message == f"{names}: SRG-I settings apply only to a features input (--features)"
+    assert not out.exists()
+
+
+def test_build_graph_refuses_a_sigma_with_cosine(tmp_path, capsys):
+    features = tmp_path / "f.csv"
+    save_feature_csv(FeatureMatrix([f"n{i}" for i in range(4)], np.arange(1.0, 9.0).reshape(4, 2)), features)
+    out = tmp_path / "g.tsv"
+    assert run_cli("build-graph", "--features", features, "--similarity", "cosine", "--sigma", -3, "--out", out) == 1
+    assert error_of(capsys)["message"] == "cosine similarity takes no sigma, got sigma=-3.0"
+    assert not out.exists()
+    assert run_cli("build-graph", "--features", features, "--similarity", "cosine", "--out", out) == 0
+
+
+def single_valued_flags(parser, path=()):
+    """(subcommand path, flag, a value it accepts) for every flag of
+    ``parser`` and its subcommands that takes one value."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from single_valued_flags(sub, (*path, name))
+        elif isinstance(action, _StoreOnce):
+            value = action.choices[0] if action.choices else "gaussian:1" if action.metavar == "KIND:LEVEL" else "1"
+            yield path, action.option_strings[0], value
+
+
+def test_a_single_valued_flag_given_twice_is_a_usage_error(capsys):
+    flags = list(single_valued_flags(build_parser()))
+    assert len({path for path, _, _ in flags}) == 13  # every subcommand, synth's three fixtures each
+    given = {(path, flag) for path, flag, _ in flags}
+    assert {(("walks",), "--seed"), (("perturb",), "--noise"), (("pipeline",), "--config")} <= given
+    # a flag that takes a list repeats
+    assert given.isdisjoint({(("pipeline",), "--truth"), (("pipeline",), "--noise"), (("sweep",), "--truth"),
+                             (("sweep",), "--grid")})
+    for path, flag, value in flags:
+        with pytest.raises(SystemExit) as exit_:
+            main([*path, flag, value, flag, value])
+        assert exit_.value.code == 2, (path, flag)
+        assert f"error: argument {flag}: given more than once" in capsys.readouterr().err, (path, flag)
+
+
+def test_sweep_cli_names_a_bad_grid_and_needs_one(tmp_path, capsys):
+    assert run_cli("synth", "metro", "--lines", 3, "--stations", 4, "--out-dir", tmp_path) == 0
+    cases = [
+        (["--grid", "p"], "bad grid entry 'p'; expected name=v1,v2,..."),
+        (["--grid", "dim=3,x"], "bad grid value for dim: invalid literal for int() with base 10: 'x'"),
+        ([], "give at least one --grid name=v1,v2,..."),
+    ]
+    for grid, message in cases:
+        code = run_cli("sweep", "--graph", tmp_path / "edges.tsv", "--truth", tmp_path / "line-membership.csv",
+                       *grid, "--repeats", 1, "--out-dir", tmp_path / "sw")
+        assert code == 1
+        assert error_of(capsys)["message"] == message
+    assert not (tmp_path / "sw").exists()

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import re
 import tracemalloc
 from dataclasses import replace
 
@@ -16,15 +15,16 @@ from oracles import (
     sgns_finite_difference_error,
 )
 
+import pec.embedder
 from pec.embedder import (
     LOSS_BLOCK_PAIRS,
     EmbeddingMatrix,
     TrainConfig,
     TrainingDiverged,
+    _outcome,
     _pair_codes,
     _pair_indices,
     _sgd_block,
-    extract_pairs,
     load_embeddings,
     pair_count,
     save_embeddings,
@@ -61,6 +61,16 @@ def two_cliques(k=5):
 # -- pair extraction -----------------------------------------------------------------
 
 
+def training_pairs(corpus, window):
+    """The (center, context) id pairs of one epoch, in the order training
+    builds their codes before it shuffles them."""
+    n, n_pairs = len(corpus.node_ids), pair_count(corpus, window)
+    if not n_pairs:  # training builds no codes
+        return []
+    centers, contexts = np.divmod(_pair_codes(corpus.matrix, window, n_pairs, n), n)
+    return [(corpus.node_ids[c], corpus.node_ids[x]) for c, x in zip(centers, contexts)]
+
+
 def test_pairs_small_walk_window_one(monkeypatch):
     g = build_srg_from_adjacency([("A", "B"), ("B", "C")])
     corpus = corpus_for(g)
@@ -70,7 +80,7 @@ def test_pairs_small_walk_window_one(monkeypatch):
         config=corpus.config,
         graph_fingerprint=corpus.graph_fingerprint,
     )
-    pairs = extract_pairs(fake, window=1)
+    pairs = training_pairs(fake, window=1)
     assert pairs == [("A", "B"), ("B", "A"), ("B", "C"), ("C", "B")]
 
 
@@ -83,7 +93,7 @@ def test_pairs_singleton_walk_empty():
         config=corpus.config,
         graph_fingerprint=corpus.graph_fingerprint,
     )
-    assert extract_pairs(fake, window=3) == []
+    assert training_pairs(fake, window=3) == []
 
 
 def test_pairs_full_window_count():
@@ -97,13 +107,13 @@ def test_pairs_full_window_count():
             config=corpus.config,
             graph_fingerprint=corpus.graph_fingerprint,
         )
-        assert len(extract_pairs(fake, window=length)) == length * (length - 1)
+        assert len(training_pairs(fake, window=length)) == length * (length - 1)
 
 
 def test_pairs_symmetric():
     g, _, _ = two_cliques(4)
     corpus = corpus_for(g, num_walks=2)
-    pairs = extract_pairs(corpus, window=3)
+    pairs = training_pairs(corpus, window=3)
     counts = {}
     for pair in pairs:
         counts[pair] = counts.get(pair, 0) + 1
@@ -115,17 +125,17 @@ def test_pairs_symmetric():
 @given(
     walks=st.lists(st.lists(st.integers(0, 5), max_size=12), max_size=8),
     window=st.integers(1, 15),
+    chunk_steps=st.sampled_from([1, 5, 13, pec.embedder.PAIR_CHUNK_STEPS]),
 )
-def test_pairs_match_reference_triple_loop(walks, window):
+def test_pairs_match_reference_triple_loop(walks, window, chunk_steps):
+    # a small PAIR_CHUNK_STEPS builds the codes a walk or a few at a time, so
+    # the order must hold across the seams between chunks
     ids = [f"n{i}" for i in range(6)]
     corpus = corpus_of([[ids[i] for i in walk] for walk in walks], ids)
     centers, contexts = reference_pair_indices(corpus, window)
-    expected = [(ids[c], ids[x]) for c, x in zip(centers, contexts)]
-    if not walks:
-        with pytest.raises(ValueError, match="empty"):
-            extract_pairs(corpus, window)
-    else:
-        assert extract_pairs(corpus, window) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pec.embedder, "PAIR_CHUNK_STEPS", chunk_steps)
+        assert training_pairs(corpus, window) == [(ids[c], ids[x]) for c, x in zip(centers, contexts)]
 
 
 # -- loss and gradients ------------------------------------------------------------------
@@ -242,7 +252,7 @@ def metro_corpus():
 ], ids=["dim-16-batch-61", "dim-64"])
 def test_train_matches_reference_on_metro_corpus(metro_corpus, cfg):
     # tens of loss blocks per epoch, a ragged last batch and a ragged last block
-    n_pairs = len(extract_pairs(metro_corpus, cfg.window))
+    n_pairs = pair_count(metro_corpus, cfg.window)
     block = LOSS_BLOCK_PAIRS // cfg.batch_size * cfg.batch_size
     assert n_pairs >= 40_000 and n_pairs % cfg.batch_size and n_pairs % block
     emb = train(metro_corpus, cfg)
@@ -280,8 +290,8 @@ def test_train_memory_per_pair(dim, walk_length, num_walks, epochs):
     g, _, _ = metro_network(default_metro_spec())
     corpus = corpus_for(g, walk_length=walk_length, num_walks=num_walks, seed=2)
     doubled = WalkCorpus(np.concatenate([corpus.matrix, corpus.matrix]), corpus.node_ids, corpus.config, "")
-    n_pairs = len(extract_pairs(corpus, 5))
-    assert n_pairs >= 50_000 and len(extract_pairs(doubled, 5)) == 2 * n_pairs
+    n_pairs = pair_count(corpus, 5)
+    assert n_pairs >= 50_000 and pair_count(doubled, 5) == 2 * n_pairs
     cfg = TrainConfig(dim=dim, epochs=epochs, seed=0)
     assert traced_train_peak(doubled, cfg) - traced_train_peak(corpus, cfg) <= TRAIN_BYTES_PER_PAIR * n_pairs
 
@@ -295,7 +305,7 @@ def test_train_memory_slope_per_pair(dim, walk_length, num_walks, epochs):
     # 8+ bytes per pair.
     g, _, _ = metro_network(default_metro_spec())
     corpus = corpus_for(g, walk_length=walk_length, num_walks=num_walks, seed=2)
-    n_pairs = len(extract_pairs(corpus, 5))
+    n_pairs = pair_count(corpus, 5)
     peak = traced_train_peak(corpus, TrainConfig(dim=dim, epochs=epochs, seed=0))
     assert peak <= TRAIN_BYTES_PER_PAIR * n_pairs + TRAIN_FIXED_BYTES
 
@@ -383,23 +393,39 @@ def test_train_many_rejects_runs_that_cannot_share_batches():
     (20.0, [1, 0], ["inf", "nan"]),
     (20.0, [0, 1], ["nan", "inf"]),
 ])
-def test_train_many_raises_what_the_first_diverging_run_raises(lr, seeds, losses):
-    # each run alone trains or raises with its non-finite loss; the group
-    # raises what serial training would: the first failing run, in run order
+def test_train_many_gives_each_run_what_training_it_alone_gives(lr, seeds, losses):
+    # each run alone trains or raises with its non-finite loss; in the group,
+    # each run's outcome is that embedding, byte for byte, or that error
     g, _, _ = metro_network(default_metro_spec())
     corpora = [corpus_for(g, walk_length=6, num_walks=1, seed=s) for s in seeds]
     cfgs = [TrainConfig(dim=4, epochs=3, initial_lr=lr, seed=s) for s in seeds]
-    messages = []
+    alone = []
     for corpus, cfg in zip(corpora, cfgs):
         try:
-            train(corpus, cfg)
-            messages.append(None)
+            alone.append(train(corpus, cfg))
         except TrainingDiverged as exc:
-            messages.append(str(exc))
+            alone.append(exc)
+    messages = [str(run) if isinstance(run, TrainingDiverged) else None for run in alone]
     assert [m and m[len("non-finite training loss ("):][:3] for m in messages] == losses
-    first = next(m for m in messages if m)
-    with pytest.raises(TrainingDiverged, match=f"^{re.escape(first)}$"):
-        train_many(corpora, cfgs)
+    for outcome, run in zip(train_many(corpora, cfgs), alone, strict=True):
+        assert type(outcome) is type(run)
+        if isinstance(run, TrainingDiverged):
+            assert str(outcome) == str(run)
+        else:
+            assert outcome.vectors.tobytes() == run.vectors.tobytes()
+            assert outcome.context_vectors.tobytes() == run.context_vectors.tobytes()
+            assert outcome.epoch_mean_loss == run.epoch_mean_loss
+
+
+def test_a_non_finite_context_row_is_divergence():
+    # finite losses and center rows, one inf in a context row (rows N..2N-1)
+    corpus = corpus_of([["a", "b"]], "ab")
+    weights = np.zeros((4, 2))
+    weights[3, 1] = np.inf
+    failed = _outcome(corpus, weights, [0.5], TrainConfig(dim=2))
+    assert isinstance(failed, TrainingDiverged) and str(failed) == "non-finite embedding entries; lower initial_lr"
+    weights[3, 1] = 0.0
+    assert isinstance(_outcome(corpus, weights, [0.5], TrainConfig(dim=2)), EmbeddingMatrix)
 
 
 # 128 walks of length 9 over 20 nodes; at window 9 (>= the walk length) each
@@ -421,7 +447,7 @@ def test_train_output_bytes_are_golden(cfg, digest):
     # Digests of train's output recorded with 64-bit indices and per-batch loss
     # sums (numpy 2.4, x86-64); the int32 indices and block-wise sums keep them.
     corpus = corpus_of(GOLDEN_WALKS, [f"n{i}" for i in range(20)])
-    assert len(extract_pairs(corpus, cfg.window)) == 9 * LOSS_BLOCK_PAIRS
+    assert pair_count(corpus, cfg.window) == 9 * LOSS_BLOCK_PAIRS
     emb = train(corpus, cfg)
     payload = emb.vectors.tobytes() + emb.context_vectors.tobytes() + repr(emb.epoch_mean_loss).encode()
     assert hashlib.sha256(payload).hexdigest() == digest

@@ -1,3 +1,4 @@
+import csv
 import json
 import tracemalloc
 from dataclasses import replace
@@ -9,7 +10,7 @@ from oracles import brute_force_macro_f1
 import pec.baselines
 import pec.evaluator
 from pec.clusterer import kmeans
-from pec.embedder import pair_count, train
+from pec.embedder import TrainingDiverged, pair_count, train
 from pec.evaluator import (
     GroundTruth,
     NoiseSpec,
@@ -259,7 +260,7 @@ def test_noise_spec_validation(tiny_metro, monkeypatch):
         raise AssertionError("a run started before every noise setting was checked")
 
     g, _, transfer_t = tiny_metro
-    monkeypatch.setattr(pec.evaluator, "_train_outcomes", no_run)
+    monkeypatch.setattr(pec.evaluator, "train_many", no_run)
     with pytest.raises(ValueError, match="finite and nonnegative"):
         noise_robustness(g, transfer_t, [("gaussian", 1.0), ("gaussian", float("inf"))], repeats=1)
     with pytest.raises(ValueError, match="mode"):
@@ -291,7 +292,7 @@ def test_experiments_check_every_truth_before_any_training(tiny_metro, monkeypat
     def no_run(*args, **kwargs):
         raise AssertionError("a run started before every truth was checked")
 
-    monkeypatch.setattr(pec.evaluator, "_train_outcomes", no_run)
+    monkeypatch.setattr(pec.evaluator, "train_many", no_run)
     foreign = truth_of([0, 1] * (g.num_nodes // 2), name="foreign")
     one_class = GroundTruth.from_labels(g.node_ids, [0] * g.num_nodes, name="flat")
     twin = "distinct names: two of them are both named 'line-membership'"
@@ -367,16 +368,45 @@ def test_sweep_csv_output(tmp_path, tiny_metro):
     assert len(lines) == 2
 
 
+def test_sweep_csv_writes_an_error_cell_row(tmp_path, tiny_metro):
+    g, line_t, transfer_t = tiny_metro
+    report = sweep(g, [line_t, transfer_t], grid={"dim": [2.5]}, base_params=FAST_PARAMS, repeats=2)
+    error = report.cells[0].error
+    assert error == "ValueError: dim: expected a whole number, got 2.5"
+    path = tmp_path / "sweep.csv"
+    report.save_csv(path)
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    assert rows[1:] == [["2.5", t.name, "pem", "", "", "2", error] for t in (line_t, transfer_t)]
+
+
+def test_noise_robustness_raises_its_first_failed_run_and_trains_no_later_group(tiny_metro, monkeypatch):
+    g, _, transfer_t = tiny_metro
+    groups = []
+    real_train_many = pec.evaluator.train_many
+
+    def failing_from_the_second_group(corpora, cfgs):
+        groups.append(len(cfgs))
+        outcomes = real_train_many(corpora, cfgs)
+        return outcomes if len(groups) == 1 else [TrainingDiverged(f"group {len(groups)}")] * len(cfgs)
+
+    monkeypatch.setattr(pec.evaluator, "train_many", failing_from_the_second_group)
+    monkeypatch.setattr(pec.evaluator, "LOCKSTEP_PAIRS", 1)  # one run per group
+    with pytest.raises(TrainingDiverged, match="^group 2$"):
+        noise_robustness(g, transfer_t, [("gaussian", 1.0), ("poisson", 2.0)], params=FAST_PARAMS, repeats=2)
+    assert groups == [1, 1]
+
+
 def test_sweep_trains_once_per_cell_and_repeat(tiny_metro, monkeypatch):
     g, line_t, transfer_t = tiny_metro
     calls = []
-    real_train_outcomes = pec.evaluator._train_outcomes
+    real_train_many = pec.evaluator.train_many
 
-    def counting_train_outcomes(corpora, cfgs):  # counts runs, not calls: a group trains several
+    def counting_train_many(corpora, cfgs):  # counts runs, not calls: a group trains several
         calls.extend(cfg.seed for cfg in cfgs)
-        return real_train_outcomes(corpora, cfgs)
+        return real_train_many(corpora, cfgs)
 
-    monkeypatch.setattr(pec.evaluator, "_train_outcomes", counting_train_outcomes)
+    monkeypatch.setattr(pec.evaluator, "train_many", counting_train_many)
     report = sweep(
         g, [line_t, transfer_t], grid={"p": [0.5, 2.0]}, base_params=FAST_PARAMS, repeats=2, seed=3
     )
@@ -462,13 +492,13 @@ def test_sweep_baselines_build_one_spectral_embedding_per_dim_and_one_tree(tiny_
 def recording_group_pairs(monkeypatch) -> list:
     """Each lockstep group's pair counts, run by run, as the experiments train them."""
     groups = []
-    real_train_outcomes = pec.evaluator._train_outcomes
+    real_train_many = pec.evaluator.train_many
 
-    def recording_train_outcomes(corpora, cfgs):
+    def recording_train_many(corpora, cfgs):
         groups.append([pair_count(c, cfg.window) for c, cfg in zip(corpora, cfgs)])
-        return real_train_outcomes(corpora, cfgs)
+        return real_train_many(corpora, cfgs)
 
-    monkeypatch.setattr(pec.evaluator, "_train_outcomes", recording_train_outcomes)
+    monkeypatch.setattr(pec.evaluator, "train_many", recording_train_many)
     return groups
 
 
@@ -510,7 +540,7 @@ def test_sweep_groups_span_cells_and_change_no_score(monkeypatch):
 
 def test_sweep_records_a_diverging_run_of_a_shared_group_as_if_alone(monkeypatch):
     # at lr 15-20 runs split into diverging and not, with an inf or a nan loss
-    # (see test_train_many_raises_what_the_first_diverging_run_raises); each
+    # (see test_train_many_gives_each_run_what_training_it_alone_gives); each
     # learning rate's three cells share one group of six runs
     g, _, transfer_t = metro_network(default_metro_spec())
     params = {"walk_length": 6, "num_walks": 1, "dim": 4, "epochs": 3, "restarts": 1}
@@ -575,13 +605,13 @@ def test_sweep_holds_one_lockstep_group_at_a_time():
 def test_noise_robustness_of_two_truths_equals_each_alone(tiny_metro, monkeypatch):
     g, line_t, transfer_t = tiny_metro
     calls = []
-    real_train_outcomes = pec.evaluator._train_outcomes
+    real_train_many = pec.evaluator.train_many
 
-    def counting_train_outcomes(corpora, cfgs):  # counts runs, not calls: a group trains several
+    def counting_train_many(corpora, cfgs):  # counts runs, not calls: a group trains several
         calls.extend(cfg.seed for cfg in cfgs)
-        return real_train_outcomes(corpora, cfgs)
+        return real_train_many(corpora, cfgs)
 
-    monkeypatch.setattr(pec.evaluator, "_train_outcomes", counting_train_outcomes)
+    monkeypatch.setattr(pec.evaluator, "train_many", counting_train_many)
     kwargs = dict(noise=[("gaussian", 1.0), ("poisson", 2.0)], params=FAST_PARAMS, repeats=2, seed=8)
     both = noise_robustness(g, [line_t, transfer_t], **kwargs)
     assert len(calls) == (1 + 2) * 2

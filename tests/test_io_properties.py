@@ -173,9 +173,11 @@ def test_save_graph_holds_no_formatted_edge_list(tmp_path):
 # labels:*:last=2**70 entries, a range error where a bare OverflowError was
 # raised; the nine features:*:{comment,first=empty,first=z z} entries, which
 # name the line of the invalid id; corpus:{0..3}:duplicate, a header
-# field given twice, which was read without an error; and corpus:2:last=empty,
+# field given twice, which was read without an error; corpus:2:last=empty,
 # an empty id in the node list, which was reported later as a walk's node
-# missing from it.
+# missing from it; and the fifteen labels:{1..3}:{comment,first=empty,first=z z}
+# and embeddings:{1..3}:{comment,first=empty} entries, whose invalid ids were
+# read without an error.
 
 SAMPLES = {
     "graph": (load_graph, ["#node\ta", "#node\tb", "#node\tc", "a\tb\t1.0", "b\tc\t0.5"]),
@@ -269,7 +271,7 @@ def test_readers_keep_their_message_for_every_single_fault(single_faults):
 
 def test_every_invalid_node_id_is_named_with_its_line(single_faults):
     invalid = {key: message for key, message in single_faults.items() if "invalid node identifier" in (message or "")}
-    assert {key.split(":")[0] for key in invalid} == {"graph", "features", "corpus"}
+    assert {key.split(":")[0] for key in invalid} == {"graph", "features", "corpus", "labels", "embeddings"}
     assert all(re.match(r"line \d+: invalid node identifier ", message) for message in invalid.values()), invalid
 
 

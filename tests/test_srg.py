@@ -64,6 +64,17 @@ def test_cosine_zero_row_rejected():
         build_srg_from_features(feats, similarity="cosine")
 
 
+def test_sigma_defaults_to_one_for_gaussian_and_is_refused_with_cosine():
+    feats = FeatureMatrix(["a", "b", "c"], [[0.0, 0.0], [1.0, 0.5], [2.0, -1.0]])
+    assert build_srg_from_features(feats) == build_srg_from_features(feats, sigma=1.0)
+    assert build_srg_from_features(feats) != build_srg_from_features(feats, sigma=2.0)
+    with pytest.raises(ValueError, match=r"^cosine similarity takes no sigma, got sigma=1\.0$"):
+        build_srg_from_features(feats, similarity="cosine", sigma=1.0)
+    for sigma in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="gaussian similarity requires sigma > 0"):
+            build_srg_from_features(feats, sigma=sigma)
+
+
 def test_nonfinite_features_rejected():
     with pytest.raises(ValueError, match="finite"):
         FeatureMatrix(["a", "b"], [[0.0, np.inf], [1.0, 0.0]])
@@ -131,7 +142,7 @@ def test_weights_in_unit_interval():
     rng = np.random.default_rng(11)
     feats = FeatureMatrix([f"n{i}" for i in range(5)], rng.normal(size=(5, 4)))
     for sim in ("gaussian", "cosine"):
-        g = build_srg_from_features(feats, similarity=sim, sigma=2.0)
+        g = build_srg_from_features(feats, similarity=sim, sigma=2.0 if sim == "gaussian" else None)
         for _, _, w in g.edges():
             assert 0.0 < w <= 1.0
 
@@ -212,9 +223,10 @@ def test_feature_builder_matches_edge_list_reference(values, similarity, sigma, 
     assume(similarity == "gaussian" or np.all(np.linalg.norm(feats.values, axis=1) > 0))
     k_nn = data.draw(st.integers(1, len(values) - 1)) if sparsify == "knn" else None
     tau = data.draw(st.floats(0.0, 1.0)) if sparsify == "threshold" else None
-    kwargs = dict(similarity=similarity, sigma=sigma, k_nn=k_nn, tau=tau)
-    ref = reference_srg_from_features(feats, sparsify=sparsify, **kwargs)
-    _same_graph(build_srg_from_features(feats, **kwargs), ref)
+    kwargs = dict(similarity=similarity, k_nn=k_nn, tau=tau)
+    ref = reference_srg_from_features(feats, sparsify=sparsify, sigma=sigma, **kwargs)
+    # cosine takes no sigma; the reference ignores it
+    _same_graph(build_srg_from_features(feats, sigma=sigma if similarity == "gaussian" else None, **kwargs), ref)
 
 
 @settings(max_examples=100, deadline=None)
