@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +63,10 @@ class PipelineError(RuntimeError):
         self.stage = stage
         self.cause = cause
 
+    def to_json(self) -> dict:
+        """The failure as the stderr JSON and a failed run's manifest give it."""
+        return {"error": type(self.cause).__name__, "stage": self.stage, "message": str(self.cause)}
+
 
 def _parse_noise_entry(entry: str) -> tuple[str, float]:
     kind, _, level = entry.partition(":")
@@ -72,14 +76,6 @@ def _parse_noise_entry(entry: str) -> tuple[str, float]:
         # argparse prints the message of this error type as it is
         raise argparse.ArgumentTypeError(f"bad noise entry {entry!r}; expected kind:level; {exc}") from None
     return spec.kind, spec.level
-
-
-def _parse_bool(text: str) -> bool:
-    """A yes/no setting: true/false, yes/no or 1/0, in any case."""
-    value = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}.get(text.lower())
-    if value is None:
-        raise ValueError(f"expected true, false, yes, no, 1 or 0, got {text!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -117,7 +113,6 @@ class PipelineConfig:
     # run options
     out_dir: str = "pec-run"
     seed: int = 0
-    geojson: bool = field(default=False, metadata={"parse": _parse_bool})
 
     def __post_init__(self) -> None:
         inputs = [self.features_path, self.od_path, self.edges_path]
@@ -182,29 +177,6 @@ def read_config_file(path) -> dict:
     return out
 
 
-CELL_SIZE = 500.0  # side of one square of grid_geojson's lattice
-
-
-def grid_geojson(node_ids, labels) -> dict:
-    """Cluster labels over an abstract square lattice (row-major layout)."""
-    n = len(node_ids)
-    cols = max(1, math.ceil(math.sqrt(n)))
-    features = []
-    for i, (nid, lab) in enumerate(zip(node_ids, np.asarray(labels).tolist())):
-        row, col = divmod(i, cols)
-        x0, y0 = col * CELL_SIZE, -row * CELL_SIZE
-        x1, y1 = x0 + CELL_SIZE, y0 - CELL_SIZE
-        ring = [[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]]
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {"type": "Polygon", "coordinates": [ring]},
-                "properties": {"node": nid, "label": int(lab)},
-            }
-        )
-    return {"type": "FeatureCollection", "features": features}
-
-
 def _load_input(cfg: PipelineConfig):
     """The space relation graph of the run's input, and the OD matrix when
     the input is one (else None)."""
@@ -227,11 +199,13 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     returns the manifest, which hashes the artifacts this run wrote.
     Artifacts that an earlier run's manifest in ``out_dir`` lists and this
     run did not write are deleted; no other file is touched.
-    Raises PipelineError naming the failed stage; artifacts of completed
-    stages are retained.  The graph stage also checks that the ground
-    truths' file stems differ, that each labels exactly the graph's nodes
-    (in two classes or more with noise curves) and that a fixed cluster
-    count fits the graph, so that no such run starts training.
+    A failed stage raises PipelineError naming it, after the same cleanup
+    and a manifest that hashes the artifacts of the stages before it and
+    records the failure under "failed".  The graph stage also checks that
+    the ground truths' file stems differ, that each labels exactly the
+    graph's nodes (in two classes or more with noise curves) and that the
+    cluster count or, in mode auto-indices, the candidate range fits the
+    graph, so that no such run starts training.
     """
     check_cluster_count(cfg.cluster)
     out = Path(cfg.out_dir)
@@ -259,7 +233,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         earlier = set(json.loads((out / "manifest.json").read_text(encoding="utf-8"))["outputs"].keys())
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         earlier = set()
+    (out / "manifest.json").unlink(missing_ok=True)  # no manifest while it would describe another run
     written: list[str] = []
+    failure = None
 
     def artifact(name: str) -> Path:
         written.append(name)
@@ -287,8 +263,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             write_json(record.pop("selection"), artifact("selection.json"))
         manifest.update(record)
         save_labels(graph.node_ids, labels, artifact("labels.csv"))
-        if cfg.geojson:
-            write_json(grid_geojson(graph.node_ids, labels), artifact("clusters.geojson"))
 
         stage = "evaluate"
         if truths:
@@ -311,13 +285,17 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             freq = interaction_frequency_report(od, labels)
             freq.save_csv(artifact("frequency.csv"))
     except Exception as exc:
-        raise PipelineError(stage, exc) from exc
+        failure = PipelineError(stage, exc)
+        manifest["failed"] = failure.to_json()
 
     for name in sorted(earlier - set(written)):
         if Path(name).name == name and (out / name).is_file():
             (out / name).unlink()
-    manifest["outputs"] = {name: sha256_file(out / name) for name in sorted(written)}
+    # a failed stage may have named an artifact that it did not write
+    manifest["outputs"] = {name: sha256_file(out / name) for name in sorted(written) if (out / name).is_file()}
     write_json(manifest, out / "manifest.json")
+    if failure is not None:
+        raise failure from failure.cause
     return manifest
 
 
@@ -353,8 +331,6 @@ def _cmd_cluster(args) -> int:
     cfg = ClusterConfig(**_given(args, _names(ClusterConfig)))
     assignment = kmeans(emb.vectors, cfg.n_clusters, seed=args.seed, restarts=cfg.restarts)
     save_labels(emb.node_ids, assignment.labels, args.out)
-    if args.geojson:
-        write_json(grid_geojson(emb.node_ids, assignment.labels), args.geojson)
     print(f"wrote {args.out}: {cfg.n_clusters} clusters, inertia {assignment.inertia:.6g}")
     return 0
 
@@ -442,36 +418,37 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Build the fixture, then make the out-dir and write its files, so that
+    rejected arguments leave no directory behind."""
     if args.fixture == "metro":
-        spec = default_metro_spec(args.lines, args.stations, seed=args.seed)
-        g, line_truth, transfer_truth = metro_network(spec)
-        save_graph(g, out_dir / "edges.tsv")
-        save_labels(line_truth.node_ids, line_truth.labels, out_dir / "line-membership.csv")
-        save_labels(
-            transfer_truth.node_ids, transfer_truth.labels, out_dir / "transfer-vs-not.csv"
-        )
-        print(f"wrote metro fixture to {out_dir}: {g.num_nodes} stations, {g.num_edges} links")
+        g, line_truth, transfer_truth = metro_network(default_metro_spec(args.lines, args.stations, seed=args.seed))
+        files = {
+            "edges.tsv": partial(save_graph, g),
+            "line-membership.csv": partial(save_labels, line_truth.node_ids, line_truth.labels),
+            "transfer-vs-not.csv": partial(save_labels, transfer_truth.node_ids, transfer_truth.labels),
+        }
+        kind, size = "metro fixture", f"{g.num_nodes} stations, {g.num_edges} links"
     elif args.fixture == "od":
-        od, truth = planted_od(
-            args.blocks, args.nodes_per_block, args.intra, args.inter, seed=args.seed
-        )
-        save_od_csv(od, out_dir / "od.csv")
-        save_labels(truth.node_ids, truth.labels, out_dir / "block-membership.csv")
-        print(f"wrote planted OD fixture to {out_dir}: {len(od.node_ids)} nodes")
+        od, truth = planted_od(args.blocks, args.nodes_per_block, args.intra, args.inter, seed=args.seed)
+        files = {
+            "od.csv": partial(save_od_csv, od),
+            "block-membership.csv": partial(save_labels, truth.node_ids, truth.labels),
+        }
+        kind, size = "planted OD fixture", f"{len(od.node_ids)} nodes"
     else:
         feats, truth = blobs(
-            args.clusters,
-            args.points,
-            dims=args.dims,
-            spread=args.spread,
-            separation=args.separation,
-            seed=args.seed,
+            args.clusters, args.points, dims=args.dims, spread=args.spread, separation=args.separation, seed=args.seed
         )
-        save_feature_csv(feats, out_dir / "features.csv")
-        save_labels(truth.node_ids, truth.labels, out_dir / "blob-membership.csv")
-        print(f"wrote blob fixture to {out_dir}: {len(feats.node_ids)} points")
+        files = {
+            "features.csv": partial(save_feature_csv, feats),
+            "blob-membership.csv": partial(save_labels, truth.node_ids, truth.labels),
+        }
+        kind, size = "blob fixture", f"{len(feats.node_ids)} points"
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, save in files.items():
+        save(out_dir / name)
+    print(f"wrote {kind} to {out_dir}: {size}")
     return 0
 
 
@@ -525,9 +502,6 @@ def _add_flags(parser, settings, required=()) -> None:
     takes a repeated flag."""
     for cls, f in settings:
         flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
-        if isinstance(f.default, bool):
-            parser.add_argument(flag, dest=f.name, action="store_true", default=None)
-            continue
         parser.add_argument(
             flag,
             dest=f.name,
@@ -576,7 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(c, _fields(ClusterConfig, ("n_clusters", "restarts")), required=("n_clusters",))
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", required=True)
-    c.add_argument("--geojson")
     c.set_defaults(func=_cmd_cluster)
 
     s = sub.add_parser("select-n", help="score candidate cluster counts")
@@ -659,8 +632,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except PipelineError as exc:
-        payload = {"error": type(exc.cause).__name__, "stage": exc.stage, "message": str(exc.cause)}
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+        print(json.dumps(exc.to_json(), sort_keys=True), file=sys.stderr)
         return 1
     except Exception as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}

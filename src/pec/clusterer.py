@@ -383,19 +383,31 @@ def louvain(g, seed: int = 0, runs: int = 5) -> tuple[np.ndarray, int, float]:
 
 def check_cluster_count(cfg: ClusterConfig, n_pts: int | None = None) -> None:
     """Raise ValueError if mode "fixed" has no ``n_clusters``, or, given the
-    number of points to cluster, more clusters than points."""
+    number of points to cluster, if it has more clusters than points or
+    mode "auto-indices" has no candidate count."""
     if cfg.cluster_mode == "fixed" and cfg.n_clusters is None:
         raise ValueError("fixed clustering needs --n-clusters")
     if cfg.cluster_mode == "fixed" and n_pts is not None and cfg.n_clusters > n_pts:
         raise ValueError(f"n_clusters={cfg.n_clusters} exceeds the {n_pts} nodes to cluster")
+    if cfg.cluster_mode == "auto-indices" and n_pts is not None:
+        _candidate_counts(cfg, n_pts)
+
+
+def _candidate_counts(cfg: ClusterConfig, n_pts: int) -> range:
+    """The counts that select_n scores for ``n_pts`` points: n_min..n_max,
+    with n_max clipped to N - 1 (N clusters are all singletons, whose Dunn
+    index is undefined); ValueError if none is left."""
+    counts = range(cfg.n_min, min(cfg.n_max, n_pts - 1) + 1)
+    if not counts:
+        raise ValueError(f"no candidate cluster count: n_min={cfg.n_min} exceeds N - 1 = {n_pts - 1} "
+                         f"for the {n_pts} nodes to cluster")
+    return counts
 
 
 def selection(vectors, cfg: ClusterConfig, seed: int) -> dict:
     """select_n's recommended count and each candidate's validity indices
-    over n_min..n_max, with n_max clipped to one less than the number of
-    rows (N clusters are all singletons, whose Dunn index is undefined)."""
-    n_range = range(cfg.n_min, min(cfg.n_max, len(vectors) - 1) + 1)
-    recommended, table = select_n(vectors, n_range, seed=seed, restarts=cfg.restarts)
+    over :func:`_candidate_counts`."""
+    recommended, table = select_n(vectors, _candidate_counts(cfg, len(vectors)), seed=seed, restarts=cfg.restarts)
     return {"recommended": recommended, "scores": {str(n): asdict(s) for n, s in table.items()}}
 
 

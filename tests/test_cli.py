@@ -1,5 +1,8 @@
+import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +12,7 @@ import pytest
 
 import pec.cli
 import pec.evaluator
-from pec.cli import main, read_config_file
-from pec.embedder import EmbeddingMatrix, save_embeddings
+from pec.cli import build_parser, main, read_config_file
 from pec.evaluator import NoiseSpec, load_labels, perturb
 from pec.srg import build_srg_from_features, load_graph, save_graph
 from pec.synth import blobs
@@ -88,6 +90,19 @@ def test_synth_metro_writes_three_files(metro_dir):
     assert g.num_nodes == 4 * 6 - 3
 
 
+def test_synth_rejects_its_arguments_before_making_the_out_dir(tmp_path, capsys):
+    cases = [
+        (["metro", "--lines", 0], "need at least 2 lines"),
+        (["od", "--blocks", 0], "need at least one block and one node per block"),
+        (["blobs", "--points", 0], "counts must be positive"),
+    ]
+    for args, message in cases:
+        out = tmp_path / args[0]
+        assert run_cli("synth", *args, "--out-dir", out) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+        assert not out.exists()
+
+
 def test_walks_subcommand_header(metro_dir, tmp_path):
     corpus_path = tmp_path / "corpus.txt"
     assert (
@@ -152,13 +167,18 @@ def test_louvain_rejects_fewer_than_one_run(metro_dir, tmp_path, capsys):
     assert not (tmp_path / "c.csv").exists()
 
 
-def test_select_n_clips_n_max_below_rows(tmp_path):
+def test_select_n_clips_n_max_below_rows(tmp_path, capsys):
     emb = tmp_path / "six.txt"
     rows = [f"n{i} {i % 3} {i * i}" for i in range(6)]
     emb.write_text("6 2\n" + "\n".join(rows) + "\n", encoding="utf-8")
     table = tmp_path / "table.json"
     assert run_cli("select-n", "--embeddings", emb, "--out", table) == 0
     assert set(json.loads(table.read_text())["scores"]) == {"2", "3", "4", "5"}
+    # an n_min above N - 1 leaves no candidate
+    assert run_cli("select-n", "--embeddings", emb, "--n-min", 6, "--n-max", 8, "--out", tmp_path / "none.json") == 1
+    assert json.loads(capsys.readouterr().err)["message"] == (
+        "no candidate cluster count: n_min=6 exceeds N - 1 = 5 for the 6 nodes to cluster"
+    )
 
 
 def test_pipeline_auto_indices_on_six_nodes(tmp_path):
@@ -231,18 +251,6 @@ def test_blob_features_pipeline_builds_the_library_knn_graph(tmp_path):
     save_graph(build_srg_from_features(feats, k_nn=3), tmp_path / "library.tsv")
     assert (out / "graph.tsv").read_bytes() == (tmp_path / "library.tsv").read_bytes()
     assert json.loads((out / "manifest.json").read_text())["config"]["k_nn"] == 3
-
-
-def test_cluster_geojson_lists_every_node_once(tmp_path):
-    ids = tuple(f"u{i}" for i in range(7))
-    vectors = np.arange(14.0).reshape(7, 2)
-    save_embeddings(EmbeddingMatrix(ids, vectors, vectors.copy()), tmp_path / "emb.txt")
-    geo, labels = tmp_path / "clusters.geojson", tmp_path / "labels.csv"
-    assert run_cli("cluster", "--embeddings", tmp_path / "emb.txt", "--n-clusters", 2,
-                   "--out", labels, "--geojson", geo) == 0
-    props = [f["properties"] for f in json.loads(geo.read_text())["features"]]
-    assert [p["node"] for p in props] == list(ids)
-    assert [p["label"] for p in props] == load_labels(labels)[1].tolist()
 
 
 def test_sweep_subcommand(metro_dir, tmp_path):
@@ -446,22 +454,6 @@ def test_pipeline_single_community_edge(tmp_path):
     assert set(labels.tolist()) == {0}
 
 
-def test_pipeline_geojson(od_dir, tmp_path):
-    out = tmp_path / "geo"
-    assert (
-        run_cli(
-            "pipeline", "--od", od_dir / "od.csv", "--n-clusters", 3,
-            "--walk-length", 6, "--num-walks", 2, "--dim", 4, "--epochs", 1,
-            "--seed", 2, "--geojson", "--out-dir", out,
-        )
-        == 0
-    )
-    geo = json.loads((out / "clusters.geojson").read_text())
-    assert geo["type"] == "FeatureCollection"
-    assert len(geo["features"]) == 18
-    assert {"node", "label"} <= set(geo["features"][0]["properties"])
-
-
 def test_config_file_with_flag_override(od_dir, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -525,6 +517,8 @@ def test_inputs_that_do_not_fit_the_graph_fail_before_the_walks(od_dir, metro_di
         path.write_bytes((od_dir / "block-membership.csv").read_bytes())
     cases = [
         (["--n-clusters", 999], "n_clusters=999 exceeds the 18 nodes"),
+        (["--cluster-mode", "auto-indices", "--n-min", 18, "--n-max", 20],
+         "no candidate cluster count: n_min=18 exceeds N - 1 = 17 for the 18 nodes to cluster"),
         (["--n-clusters", 3, "--truth", foreign], f"{foreign}: node set does not match the graph"),
         (["--n-clusters", 3, "--truth", one_class, "--noise", "gaussian:1"], f"{one_class}: 1 class"),
         (["--n-clusters", 3, "--truth", twins[0], "--truth", twins[1], "--noise", "gaussian:1"],
@@ -564,6 +558,27 @@ def test_unknown_subcommand_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+def readme_commands() -> list[str]:
+    """Every ``pec ...`` command of README.md's ``sh`` blocks, continuations joined."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.S | re.M)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line.split("#", 1)[0] for line in lines if line.startswith("pec ")]
+
+
+def test_readme_commands_parse():
+    parser = build_parser()
+    parsed = []
+    for command in readme_commands():
+        try:
+            parsed.append(parser.parse_args(shlex.split(command)[1:]))
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
+    # the README shows every subcommand
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert {args.command for args in parsed} == set(subcommands)
 
 
 # Digests recorded before sweep and noise_robustness shared one scored-run

@@ -15,7 +15,7 @@ from pec.embedder import TrainConfig
 from pec.evaluator import noise_robustness, run_embedding_clustering, sweep
 from pec.srg import FeatureMatrix, save_feature_csv
 from pec.synth import MetroSpec, metro_network
-from pec.util import knobs
+from pec.util import knobs, sha256_file
 from pec.walker import WalkConfig
 
 FAST_PARAMS = {"walk_length": 6, "num_walks": 2, "dim": 3, "window": 2, "epochs": 1, "restarts": 2}
@@ -106,6 +106,24 @@ def test_rerun_deletes_earlier_runs_artifacts_only(od_dir, tmp_path):
     assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "manifest.json", "notes.txt"])
 
 
+def test_failed_rerun_leaves_a_manifest_of_its_own_files(od_dir, tmp_path, capsys):
+    out = tmp_path / "shared"
+    common = ["pipeline", "--od", od_dir / "od.csv", "--walk-length", 5, "--num-walks", 2,
+              "--dim", 3, "--epochs", 1, "--n-clusters", 3, "--out-dir", out]
+    assert run_cli(*common, "--truth", od_dir / "block-membership.csv") == 0
+    foreign = tmp_path / "foreign.csv"
+    foreign.write_text("node_id,label\n" + "".join(f"x{i},{i % 2}\n" for i in range(18)), encoding="utf-8")
+    assert run_cli(*common, "--truth", foreign) == 1
+    err = error_of(capsys)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failed"] == err and err["stage"] == "graph"
+    assert manifest["inputs"] == {str(od_dir / "od.csv"): sha256_file(od_dir / "od.csv"),
+                                  str(foreign): sha256_file(foreign)}
+    # the first run's later artifacts are gone; what is left is this run's and hashed
+    assert manifest["outputs"] == {p.name: sha256_file(p) for p in out.iterdir() if p.name != "manifest.json"}
+    assert set(manifest["outputs"]) == {"graph.tsv"}
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -181,17 +199,6 @@ def test_sweep_grid_name_given_twice_is_rejected(tmp_path, capsys):
         assert code == 1
         assert error_of(capsys)["message"] == f"grid name {name!r} is given twice"
     assert not (tmp_path / "sw").exists()
-
-
-def test_geojson_config_value_is_a_yes_or_no(tmp_path):
-    cfg = tmp_path / "geo.cfg"
-    for value, expected in (("true", True), ("YES", True), ("1", True), ("False", False), ("no", False), ("0", False)):
-        cfg.write_text(f"# run\ngeojson = {value}\n", encoding="utf-8")
-        assert read_config_file(cfg) == {"geojson": expected}
-    for value in ("maybe", "on", ""):
-        cfg.write_text(f"# run\ngeojson = {value}\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(cfg))}: line 2: geojson: expected true, false"):
-            read_config_file(cfg)
 
 
 def test_input_path_that_is_a_directory_or_empty_fails_before_out_dir(od_dir, tmp_path, capsys):

@@ -258,7 +258,7 @@ def single_faults(tmp_path_factory):
     for reader, (load, lines) in SAMPLES.items():
         for at in range(len(lines)):
             for kind in MUTATIONS:
-                path = tmp_path / f"{reader}.txt"
+                path = tmp_path / f"{reader}-{at}-{kind}.txt"  # writing over one file is slow on some file systems
                 path.write_text(_mutated(lines, [(at, kind)]), encoding="utf-8")
                 seen[f"{reader}:{at}:{kind}"] = _outcome(load, path)
     return seen
