@@ -26,6 +26,7 @@ from .evaluator import (
     EXPERIMENT_PARAMS,
     STAGES,
     NoiseSpec,
+    check_noise,
     check_truths,
     interaction_frequency_report,
     load_ground_truth,
@@ -128,6 +129,7 @@ class PipelineConfig:
             raise ValueError("repeats must be at least 1")
         if self.noise and not self.truth_paths:
             raise ValueError("noise curves need a ground truth: give --truth with --noise")
+        check_noise(self.noise)
 
 
 def _fields(cls, names=None) -> list:

@@ -52,6 +52,8 @@ class ClusterConfig:
             raise ValueError(f"n_clusters must be at least 2, got {self.n_clusters}")
         if self.cluster_mode not in CLUSTER_MODES:
             raise ValueError(f"unknown cluster mode {self.cluster_mode!r}")
+        if self.n_clusters is not None and self.cluster_mode != "fixed":
+            raise ValueError(f"n_clusters={self.n_clusters} is for cluster_mode 'fixed', not {self.cluster_mode!r}")
         if not 2 <= self.n_min <= self.n_max:
             raise ValueError(f"need 2 <= n_min <= n_max, got n_min={self.n_min}, n_max={self.n_max}")
         if self.restarts < 1:

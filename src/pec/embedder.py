@@ -11,10 +11,11 @@ negative context vectors.  Training is plain SGD with a linearly decaying
 learning rate, applied in small batches; it is single-threaded by design
 so a seed fully determines the result.
 
-``train_many`` trains independent runs in lockstep, and ``train`` is its
-one-run case.  The runs share the node count N, the config apart from the
-seed, and the pair count, so they share every batch boundary and learning
-rate.  One (R, 2N, d) array holds them all: rows 0..N-1 of run r are its
+``train_many`` trains a stream of independent runs, and ``train`` is its
+one-run case.  Consecutive runs of one node count N, one config apart from
+the seed and one pair count share every batch boundary and learning rate,
+so they form one lockstep group while its pairs stay within LOCKSTEP_PAIRS.
+One (R, 2N, d) array holds a group's R runs: rows 0..N-1 of run r are its
 center vectors, rows N..2N-1 its context vectors, and run r's rows sit r * 2N
 into the flat (R * 2N, d) view.  Each loss block is one (pairs, R, m+2) row
 block, ``[center, context + N, negatives + N]`` pair by pair and run by run.
@@ -74,6 +75,7 @@ LR_FLOOR_FACTOR = 1e-4  # lr never decays below initial_lr * this
 NEGATIVE_EXPONENT = 0.75  # unigram smoothing for the negative distribution
 LOSS_BLOCK_PAIRS = 1024  # pairs whose scores share one pair of softplus calls
 PAIR_CHUNK_STEPS = 1 << 12  # walk steps whose pairs are built at a time
+LOCKSTEP_PAIRS = 1 << 18  # pairs of one lockstep group (1 MB of int32 codes), unless one run has more
 
 
 class TrainingDiverged(RuntimeError):
@@ -325,33 +327,36 @@ def _sgd_epoch(weights, codes, neg_tables, rngs, cfg, done, total_updates) -> li
     return loss_sums
 
 
-def train_many(corpora, cfgs) -> list[EmbeddingMatrix | TrainingDiverged]:
-    """Learn node vectors for independent runs in lockstep: run r trains
-    ``corpora[r]`` with ``cfgs[r]``.  Returns one outcome per run, in run
-    order: its EmbeddingMatrix, byte for byte that of training it alone, or
-    the TrainingDiverged that training it alone raises.  A diverged run
-    trains on with the others, as runs share no row, and fails alone.
-
-    The runs must share the node count, the config apart from the seed, and
-    the pair count (:func:`pair_count`), so they share the batches and the
-    learning-rate schedule; each keeps its own generator, negatives and
-    loss.  Negatives are drawn from the corpus unigram distribution raised
-    to the 3/4 power.  Center vectors start uniform in [-0.5/d, 0.5/d],
-    context vectors at zero.  Deterministic for fixed configs.
+def train_many(runs):
+    """Learn node vectors for a stream of independent ``(corpus, TrainConfig)``
+    runs, read one run at a time; yields one outcome per run, in run order:
+    its EmbeddingMatrix, byte for byte that of training it alone, or the
+    TrainingDiverged that training it alone raises.  Runs train in lockstep
+    groups (see the module docstring), and a group trains once the run after
+    it is read, so only its corpora and that run are held.
     """
-    corpora, cfgs = list(corpora), list(cfgs)
-    if not corpora or len(corpora) != len(cfgs):
-        raise ValueError("need one config per corpus, and at least one run")
+    group, key = [], None
+    for corpus, cfg in runs:
+        n_pairs = pair_count(corpus, cfg.window)
+        run_key = (len(corpus.node_ids), replace(cfg, seed=0), n_pairs)
+        if group and (run_key != key or (len(group) + 1) * n_pairs > LOCKSTEP_PAIRS):
+            yield from _train_group(*zip(*group))
+            group = []
+        group.append((corpus, cfg))
+        key = run_key
+    if group:
+        yield from _train_group(*zip(*group))
+
+
+def _train_group(corpora, cfgs) -> list[EmbeddingMatrix | TrainingDiverged]:
+    """The :func:`train_many` outcomes of one lockstep group, in run order; a
+    diverged run trains on with the others (runs share no row) and fails alone.
+    Negatives follow the corpus unigram law raised to the 3/4 power; center
+    vectors start uniform in [-0.5/d, 0.5/d], context vectors at zero."""
     cfg, n = cfgs[0], len(corpora[0].node_ids)
     if n == 0:
         raise ValueError("corpus has no nodes")
     n_pairs = pair_count(corpora[0], cfg.window)
-    for corpus, run_cfg in zip(corpora[1:], cfgs[1:]):
-        if (len(corpus.node_ids), replace(run_cfg, seed=cfg.seed)) != (n, cfg) or (
-            pair_count(corpus, cfg.window) != n_pairs
-        ):
-            raise ValueError("lockstep runs must share the node count, the config apart from the seed, "
-                             "and the pair count")
     rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(c.seed))) for c in cfgs]
     d = cfg.dim
     # rows 0..n-1 of weights[r] hold run r's center vectors, rows n..2n-1 its context vectors
@@ -393,7 +398,7 @@ def _outcome(corpus: WalkCorpus, weights: np.ndarray, losses: list[float], cfg: 
 def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:
     """Learn node vectors from the corpus: :func:`train_many` of one run;
     raises its TrainingDiverged."""
-    [outcome] = train_many([corpus], [cfg])
+    [outcome] = train_many([(corpus, cfg)])
     if isinstance(outcome, TrainingDiverged):
         raise outcome
     return outcome

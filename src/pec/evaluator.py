@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .baselines import hca, spectral_cluster
 from .clusterer import ClusterConfig, kmeans
-from .embedder import TrainConfig, TrainingDiverged, pair_count, train, train_many
+from .embedder import TrainConfig, TrainingDiverged, train, train_many
 from .srg import InteractionMatrix, build_srg_from_interactions
 from .util import derive_seed, field_parser, knobs, parse_rows, prefixed, read_csv, write_csv
 from .walker import WalkConfig, generate_walks
@@ -29,6 +30,7 @@ __all__ = [
     "macro_f1",
     "run_embedding_clustering",
     "check_truths",
+    "check_noise",
     "STAGES",
     "EXPERIMENT_PARAMS",
     "stage_configs",
@@ -250,11 +252,6 @@ def check_truths(g, truths, sources=None, min_classes: int = 2) -> list[GroundTr
     return truths
 
 
-# Pairs trained in one lockstep group, at most (unless one run has more):
-# 1 MB of int32 pair codes.
-LOCKSTEP_PAIRS = 1 << 18
-
-
 def _embed_inputs(g, wcfg: WalkConfig, tcfg: TrainConfig, seed: int):
     """The embed step's walk corpus and training config: walks, then
     skip-gram training, seeded from ``seed`` as "walks" and "train"."""
@@ -262,47 +259,27 @@ def _embed_inputs(g, wcfg: WalkConfig, tcfg: TrainConfig, seed: int):
     return corpus, replace(tcfg, seed=derive_seed(seed, "train"))
 
 
-def _lockstep_groups(runs):
-    """``runs`` as lists of (corpus, training config, k-means restarts,
-    k-means seeds), one list per lockstep group: consecutive runs of one node
-    count, one training config apart from the seed and one pair count, while
-    the group's pairs stay within LOCKSTEP_PAIRS.  Runs of different sweep
-    cells may share a group.  Each run's walks are generated when it is read,
-    and only they are kept until its group trains."""
-    group, key = [], None
-    for g, (wcfg, tcfg, ccfg), run_seed, km_seeds in runs:
-        corpus, cfg = _embed_inputs(g, wcfg, tcfg, run_seed)
-        n_pairs = pair_count(corpus, cfg.window)
-        run_key = (g.num_nodes, tcfg, n_pairs)
-        if group and (run_key != key or (len(group) + 1) * n_pairs > LOCKSTEP_PAIRS):
-            yield group
-            group = []
-        group.append((corpus, cfg, ccfg.restarts, km_seeds))
-        key = run_key
-    if group:
-        yield group
-
-
 def _score_runs(runs, truths):
-    """One outcome per run, yielded in run order as its lockstep group is
-    scored: the run's Macro-F1 against every truth, or the TrainingDiverged
-    its training returned (:func:`train_many`).  A run is (graph, its stage
-    configs as :func:`_resolve_params` gives them, run seed, one k-means seed
-    per truth): one embedding (:func:`_embed_inputs`), then k-means at each
-    truth's class count with the cluster config's restarts.  Runs train in
-    lockstep groups (:func:`_lockstep_groups`), and a run that fails takes
-    no other run of its group with it, so every outcome is that of the run
-    alone.  ``runs`` is read one run at a time, so it can build each graph
-    lazily; a group walks all its runs before any trains, so an error in
-    reading a run comes before the outcomes of the earlier runs of its group."""
-    for group in _lockstep_groups(runs):
-        trained = train_many([corpus for corpus, *_ in group], [cfg for _, cfg, *_ in group])
-        for emb, (corpus, _, restarts, km_seeds) in zip(trained, group):
-            if isinstance(emb, Exception):
-                yield emb
-                continue
-            labels = [kmeans(emb.vectors, t.n_true, seed=s, restarts=restarts).labels for t, s in zip(truths, km_seeds)]
-            yield [macro_f1(lab, t, node_ids=corpus.node_ids).macro_f1 for lab, t in zip(labels, truths)]
+    """One outcome per run, yielded in run order: the run's Macro-F1 against
+    every truth, or the TrainingDiverged its training gave (:func:`train_many`).
+    A run is (graph, its stage configs as :func:`_resolve_params` gives them,
+    run seed, one k-means seed per truth): one embedding (:func:`_embed_inputs`),
+    then k-means at each truth's class count with the cluster config's restarts.
+    ``runs`` is read one run at a time, so it can build each graph lazily."""
+    kmeans_args = deque()  # each read run's k-means restarts and seeds, until it is scored
+
+    def inputs():
+        for g, (wcfg, tcfg, ccfg), run_seed, km_seeds in runs:
+            kmeans_args.append((ccfg.restarts, km_seeds))
+            yield _embed_inputs(g, wcfg, tcfg, run_seed)
+
+    for emb in train_many(inputs()):
+        restarts, km_seeds = kmeans_args.popleft()
+        if isinstance(emb, Exception):
+            yield emb
+            continue
+        labels = [kmeans(emb.vectors, t.n_true, seed=s, restarts=restarts).labels for t, s in zip(truths, km_seeds)]
+        yield [macro_f1(lab, t, node_ids=emb.node_ids).macro_f1 for lab, t in zip(labels, truths)]
 
 
 def run_embedding_clustering(g, n: int, params: dict | None = None, seed: int = 0):
@@ -529,6 +506,19 @@ class NoiseSpec:
         return f"{self.kind}({self.level:g})"
 
 
+def check_noise(noise) -> list[str]:
+    """The curve label of every (kind, level) in ``noise``, each checked by
+    NoiseSpec; two of one label, which would merge into one curve, raise
+    ValueError naming both entries."""
+    first: dict[str, str] = {}
+    for i, (kind, level) in enumerate(noise, 1):
+        label, entry = NoiseSpec(kind, level).label, f"entry {i} ({kind}:{level!r})"
+        if label in first:
+            raise ValueError(f"noise settings must have distinct labels: {first[label]} and {entry} are both {label!r}")
+        first[label] = entry
+    return list(first)
+
+
 def _check_noise_mode(mode: str) -> None:
     if mode not in ("scale-noise", "clip-result"):
         raise ValueError("mode must be 'scale-noise' or 'clip-result'")
@@ -598,11 +588,11 @@ def noise_robustness(
     rebuilds the graph from the noisy volumes and runs the embedding
     pipeline.  The unperturbed pipeline is run with the same repeat seeds
     as the reference.  ``params`` is as for :func:`run_embedding_clustering`.
-    ``mode``, ``params``, every (kind, level) and every truth (as in
-    :func:`check_truths`) are checked before the first run.  Runs train in
-    lockstep groups (:func:`_score_runs`); each noisy graph is built when its
-    run starts, and only its walks are kept until its group trains.  The
-    first failed run, in run order, raises its error.
+    ``mode``, ``params``, every (kind, level) (as in :func:`check_noise`)
+    and every truth (as in :func:`check_truths`) are checked before the
+    first run.  Each noisy graph is built when its run starts, and only its
+    walks are kept until it trains (:func:`_score_runs`).  The first failed
+    run, in run order, raises its error.
 
     ``truth`` is one GroundTruth, which gives one NoiseReport, or a sequence
     of them, which gives a tuple of reports in the same order.  Each run
@@ -613,7 +603,7 @@ def noise_robustness(
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     _check_noise_mode(mode)
-    curve_names = [NoiseSpec(kind, level).label for kind, level in noise]
+    curve_names = check_noise(noise)
     stages = _resolve_params(params)
     truths = check_truths(g, [truth] if isinstance(truth, GroundTruth) else truth)
     weight = g.to_weight_matrix()

@@ -10,8 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import pec.cli
-import pec.evaluator
+import pec.embedder
 from pec.cli import build_parser, main, read_config_file
 from pec.evaluator import NoiseSpec, load_labels, perturb
 from pec.srg import build_srg_from_features, load_graph, save_graph
@@ -295,18 +294,13 @@ def test_pipeline_determinism(od_dir, tmp_path):
 
 def test_two_truth_noise_pipeline_trains_each_embedding_once(metro_dir, tmp_path, monkeypatch):
     calls = []
+    real_train_group = pec.embedder._train_group
 
-    def counting_train(corpus, cfg):
-        calls.append(cfg.seed)
-        return real_train(corpus, cfg)
-
-    def counting_train_many(corpora, cfgs):
+    def counting_train_group(corpora, cfgs):  # counts runs, the pipeline's own embedding included
         calls.extend(cfg.seed for cfg in cfgs)
-        return real_train_many(corpora, cfgs)
+        return real_train_group(corpora, cfgs)
 
-    real_train, real_train_many = pec.cli.train, pec.evaluator.train_many
-    monkeypatch.setattr(pec.cli, "train", counting_train)
-    monkeypatch.setattr(pec.evaluator, "train_many", counting_train_many)
+    monkeypatch.setattr(pec.embedder, "_train_group", counting_train_group)
     truths = ["line-membership", "transfer-vs-not"]
     noise, repeats = ["gaussian:1", "poisson:4"], 2
     args = [

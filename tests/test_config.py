@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+import pec.embedder
 import pec.evaluator
 from pec.cli import PipelineConfig, PipelineError, _StoreOnce, build_parser, main, read_config_file, run_pipeline
 from pec.clusterer import ClusterConfig
@@ -39,6 +40,12 @@ SCHEMA_VALUES = {
     "restarts": 2,
 }
 SCHEMA_FIELDS = [f for cls in (WalkConfig, TrainConfig, ClusterConfig) for f in knobs(cls)]
+# n_clusters is given only in mode "fixed", so one run sets it and the other
+# sets the cluster mode; together they set every knob.
+SCHEMA_RUNS = {
+    "fixed": [f for f in SCHEMA_FIELDS if f.name != "cluster_mode"],
+    "auto-indices": [f for f in SCHEMA_FIELDS if f.name != "n_clusters"],
+}
 
 
 def run_cli(*argv):
@@ -66,20 +73,22 @@ def test_every_hyperparameter_is_a_flag_a_config_key_and_echoed(od_dir, tmp_path
     for f in SCHEMA_FIELDS:
         assert SCHEMA_VALUES[f.name] != f.default, f.name
 
-    flags = []
-    for f in SCHEMA_FIELDS:
-        flags += [f.metadata.get("flag", "--" + f.name.replace("_", "-")), SCHEMA_VALUES[f.name]]
-    assert run_cli("pipeline", "--od", od_dir / "od.csv", *flags, "--out-dir", tmp_path / "flags") == 0
+    for mode, given in SCHEMA_RUNS.items():
+        flags = []
+        for f in given:
+            flags += [f.metadata.get("flag", "--" + f.name.replace("_", "-")), SCHEMA_VALUES[f.name]]
+        assert run_cli("pipeline", "--od", od_dir / "od.csv", *flags, "--out-dir", tmp_path / mode / "flags") == 0
 
-    cfg = tmp_path / "run.cfg"
-    lines = [f"od_path = {od_dir / 'od.csv'}"] + [f"{k} = {v}" for k, v in SCHEMA_VALUES.items()]
-    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert run_cli("pipeline", "--config", cfg, "--out-dir", tmp_path / "file") == 0
+        cfg = tmp_path / mode / "run.cfg"
+        lines = [f"od_path = {od_dir / 'od.csv'}"] + [f"{f.name} = {SCHEMA_VALUES[f.name]}" for f in given]
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli("pipeline", "--config", cfg, "--out-dir", tmp_path / mode / "file") == 0
 
-    for run in ("flags", "file"):
-        echo = json.loads((tmp_path / run / "manifest.json").read_text())["config"]
-        for name, value in SCHEMA_VALUES.items():
-            assert echo[name] == value, (run, name)
+        for run in ("flags", "file"):
+            echo = json.loads((tmp_path / mode / run / "manifest.json").read_text())["config"]
+            assert echo["cluster_mode"] == mode, (mode, run)
+            for f in given:
+                assert echo[f.name] == SCHEMA_VALUES[f.name], (mode, run, f.name)
 
 
 def test_manifest_lists_only_this_runs_artifacts(od_dir, tmp_path):
@@ -225,6 +234,12 @@ def test_input_path_that_is_a_directory_or_empty_fails_before_out_dir(od_dir, tm
         (["--cluster-mode", "auto-indices", "--n-min", 5, "--n-max", 3], "n_min"),
         (["--n-clusters", -5], "n_clusters"),
         (["--n-clusters", 2, "--noise", "gaussian:1"], "--truth"),
+        (["--n-clusters", 2, "--truth", "TRUTH", "--noise", "gaussian:1", "--noise", "gaussian:1.0000001"],
+         "entry 1 (gaussian:1.0) and entry 2 (gaussian:1.0000001) are both 'gaussian(1)'"),
+        (["--n-clusters", 2, "--truth", "TRUTH", *["--noise", "poisson:4", "--noise", "gaussian:1"] * 2],
+         "entry 1 (poisson:4.0) and entry 3 (poisson:4.0) are both 'poisson(4)'"),
+        (["--cluster-mode", "auto-louvain", "--n-clusters", 3],
+         "n_clusters=3 is for cluster_mode 'fixed', not 'auto-louvain'"),
     ],
 )
 def test_pipeline_rejects_bad_settings_before_any_stage(od_dir, tmp_path, capsys, flags, match):
@@ -244,6 +259,9 @@ def test_config_classes_validate():
         ClusterConfig(cluster_mode="guess")
     with pytest.raises(ValueError, match="restarts"):
         ClusterConfig(restarts=0)
+    for mode in ("auto-indices", "auto-louvain"):
+        with pytest.raises(ValueError, match=f"n_clusters=3 is for cluster_mode 'fixed', not '{mode}'"):
+            ClusterConfig(n_clusters=3, cluster_mode=mode)
 
 
 def test_experiments_reject_repeats_below_one(tiny_metro):
@@ -257,10 +275,10 @@ def test_experiments_reject_repeats_below_one(tiny_metro):
 def test_sweep_propagates_programming_errors(tiny_metro, monkeypatch):
     g, line_t, _ = tiny_metro
 
-    def broken_train_many(corpora, cfgs):
+    def broken_train_group(corpora, cfgs):
         raise TypeError("not a domain error")
 
-    monkeypatch.setattr(pec.evaluator, "train_many", broken_train_many)
+    monkeypatch.setattr(pec.embedder, "_train_group", broken_train_group)
     with pytest.raises(TypeError, match="not a domain error"):
         sweep(g, [line_t], grid={"p": [1.0]}, base_params=FAST_PARAMS, repeats=1)
 
@@ -298,7 +316,7 @@ def test_pipeline_fraction_for_k_nn_fails_in_the_graph_stage(tmp_path):
 def test_sweep_grid_fraction_for_int_setting_is_an_error_cell(tiny_metro, monkeypatch):
     g, line_t, _ = tiny_metro
     trained = []
-    monkeypatch.setattr(pec.evaluator, "train_many", lambda corpora, cfgs: trained.extend(cfgs))
+    monkeypatch.setattr(pec.embedder, "_train_group", lambda corpora, cfgs: trained.extend(cfgs))
     report = sweep(g, [line_t], grid={"dim": [2.5]}, base_params=FAST_PARAMS, repeats=1)
     assert trained == []
     assert report.cells[0].params == {"dim": 2.5}

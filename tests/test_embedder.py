@@ -363,29 +363,74 @@ def metro_corpora(runs, **kwargs):
     (7, TrainConfig(dim=5, epochs=2, seed=0)),
     (3, TrainConfig(dim=64, epochs=2, batch_size=27, seed=0)),
 ], ids=["2-runs-dim-64", "3-runs-short-last-block", "7-runs", "3-runs-dim-64-short-last-block"])
-def test_train_many_is_byte_identical_to_each_run_alone(runs, cfg):
+def test_train_many_is_byte_identical_to_each_run_alone(runs, cfg, monkeypatch):
     corpora = metro_corpora(runs, walk_length=12, num_walks=2)
     n_pairs = pair_count(corpora[0], cfg.window)
     if cfg.batch_size == 27:  # the epoch's last loss block is 18 pairs, less than one batch
         assert n_pairs % (LOSS_BLOCK_PAIRS // 27 * 27) == 18
     cfgs = [replace(cfg, seed=100 + r) for r in range(runs)]
-    for emb, corpus, run_cfg in zip(train_many(corpora, cfgs), corpora, cfgs, strict=True):
+    groups = recording_group_sizes(monkeypatch)
+    trained = list(train_many(zip(corpora, cfgs)))
+    assert groups == [runs]  # all in one lockstep group
+    for emb, corpus, run_cfg in zip(trained, corpora, cfgs, strict=True):
         alone = train(corpus, run_cfg)
         assert emb.vectors.tobytes() == alone.vectors.tobytes()
         assert emb.context_vectors.tobytes() == alone.context_vectors.tobytes()
         assert emb.epoch_mean_loss == alone.epoch_mean_loss and len(alone.epoch_mean_loss) == cfg.epochs
 
 
-def test_train_many_rejects_runs_that_cannot_share_batches():
-    corpora = metro_corpora(2, walk_length=6, num_walks=1)
-    cfgs = [TrainConfig(dim=4, epochs=1, seed=s) for s in (1, 2)]
-    with pytest.raises(ValueError, match="the config apart from the seed"):
-        train_many(corpora, [cfgs[0], replace(cfgs[1], dim=5)])
+def recording_group_sizes(monkeypatch) -> list:
+    """The number of runs of each lockstep group that ``train_many`` trains."""
+    groups = []
+    real_train_group = pec.embedder._train_group
+
+    def recording_train_group(corpora, cfgs):
+        groups.append(len(cfgs))
+        return real_train_group(corpora, cfgs)
+
+    monkeypatch.setattr(pec.embedder, "_train_group", recording_train_group)
+    return groups
+
+
+def test_train_many_groups_a_mixed_stream_and_changes_no_byte(monkeypatch):
+    corpora = metro_corpora(3, walk_length=6, num_walks=1)
+    n_pairs = pair_count(corpora[0], 2)
     short = WalkCorpus(corpora[1].matrix[:-1], corpora[1].node_ids, corpora[1].config, "")
-    with pytest.raises(ValueError, match="the pair count"):
-        train_many([corpora[0], short], cfgs)
-    with pytest.raises(ValueError, match="one config per corpus"):
-        train_many(corpora, cfgs[:1])
+    tripled = WalkCorpus(np.tile(corpora[0].matrix, (3, 1)), corpora[0].node_ids, corpora[0].config, "")
+    g, _, _ = two_cliques()
+    other_n = corpus_for(g, walk_length=6, num_walks=1)
+    cfg = TrainConfig(dim=4, window=2, epochs=2)
+    # by the budget alone, runs 2 to 5 would each join the group before them
+    stream = [
+        (corpora[0], replace(cfg, seed=1)),
+        (corpora[1], replace(cfg, dim=5, seed=2)),  # another config
+        (short, replace(cfg, dim=5, seed=3)),  # fewer pairs
+        (other_n, replace(cfg, dim=5, seed=4)),  # another node count
+        *[(corpora[r], replace(cfg, seed=5 + r)) for r in range(3)],  # two fit the budget, the third does not
+        (tripled, replace(cfg, seed=8)), (tripled, replace(cfg, seed=9)),  # each over the budget alone
+    ]
+    assert pair_count(short, 2) < n_pairs == pair_count(corpora[1], 2) != pair_count(other_n, 2)
+    assert 2 * pair_count(other_n, 2) <= 2 * n_pairs
+    monkeypatch.setattr(pec.embedder, "LOCKSTEP_PAIRS", 2 * n_pairs)
+    groups, read = recording_group_sizes(monkeypatch), []
+
+    def reading(runs):
+        for run in runs:
+            read.append(run)
+            yield run
+
+    trained, read_at_outcome = [], []
+    for emb in train_many(reading(stream)):
+        trained.append(emb)
+        read_at_outcome.append(len(read))
+    assert groups == [1, 1, 1, 1, 2, 1, 1, 1]
+    # a group trains once the run after it is read, and no later run is read before
+    assert read_at_outcome == [2, 3, 4, 5, 7, 7, 8, 9, 9]
+    for emb, (corpus, run_cfg) in zip(trained, stream, strict=True):
+        alone = train(corpus, run_cfg)
+        assert emb.vectors.tobytes() == alone.vectors.tobytes()
+        assert emb.context_vectors.tobytes() == alone.context_vectors.tobytes()
+        assert emb.epoch_mean_loss == alone.epoch_mean_loss
 
 
 @pytest.mark.parametrize("lr, seeds, losses", [
@@ -407,7 +452,7 @@ def test_train_many_gives_each_run_what_training_it_alone_gives(lr, seeds, losse
             alone.append(exc)
     messages = [str(run) if isinstance(run, TrainingDiverged) else None for run in alone]
     assert [m and m[len("non-finite training loss ("):][:3] for m in messages] == losses
-    for outcome, run in zip(train_many(corpora, cfgs), alone, strict=True):
+    for outcome, run in zip(train_many(zip(corpora, cfgs)), alone, strict=True):
         assert type(outcome) is type(run)
         if isinstance(run, TrainingDiverged):
             assert str(outcome) == str(run)

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import pytest
 from oracles import brute_force_macro_f1
 
 import pec.baselines
+import pec.embedder
 import pec.evaluator
 from pec.clusterer import kmeans
 from pec.embedder import TrainingDiverged, pair_count, train
@@ -16,6 +18,7 @@ from pec.evaluator import (
     NoiseSpec,
     SweepCell,
     SweepReport,
+    check_noise,
     interaction_frequency_report,
     load_ground_truth,
     load_labels,
@@ -260,11 +263,21 @@ def test_noise_spec_validation(tiny_metro, monkeypatch):
         raise AssertionError("a run started before every noise setting was checked")
 
     g, _, transfer_t = tiny_metro
-    monkeypatch.setattr(pec.evaluator, "train_many", no_run)
+    monkeypatch.setattr(pec.embedder, "_train_group", no_run)
     with pytest.raises(ValueError, match="finite and nonnegative"):
         noise_robustness(g, transfer_t, [("gaussian", 1.0), ("gaussian", float("inf"))], repeats=1)
     with pytest.raises(ValueError, match="mode"):
         noise_robustness(g, transfer_t, [("gaussian", 1.0)], repeats=3, mode="bad")
+    # two settings of one curve label would merge into one curve
+    for noise, both in (
+        ([("gaussian", 1.0), ("gaussian", 1.0000001)], "entry 1 (gaussian:1.0) and entry 2 (gaussian:1.0000001)"),
+        ([("poisson", 2.0), ("gaussian", 0.5), ("poisson", 2.0)], "entry 1 (poisson:2.0) and entry 3 (poisson:2.0)"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"{both} are both '{noise[0][0]}(")):
+            noise_robustness(g, transfer_t, noise, repeats=1)
+    assert check_noise([("gaussian", 1.0), ("gaussian", 1.5), ("poisson", 1.0)]) == [
+        "gaussian(1)", "gaussian(1.5)", "poisson(1)"
+    ]
 
 
 # -- sweep -------------------------------------------------------------------------------
@@ -292,7 +305,7 @@ def test_experiments_check_every_truth_before_any_training(tiny_metro, monkeypat
     def no_run(*args, **kwargs):
         raise AssertionError("a run started before every truth was checked")
 
-    monkeypatch.setattr(pec.evaluator, "train_many", no_run)
+    monkeypatch.setattr(pec.embedder, "_train_group", no_run)
     foreign = truth_of([0, 1] * (g.num_nodes // 2), name="foreign")
     one_class = GroundTruth.from_labels(g.node_ids, [0] * g.num_nodes, name="flat")
     twin = "distinct names: two of them are both named 'line-membership'"
@@ -383,15 +396,15 @@ def test_sweep_csv_writes_an_error_cell_row(tmp_path, tiny_metro):
 def test_noise_robustness_raises_its_first_failed_run_and_trains_no_later_group(tiny_metro, monkeypatch):
     g, _, transfer_t = tiny_metro
     groups = []
-    real_train_many = pec.evaluator.train_many
+    real_train_group = pec.embedder._train_group
 
     def failing_from_the_second_group(corpora, cfgs):
         groups.append(len(cfgs))
-        outcomes = real_train_many(corpora, cfgs)
+        outcomes = real_train_group(corpora, cfgs)
         return outcomes if len(groups) == 1 else [TrainingDiverged(f"group {len(groups)}")] * len(cfgs)
 
-    monkeypatch.setattr(pec.evaluator, "train_many", failing_from_the_second_group)
-    monkeypatch.setattr(pec.evaluator, "LOCKSTEP_PAIRS", 1)  # one run per group
+    monkeypatch.setattr(pec.embedder, "_train_group", failing_from_the_second_group)
+    monkeypatch.setattr(pec.embedder, "LOCKSTEP_PAIRS", 1)  # one run per group
     with pytest.raises(TrainingDiverged, match="^group 2$"):
         noise_robustness(g, transfer_t, [("gaussian", 1.0), ("poisson", 2.0)], params=FAST_PARAMS, repeats=2)
     assert groups == [1, 1]
@@ -400,13 +413,13 @@ def test_noise_robustness_raises_its_first_failed_run_and_trains_no_later_group(
 def test_sweep_trains_once_per_cell_and_repeat(tiny_metro, monkeypatch):
     g, line_t, transfer_t = tiny_metro
     calls = []
-    real_train_many = pec.evaluator.train_many
+    real_train_group = pec.embedder._train_group
 
-    def counting_train_many(corpora, cfgs):  # counts runs, not calls: a group trains several
+    def counting_train_group(corpora, cfgs):  # counts runs, not calls: a group trains several
         calls.extend(cfg.seed for cfg in cfgs)
-        return real_train_many(corpora, cfgs)
+        return real_train_group(corpora, cfgs)
 
-    monkeypatch.setattr(pec.evaluator, "train_many", counting_train_many)
+    monkeypatch.setattr(pec.embedder, "_train_group", counting_train_group)
     report = sweep(
         g, [line_t, transfer_t], grid={"p": [0.5, 2.0]}, base_params=FAST_PARAMS, repeats=2, seed=3
     )
@@ -492,13 +505,13 @@ def test_sweep_baselines_build_one_spectral_embedding_per_dim_and_one_tree(tiny_
 def recording_group_pairs(monkeypatch) -> list:
     """Each lockstep group's pair counts, run by run, as the experiments train them."""
     groups = []
-    real_train_many = pec.evaluator.train_many
+    real_train_group = pec.embedder._train_group
 
-    def recording_train_many(corpora, cfgs):
+    def recording_train_group(corpora, cfgs):
         groups.append([pair_count(c, cfg.window) for c, cfg in zip(corpora, cfgs)])
-        return real_train_many(corpora, cfgs)
+        return real_train_group(corpora, cfgs)
 
-    monkeypatch.setattr(pec.evaluator, "train_many", recording_train_many)
+    monkeypatch.setattr(pec.embedder, "_train_group", recording_train_group)
     return groups
 
 
@@ -517,7 +530,7 @@ def test_score_runs_starts_a_group_where_the_pair_count_changes(monkeypatch):
     full, short = groups[0][0], groups[1][0]
     assert short < full and groups == [[full, full], [short, short], [full]]
     groups.clear()
-    monkeypatch.setattr(pec.evaluator, "LOCKSTEP_PAIRS", full)  # one run per group
+    monkeypatch.setattr(pec.embedder, "LOCKSTEP_PAIRS", full)  # one run per group
     assert list(pec.evaluator._score_runs(iter(runs), [truth])) == grouped
     assert groups == [[full], [full], [short], [short], [full]]
 
@@ -533,7 +546,7 @@ def test_sweep_groups_span_cells_and_change_no_score(monkeypatch):
     assert groups == [[70_000] * 3, [70_000]]
     assert all(row["error"] is None for row in shared["tables"]["line-membership"])
     groups.clear()
-    monkeypatch.setattr(pec.evaluator, "LOCKSTEP_PAIRS", 70_000)  # one run per group
+    monkeypatch.setattr(pec.embedder, "LOCKSTEP_PAIRS", 70_000)  # one run per group
     assert sweep(g, [line_t, transfer_t], **kwargs).to_json() == shared
     assert groups == [[70_000]] * 4
 
@@ -555,7 +568,7 @@ def test_sweep_records_a_diverging_run_of_a_shared_group_as_if_alone(monkeypatch
     # cell records its first failed run
     assert [error and error.split("(")[1][:3] for error in errors] == ["inf", None, "inf", "nan", "inf", "inf"]
     groups.clear()
-    monkeypatch.setattr(pec.evaluator, "LOCKSTEP_PAIRS", run_pairs)  # one run per group
+    monkeypatch.setattr(pec.embedder, "LOCKSTEP_PAIRS", run_pairs)  # one run per group
     assert sweep(g, [transfer_t], **kwargs).to_json() == shared
     assert groups == [[run_pairs]] * 12
 
@@ -577,7 +590,7 @@ def test_noise_robustness_holds_one_lockstep_group_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * pec.evaluator.LOCKSTEP_PAIRS + NOISE_FIXED_BYTES
+    assert peak <= 5 * pec.embedder.LOCKSTEP_PAIRS + NOISE_FIXED_BYTES
 
 
 # Held besides the pair codes of one lockstep group: the graph, one run's
@@ -599,19 +612,19 @@ def test_sweep_holds_one_lockstep_group_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * pec.evaluator.LOCKSTEP_PAIRS + SWEEP_FIXED_BYTES
+    assert peak <= 5 * pec.embedder.LOCKSTEP_PAIRS + SWEEP_FIXED_BYTES
 
 
 def test_noise_robustness_of_two_truths_equals_each_alone(tiny_metro, monkeypatch):
     g, line_t, transfer_t = tiny_metro
     calls = []
-    real_train_many = pec.evaluator.train_many
+    real_train_group = pec.embedder._train_group
 
-    def counting_train_many(corpora, cfgs):  # counts runs, not calls: a group trains several
+    def counting_train_group(corpora, cfgs):  # counts runs, not calls: a group trains several
         calls.extend(cfg.seed for cfg in cfgs)
-        return real_train_many(corpora, cfgs)
+        return real_train_group(corpora, cfgs)
 
-    monkeypatch.setattr(pec.evaluator, "train_many", counting_train_many)
+    monkeypatch.setattr(pec.embedder, "_train_group", counting_train_group)
     kwargs = dict(noise=[("gaussian", 1.0), ("poisson", 2.0)], params=FAST_PARAMS, repeats=2, seed=8)
     both = noise_robustness(g, [line_t, transfer_t], **kwargs)
     assert len(calls) == (1 + 2) * 2
