@@ -454,6 +454,20 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _check_settings_are_read(settings: dict) -> None:
+    """Raise ValueError for a given setting that the run would not read:
+    ``n_min``/``n_max`` outside cluster mode 'auto-indices', ``repeats``/
+    ``noise_mode`` without noise curves.  (``select-n`` reads its ``n_min``
+    and ``n_max`` in mode 'fixed', so ClusterConfig cannot hold this rule.)"""
+    mode = settings.get("cluster_mode", ClusterConfig.cluster_mode)
+    for name in ("n_min", "n_max"):
+        if name in settings and mode != "auto-indices":
+            raise ValueError(f"{name}={settings[name]} is for cluster_mode 'auto-indices', not {mode!r}")
+    for name in ("repeats", "noise_mode"):
+        if name in settings and not settings.get("noise"):
+            raise ValueError(f"{name}={settings[name]!r} is for noise curves: give --noise with it")
+
+
 def _cmd_pipeline(args) -> int:
     if args.workers < 1:  # kept for scripts that pass it; runs are serial and it is not recorded
         raise ValueError("workers must be at least 1")
@@ -461,6 +475,7 @@ def _cmd_pipeline(args) -> int:
     for name, value in _given(args, [f.name for _, f in _settings()]).items():
         # a repeated flag adds to the config file's list; others replace its value
         settings[name] = settings.get(name, ()) + value if isinstance(value, tuple) else value
+    _check_settings_are_read(settings)
     manifest = run_pipeline(PipelineConfig(**stage_configs(settings)))
     print(f"wrote {Path(manifest['config']['out_dir']) / 'manifest.json'} "
           f"({len(manifest['outputs'])} artifacts)")

@@ -40,10 +40,11 @@ SCHEMA_VALUES = {
     "restarts": 2,
 }
 SCHEMA_FIELDS = [f for cls in (WalkConfig, TrainConfig, ClusterConfig) for f in knobs(cls)]
-# n_clusters is given only in mode "fixed", so one run sets it and the other
-# sets the cluster mode; together they set every knob.
+# n_clusters is given only in mode "fixed", and n_min/n_max only in mode
+# "auto-indices", so one run sets n_clusters and the other sets the cluster
+# mode and n_min/n_max; together they set every knob.
 SCHEMA_RUNS = {
-    "fixed": [f for f in SCHEMA_FIELDS if f.name != "cluster_mode"],
+    "fixed": [f for f in SCHEMA_FIELDS if f.name not in ("cluster_mode", "n_min", "n_max")],
     "auto-indices": [f for f in SCHEMA_FIELDS if f.name != "n_clusters"],
 }
 
@@ -240,6 +241,13 @@ def test_input_path_that_is_a_directory_or_empty_fails_before_out_dir(od_dir, tm
          "entry 1 (poisson:4.0) and entry 3 (poisson:4.0) are both 'poisson(4)'"),
         (["--cluster-mode", "auto-louvain", "--n-clusters", 3],
          "n_clusters=3 is for cluster_mode 'fixed', not 'auto-louvain'"),
+        (["--n-clusters", 2, "--n-min", 5, "--n-max", 7], "n_min=5 is for cluster_mode 'auto-indices', not 'fixed'"),
+        (["--cluster-mode", "auto-louvain", "--n-max", 7],
+         "n_max=7 is for cluster_mode 'auto-indices', not 'auto-louvain'"),
+        (["--n-clusters", 2, "--truth", "TRUTH", "--repeats", 5, "--noise-mode", "clip-result"],
+         "repeats=5 is for noise curves: give --noise with it"),
+        (["--n-clusters", 2, "--noise-mode", "clip-result"],
+         "noise_mode='clip-result' is for noise curves: give --noise with it"),
     ],
 )
 def test_pipeline_rejects_bad_settings_before_any_stage(od_dir, tmp_path, capsys, flags, match):
@@ -249,6 +257,19 @@ def test_pipeline_rejects_bad_settings_before_any_stage(od_dir, tmp_path, capsys
     err = error_of(capsys)
     assert err["error"] == "ValueError" and "stage" not in err
     assert match in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines, match", [
+    (["n_clusters = 2", "n_max = 7"], "n_max=7 is for cluster_mode 'auto-indices', not 'fixed'"),
+    (["n_clusters = 2", "repeats = 3"], "repeats=3 is for noise curves: give --noise with it"),
+])
+def test_pipeline_refuses_config_keys_it_would_not_read(od_dir, tmp_path, capsys, lines, match):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join([f"od_path = {od_dir / 'od.csv'}", *lines]) + "\n", encoding="utf-8")
+    out = tmp_path / "never"
+    assert run_cli("pipeline", "--config", cfg, "--out-dir", out) == 1
+    assert error_of(capsys) == {"error": "ValueError", "message": match}
     assert not out.exists()
 
 

@@ -21,9 +21,11 @@ from pec.embedder import (
     EmbeddingMatrix,
     TrainConfig,
     TrainingDiverged,
+    _loss_terms,
     _outcome,
     _pair_codes,
     _pair_indices,
+    _scores_and_grad,
     _sgd_block,
     load_embeddings,
     pair_count,
@@ -169,6 +171,49 @@ def test_loss_nonnegative_and_finite():
         )
         assert loss >= 0.0 and np.isfinite(loss)
         assert np.all(np.isfinite(gu)) and np.all(np.isfinite(gv)) and np.all(np.isfinite(gn))
+
+
+# Scores from the subnormals to 1e308 both ways, a dense run through the
+# curved middle, and the points where exp(-|s|) reaches the subnormals (710)
+# or rounds to zero (745).
+MAGNITUDES = np.geomspace(5e-324, 1e308, 100_001)
+LOSS_GRID = np.concatenate([
+    MAGNITUDES, -MAGNITUDES, np.linspace(-40.0, 40.0, 200_001), [0.0, -0.0, 36.7, -36.7, 710.0, -710.0, 745.0, -745.0],
+])
+
+
+def loss_terms_of(scores):
+    """The trainer's loss terms of a context and a negative that each score
+    ``scores``: at d = 1 with u = 1, the kernel's scores are ``scores`` exactly."""
+    rows_w = np.stack([np.ones_like(scores), scores, scores], axis=1)[:, :, None]
+    out, e = np.empty((scores.size, 2)), np.empty((scores.size, 2))
+    with np.errstate(invalid="ignore"):
+        _scores_and_grad(rows_w, out, e, np.empty_like(rows_w))
+    _loss_terms(out, e)
+    return out[:, 0], out[:, 1]
+
+
+def test_loss_terms_are_softplus_within_two_ulp():
+    context, negative = loss_terms_of(LOSS_GRID)
+    for got, want in ((context, np.logaddexp(0.0, -LOSS_GRID)), (negative, np.logaddexp(0.0, LOSS_GRID))):
+        assert np.all(got >= 0.0) and np.all(want >= 0.0)
+        ulps = np.abs(got.view(np.int64) - want.view(np.int64))  # nonnegative floats order as their bits
+        assert ulps.max() <= 2
+
+
+def test_loss_terms_of_inf_and_nan():
+    scores = np.array([np.inf, -np.inf, np.nan])
+    context, negative = loss_terms_of(scores)
+    assert context[:2].tolist() == np.logaddexp(0.0, -scores[:2]).tolist() == [0.0, np.inf]
+    assert negative[:2].tolist() == np.logaddexp(0.0, scores[:2]).tolist() == [np.inf, 0.0]
+    assert np.isnan(context[2]) and np.isnan(negative[2])
+
+
+def test_loss_and_gradient_finite_at_extreme_scores():
+    for score in (1e308, -1e308, 745.0, -745.0, 710.0, -710.0, 36.7, -36.7, 5e-324, 0.0):
+        loss, gu, gv, gn = sgns_loss_and_grad(np.array([1.0]), np.array([score]), np.array([[score]]))
+        assert np.isfinite(loss) and loss >= 0.0, score
+        assert np.all(np.isfinite(gu)) and np.all(np.isfinite(gv)) and np.all(np.isfinite(gn)), score
 
 
 def test_gradients_match_finite_differences():
