@@ -15,10 +15,13 @@ so a seed fully determines the result.
 one-run case.  Consecutive runs of one node count N, one config apart from
 the seed and one pair count share every batch boundary and learning rate,
 so they form one lockstep group while its pairs stay within LOCKSTEP_PAIRS.
-One (R, 2N, d) array holds a group's R runs: rows 0..N-1 of run r are its
-center vectors, rows N..2N-1 its context vectors, and run r's rows sit r * 2N
-into the flat (R * 2N, d) view.  Each loss block is one (pairs, R, m+2) row
-block, ``[center, context + N, negatives + N]`` pair by pair and run by run.
+One float32 (R, 2N, d) array, 4 bytes per entry, holds a group's R runs, as
+the reference word2vec trains in single precision; the initial vectors are
+drawn in float64 and rounded, and each run's outcome holds float64 copies.
+Rows 0..N-1 of run r are its center vectors, rows N..2N-1 its context
+vectors, and run r's rows sit r * 2N into the flat (R * 2N, d) view.  Each
+loss block is one (pairs, R, m+2) row block, ``[center, context + N,
+negatives + N]`` pair by pair and run by run.
 A batch is one gather (``take``, which costs less per call than fancy
 indexing), one call of ``_scores_and_grad`` over (B * R, m+2, d),
 the only place where the gradient is computed (``sgns_loss_and_grad`` is
@@ -30,10 +33,13 @@ are exactly those of one row-wise scatter for the centers and one for the
 contexts, run by run.  Each score is exponentiated once: the kernel writes
 e = exp(-|s|) beside the scores and builds the sigmoid from it, and at the
 end of a loss block ``_loss_terms`` turns the block's scores into softplus
-terms max(x, 0) + log1p(e) in place (within 2 ULP of ``np.logaddexp(0, x)``;
-no update reads the loss).  Each run's share is made contiguous and summed
-per batch with one reshape-and-sum, and the batch totals are then added left
-to right, so each run's epoch means are those of training it alone.
+terms max(x, 0) + log1p(e) in place, in the weights' dtype: within 3 float32
+ULP of a correctly rounded logaddexp(0, x) in training, and within 2 ULP of
+``np.logaddexp(0, x)`` in the float64 ``sgns_loss_and_grad`` (no update
+reads the loss).  Each run's share is made contiguous and summed per batch
+in float32 with one reshape-and-sum, and the batch totals are then added
+left to right as Python floats, so each run's epoch means are those of
+training it alone.
 
 Memory: the only arrays that grow with the corpus are each run's epoch of
 pair codes ``center * N + context``, int32 while N * N < 2**31, so 4 bytes
@@ -274,8 +280,9 @@ def _sgd_block(weights, flat_index, rows, cfg, done, total_updates) -> list[list
     pairs, runs, width = rows.shape
     bs, m = min(cfg.batch_size, pairs), width - 2
     flat, flat_rows = weights.reshape(-1), rows.reshape(-1, width)
-    step = np.empty((bs * runs, width, weights.shape[1]))
-    scores, e = np.empty((2, pairs * runs, m + 1))  # one allocation: measured a slightly lower peak RSS than two
+    step = np.empty((bs * runs, width, weights.shape[1]), dtype=weights.dtype)
+    # one allocation: measured a slightly lower peak RSS than two
+    scores, e = np.empty((2, pairs * runs, m + 1), dtype=weights.dtype)
     for start in range(0, pairs, bs):
         batch = flat_rows[start * runs:(start + bs) * runs]
         batch_step, at = step[:len(batch)], slice(start * runs, (start + bs) * runs)
@@ -370,7 +377,7 @@ def _train_group(corpora, cfgs) -> list[EmbeddingMatrix | TrainingDiverged]:
     rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(c.seed))) for c in cfgs]
     d = cfg.dim
     # rows 0..n-1 of weights[r] hold run r's center vectors, rows n..2n-1 its context vectors
-    weights = np.zeros((len(corpora), 2 * n, d))
+    weights = np.zeros((len(corpora), 2 * n, d), dtype=np.float32)
     for run_weights, rng in zip(weights, rngs):
         run_weights[:n] = (rng.random((n, d)) - 0.5) / d
 
@@ -402,7 +409,7 @@ def _outcome(corpus: WalkCorpus, weights: np.ndarray, losses: list[float], cfg: 
         )
     if not np.all(np.isfinite(weights)):
         return TrainingDiverged("non-finite embedding entries; lower initial_lr")
-    return EmbeddingMatrix(corpus.node_ids, weights[:n], weights[n:], tuple(losses))
+    return EmbeddingMatrix(corpus.node_ids, weights[:n].astype(float), weights[n:].astype(float), tuple(losses))
 
 
 def train(corpus: WalkCorpus, cfg: TrainConfig) -> EmbeddingMatrix:

@@ -283,11 +283,11 @@ def reference_alias_probabilities(table):
 
 
 def _reference_softplus(x):
-    return np.logaddexp(0.0, x)
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def _reference_sigmoid(x):
-    out = np.empty_like(x, dtype=float)
+    out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
@@ -306,18 +306,19 @@ def _reference_negative_table(corpus):
 
 
 def reference_train(corpus, cfg):
-    """(vectors, context_vectors, epoch_mean_loss) of the reference trainer."""
+    """(vectors, context_vectors, epoch_mean_loss) of the reference trainer,
+    which trains in float32 and returns float64 copies."""
     n = len(corpus.node_ids)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     d = cfg.dim
-    vectors = (rng.random((n, d)) - 0.5) / d
-    contexts = np.zeros((n, d))
+    vectors = ((rng.random((n, d)) - 0.5) / d).astype(np.float32)
+    contexts = np.zeros((n, d), dtype=np.float32)
 
     centers_idx, contexts_idx = reference_pair_indices(corpus, cfg.window)
     n_pairs = centers_idx.size
     epoch_losses = []
     if cfg.epochs == 0 or n_pairs == 0:
-        return vectors, contexts, ()
+        return vectors.astype(float), contexts.astype(float), ()
 
     neg_table = _reference_negative_table(corpus)
     m = cfg.negatives
@@ -349,7 +350,7 @@ def reference_train(corpus, cfg):
                 np.add.at(contexts, tgt.reshape(-1), (-lr * grad_v).reshape(-1, d))
                 done += sel.size
         epoch_losses.append(loss_sum / n_pairs)
-    return vectors, contexts, tuple(epoch_losses)
+    return vectors.astype(float), contexts.astype(float), tuple(epoch_losses)
 
 
 _REFERENCE_LINKAGES = ("single", "average", "complete")

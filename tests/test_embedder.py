@@ -186,7 +186,7 @@ def loss_terms_of(scores):
     """The trainer's loss terms of a context and a negative that each score
     ``scores``: at d = 1 with u = 1, the kernel's scores are ``scores`` exactly."""
     rows_w = np.stack([np.ones_like(scores), scores, scores], axis=1)[:, :, None]
-    out, e = np.empty((scores.size, 2)), np.empty((scores.size, 2))
+    out, e = np.empty((2, scores.size, 2), dtype=scores.dtype)
     with np.errstate(invalid="ignore"):
         _scores_and_grad(rows_w, out, e, np.empty_like(rows_w))
     _loss_terms(out, e)
@@ -199,6 +199,30 @@ def test_loss_terms_are_softplus_within_two_ulp():
         assert np.all(got >= 0.0) and np.all(want >= 0.0)
         ulps = np.abs(got.view(np.int64) - want.view(np.int64))  # nonnegative floats order as their bits
         assert ulps.max() <= 2
+
+
+# The float32 grid: subnormals to the largest float32 both ways, the dense
+# run, and the points where exp(-|s|) reaches the subnormals (87.4) or
+# rounds to zero (103.98).
+F32 = np.finfo(np.float32)
+MAGNITUDES_F32 = np.geomspace(float(F32.smallest_subnormal), float(F32.max), 150_000).astype(np.float32)
+LOSS_GRID_F32 = np.concatenate([
+    MAGNITUDES_F32, -MAGNITUDES_F32, np.linspace(-40.0, 40.0, 200_001, dtype=np.float32),
+    np.array([0.0, -0.0, 16.7, -16.7, 87.4, -87.4, 103.98, -103.98], dtype=np.float32),
+])
+
+
+def test_float32_loss_terms_are_softplus_within_three_ulp():
+    # the trainer's float32 terms against logaddexp(0, x) in float64, rounded once to float32
+    context, negative = loss_terms_of(LOSS_GRID_F32)
+    grid = LOSS_GRID_F32.astype(float)
+    for got, want in ((context, np.logaddexp(0.0, -grid)), (negative, np.logaddexp(0.0, grid))):
+        want = want.astype(np.float32)
+        assert got.dtype == np.float32
+        assert np.all(got >= 0.0) and np.all(want >= 0.0)
+        # nonnegative floats order as their bits
+        ulps = np.abs(got.view(np.int32).astype(np.int64) - want.view(np.int32))
+        assert ulps.max() <= 3
 
 
 def test_loss_terms_of_inf_and_nan():
@@ -214,6 +238,14 @@ def test_loss_and_gradient_finite_at_extreme_scores():
         loss, gu, gv, gn = sgns_loss_and_grad(np.array([1.0]), np.array([score]), np.array([[score]]))
         assert np.isfinite(loss) and loss >= 0.0, score
         assert np.all(np.isfinite(gu)) and np.all(np.isfinite(gv)) and np.all(np.isfinite(gn)), score
+
+
+def test_loss_and_gradient_stay_float64_for_float32_input():
+    rng = np.random.default_rng(3)
+    u, v, negs = (rng.normal(size=shape).astype(np.float32) for shape in (4, 4, (3, 4)))
+    loss, gu, gv, gn = sgns_loss_and_grad(u, v, negs)
+    assert type(loss) is float
+    assert gu.dtype == gv.dtype == gn.dtype == np.float64
 
 
 def test_gradients_match_finite_differences():
@@ -479,9 +511,9 @@ def test_train_many_groups_a_mixed_stream_and_changes_no_byte(monkeypatch):
 
 
 @pytest.mark.parametrize("lr, seeds, losses", [
-    (15.0, [0, 5, 7], [None, "inf", "inf"]),
-    (20.0, [1, 0], ["inf", "nan"]),
-    (20.0, [0, 1], ["nan", "inf"]),
+    (1.2, [0, 8, 19], [None, "inf", "inf"]),
+    (1.6, [1, 2], ["inf", "nan"]),
+    (1.6, [2, 1], ["nan", "inf"]),
 ])
 def test_train_many_gives_each_run_what_training_it_alone_gives(lr, seeds, losses):
     # each run alone trains or raises with its non-finite loss; in the group,
@@ -525,22 +557,31 @@ GOLDEN_WALKS = [[f"n{(7 * i + 3 * j * j + i * j) % 20}" for j in range(9)] for i
 
 @pytest.mark.parametrize("cfg, digest", [
     (TrainConfig(dim=5, window=9, epochs=1, batch_size=1, seed=31),
-     "1d9080eb34c89757d25ecd62d53b472ce3f95d3cc241c6eb7fed8cbcf0b795d4"),
+     "f26fe348873c08fc5bf924c9e33cdca875e1fb34c50115af8a74533847d5a391"),
     (TrainConfig(dim=16, window=9, epochs=3, batch_size=61, seed=32),
-     "03f85d8c83355f243437bebfc854c1569c7e450ae81b51edf5e38cdd7f710f58"),
+     "9fd04104c75cc3e52367b553964d6f9284c46e6bf5075925f5bd03d4590a7563"),
     (TrainConfig(dim=8, window=9, epochs=3, batch_size=10_000, initial_lr=0.002, seed=33),
-     "70e91dec9ae56eebbe6f130297c50c6e4d20c3a9d1bd9ee2d7df3b1714e1cbd4"),
+     "9a4bb2aa0c32334ac9101f62db11f866f74843d999991343dc9e19fe69135f57"),
     (TrainConfig(dim=3, window=9, epochs=3, batch_size=64, seed=34),
-     "b1582d946f2a5f9fff8be4f52a0fc371cfded4c5b0922f8e15694a2f41f709ea"),
+     "7dc8064f7786b0eafa3ba18178c2dc13de5f1d873a85e71cfbe650cf57ec7717"),
 ], ids=["batch-1", "batch-61", "batch-over-pairs", "whole-loss-blocks"])
 def test_train_output_bytes_are_golden(cfg, digest):
-    # Digests of train's output recorded with 64-bit indices and per-batch loss
-    # sums (numpy 2.4, x86-64); the int32 indices and block-wise sums keep them.
+    # Digests of train's output, recorded with float32 weights (numpy 2.4,
+    # x86-64); the returned vectors are their float64 copies.
     corpus = corpus_of(GOLDEN_WALKS, [f"n{i}" for i in range(20)])
     assert pair_count(corpus, cfg.window) == 9 * LOSS_BLOCK_PAIRS
     emb = train(corpus, cfg)
     payload = emb.vectors.tobytes() + emb.context_vectors.tobytes() + repr(emb.epoch_mean_loss).encode()
     assert hashlib.sha256(payload).hexdigest() == digest
+
+
+def test_train_returns_float64_copies_of_float32_weights():
+    # training holds float32 weights; every returned entry is one of them, exactly
+    g, _, _ = two_cliques(4)
+    emb = train(corpus_for(g), TrainConfig(dim=6, epochs=2, seed=5))
+    for v in (emb.vectors, emb.context_vectors):
+        assert v.dtype == np.float64
+        assert np.array_equal(v.astype(np.float32).astype(float), v)
 
 
 @pytest.mark.parametrize("walks", [[["a"], ["b"], ["a"]], []], ids=["single-node-walks", "no-walks"])

@@ -552,12 +552,12 @@ def test_sweep_groups_span_cells_and_change_no_score(monkeypatch):
 
 
 def test_sweep_records_a_diverging_run_of_a_shared_group_as_if_alone(monkeypatch):
-    # at lr 15-20 runs split into diverging and not, with an inf or a nan loss
+    # at lr 1.2-1.8 runs split into diverging and not, with an inf or a nan loss
     # (see test_train_many_gives_each_run_what_training_it_alone_gives); each
     # learning rate's three cells share one group of six runs
     g, _, transfer_t = metro_network(default_metro_spec())
     params = {"walk_length": 6, "num_walks": 1, "dim": 4, "epochs": 3, "restarts": 1}
-    kwargs = dict(grid={"initial_lr": [15.0, 20.0], "p": [0.25, 1.0, 4.0]}, base_params=params, repeats=2, seed=7)
+    kwargs = dict(grid={"initial_lr": [1.214, 1.71], "p": [0.25, 1.0, 4.0]}, base_params=params, repeats=2, seed=7)
     groups = recording_group_pairs(monkeypatch)
     shared = sweep(g, [transfer_t], **kwargs).to_json()
     (run_pairs,) = set(groups[0])
