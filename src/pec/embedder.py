@@ -41,6 +41,13 @@ in float32 with one reshape-and-sum, and the batch totals are then added
 left to right as Python floats, so each run's epoch means are those of
 training it alone.
 
+When d is even, the scatter reads the flat view and the step as complex64
+pairs of adjacent floats (``_paired``), so it visits half as many elements.
+A complex64 add is two independent float32 adds, one per lane, so every
+float gets the same adds in the same order, and the bytes are those of the
+float32 scatter.  At odd d a pair would straddle two rows, so the scatter
+stays float32.
+
 Memory: the only arrays that grow with the corpus are each run's epoch of
 pair codes ``center * N + context``, int32 while N * N < 2**31, so 4 bytes
 per pair; they are built a chunk of walks at a time and shuffled in place.
@@ -273,13 +280,21 @@ def _negative_table(mat: np.ndarray, n: int) -> AliasTable:
     return AliasTable(weights / weights.sum())
 
 
+def _paired(a: np.ndarray) -> np.ndarray:
+    """The float array ``a`` flat: as complex pairs of adjacent floats (complex64
+    for float32) when its rows have even width, so that no pair straddles two
+    rows, else as it is."""
+    flat = a.reshape(-1)
+    return flat.view(np.promote_types(a.dtype, np.complex64)) if a.shape[-1] % 2 == 0 else flat
+
+
 def _sgd_block(weights, flat_index, rows, cfg, done, total_updates) -> list[list[float]]:
     """SGD over one loss block of (pairs, runs, m+2) rows of ``weights``, in
     batches of pairs; returns each run's summed loss per batch, in order.
     ``done`` counts earlier updates."""
     pairs, runs, width = rows.shape
     bs, m = min(cfg.batch_size, pairs), width - 2
-    flat, flat_rows = weights.reshape(-1), rows.reshape(-1, width)
+    flat, flat_rows = _paired(weights), rows.reshape(-1, width)
     step = np.empty((bs * runs, width, weights.shape[1]), dtype=weights.dtype)
     # one allocation: measured a slightly lower peak RSS than two
     scores, e = np.empty((2, pairs * runs, m + 1), dtype=weights.dtype)
@@ -290,8 +305,9 @@ def _sgd_block(weights, flat_index, rows, cfg, done, total_updates) -> list[list
         lr = cfg.initial_lr * max(1.0 - (done + start) / total_updates, LR_FLOOR_FACTOR)
         batch_step *= -lr
         # runs never share a row, and center rows (< N) and context rows (>= N)
-        # never coincide, so the rows add each element's updates in its run's order
-        np.add.at(flat, flat_index.take(batch, axis=0).reshape(-1), batch_step.reshape(-1))
+        # never coincide, so the rows add each element's updates in its run's order;
+        # at even d as complex64 pairs, whose lanes add as the float32 scatter does
+        np.add.at(flat, flat_index.take(batch, axis=0).reshape(-1), _paired(batch_step))
     _loss_terms(scores, e)
     losses = scores.reshape(pairs, runs, m + 1)
     # each run's losses, contiguous, so that its sums are those of training it alone
@@ -325,7 +341,7 @@ def _sgd_epoch(weights, codes, neg_tables, rngs, cfg, done, total_updates) -> li
     shift = np.full((runs, m + 2), n, dtype=np.int32)
     shift[:, 0] = 0
     shift += n2 * np.arange(runs, dtype=np.int32)[:, None]
-    flat_index = np.arange(weights.size).reshape(-1, d)
+    flat_index = np.arange(_paired(weights).size).reshape(runs * n2, -1)  # each row's scatter elements
     draws = zip(*(table.draw_blocks(rng, n_pairs, m, block) for table, rng in zip(neg_tables, rngs)))
     loss_sums, first = [0.0] * runs, 0
     # divergence shows up as non-finite scores; detected and raised by the caller

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from oracles import (
     central_difference_gradient,
     reference_batch_loss,
@@ -25,6 +26,7 @@ from pec.embedder import (
     _outcome,
     _pair_codes,
     _pair_indices,
+    _paired,
     _scores_and_grad,
     _sgd_block,
     load_embeddings,
@@ -274,6 +276,34 @@ def test_batch_step_is_the_gradient_of_the_summed_batch_loss():
     assert np.max(np.abs(step - numeric) / denom) <= 1e-4
 
 
+FLOAT32_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, -1e-45, 1e-40, 3.4028235e38, -3.4028235e38, 1.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    d=st.sampled_from([2, 4, 6, 16]),
+    n_rows=st.integers(1, 4),
+)
+def test_paired_scatter_is_the_float32_scatter(data, d, n_rows):
+    # a complex64 add is two float32 adds, one per lane, so the scatter through
+    # the paired view gives each float the adds, in order, of the float32 scatter;
+    # few rows make heavy repeats, and the edge values make signed zeros, inf - inf,
+    # nan, subnormal sums and float32-max steps that overflow
+    floats = st.one_of(st.sampled_from(FLOAT32_EDGES), st.floats(width=32))
+    weights = data.draw(arrays(np.float32, (n_rows, d), elements=floats))
+    batch = data.draw(arrays(np.int32, st.integers(1, 24), elements=st.integers(0, n_rows - 1)))
+    step = data.draw(arrays(np.float32, (batch.size, d), elements=floats))
+    single, paired = weights.copy(), weights.copy()
+    assert _paired(paired).dtype == np.complex64
+    single_index = np.arange(single.size).reshape(n_rows, d)
+    paired_index = np.arange(_paired(paired).size).reshape(n_rows, -1)
+    with np.errstate(all="ignore"):
+        np.add.at(single.reshape(-1), single_index.take(batch, axis=0).reshape(-1), step.reshape(-1))
+        np.add.at(_paired(paired), paired_index.take(batch, axis=0).reshape(-1), _paired(step))
+    assert paired.view(np.uint32).tobytes() == single.view(np.uint32).tobytes()
+
+
 # -- training ----------------------------------------------------------------------------
 
 
@@ -306,7 +336,8 @@ RAGGED_WALKS = [
     TrainConfig(dim=4, window=3, epochs=2, negatives=1, seed=7),
     TrainConfig(dim=1, window=3, epochs=2, batch_size=5, seed=8),
     TrainConfig(dim=8, epochs=2, seed=1),
-], ids=["ragged", "window-over-length", "batch-7", "epochs-3", "negatives-1", "dim-1", "defaults"])
+    TrainConfig(dim=2, window=3, epochs=2, batch_size=5, seed=9),
+], ids=["ragged", "window-over-length", "batch-7", "epochs-3", "negatives-1", "dim-1", "defaults", "dim-2"])
 def test_train_matches_reference_byte_for_byte(cfg):
     corpus = corpus_of(RAGGED_WALKS, "abcde")
     emb = train(corpus, cfg)
