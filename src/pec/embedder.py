@@ -45,8 +45,11 @@ When d is even, the scatter reads the flat view and the step as complex64
 pairs of adjacent floats (``_paired``), so it visits half as many elements.
 A complex64 add is two independent float32 adds, one per lane, so every
 float gets the same adds in the same order, and the bytes are those of the
-float32 scatter.  At odd d a pair would straddle two rows, so the scatter
-stays float32.
+float32 scatter.  The one exception is a nan plus a nan, where the lanes
+return the step's nan and the float32 add the weight's (IEEE 754 leaves the
+choice open); a run with a nan weight ends as TrainingDiverged, so no output
+changes.  At odd d a pair would straddle two rows, so the scatter stays
+float32.
 
 Memory: the only arrays that grow with the corpus are each run's epoch of
 pair codes ``center * N + context``, int32 while N * N < 2**31, so 4 bytes
