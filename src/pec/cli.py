@@ -110,7 +110,6 @@ class PipelineConfig:
     noise: tuple[tuple[str, float], ...] = field(
         default=(), metadata={"parse": _parse_noise_entry, "metavar": "KIND:LEVEL"}
     )
-    noise_mode: str = field(default="scale-noise", metadata={"choices": ("scale-noise", "clip-result")})
     # run options
     out_dir: str = "pec-run"
     seed: int = 0
@@ -246,14 +245,14 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     stage = "graph"
     try:
         graph, od = _load_input(cfg)
-        save_graph(graph, artifact("graph.tsv"))
+        fingerprint = save_graph(graph, artifact("graph.tsv"))
         classes = 2 if cfg.noise else 1  # noise curves run k-means at each truth's class count
         truths = check_truths(graph, map(load_ground_truth, cfg.truth_paths), cfg.truth_paths, classes)
         check_cluster_count(cfg.cluster, graph.num_nodes)
 
         stage = "walks"
         corpus = generate_walks(graph, replace(cfg.walk, seed=stage_seeds["walks"]))
-        save_corpus(replace(corpus, graph_fingerprint=graph.fingerprint()), artifact("corpus.txt"))
+        save_corpus(replace(corpus, graph_fingerprint=fingerprint), artifact("corpus.txt"))
 
         stage = "embed"
         emb = train(corpus, replace(cfg.train, seed=stage_seeds["embed"]))
@@ -277,7 +276,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                     params={name: manifest["config"][name] for name in EXPERIMENT_PARAMS},
                     repeats=cfg.repeats,
                     seed=stage_seeds["evaluate"],
-                    mode=cfg.noise_mode,
                 )
                 for truth, noise_rep in zip(truths, noise_reps):
                     noise_rep.save_csv(artifact(f"noise_{truth.name}.csv"))
@@ -413,7 +411,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_perturb(args) -> int:
     od = load_od_csv(args.matrix)
     spec = NoiseSpec(*args.noise, seed=args.seed)
-    noisy = perturb(od.volumes, spec, mode=args.noise_mode or PipelineConfig.noise_mode)
+    noisy = perturb(od.volumes, spec)
     save_od_csv(InteractionMatrix(od.node_ids, noisy), args.out)
     print(f"wrote {args.out}")
     return 0
@@ -456,16 +454,15 @@ def _cmd_synth(args) -> int:
 
 def _check_settings_are_read(settings: dict) -> None:
     """Raise ValueError for a given setting that the run would not read:
-    ``n_min``/``n_max`` outside cluster mode 'auto-indices', ``repeats``/
-    ``noise_mode`` without noise curves.  (``select-n`` reads its ``n_min``
-    and ``n_max`` in mode 'fixed', so ClusterConfig cannot hold this rule.)"""
+    ``n_min``/``n_max`` outside cluster mode 'auto-indices', ``repeats``
+    without noise curves.  (``select-n`` reads its ``n_min`` and ``n_max``
+    in mode 'fixed', so ClusterConfig cannot hold this rule.)"""
     mode = settings.get("cluster_mode", ClusterConfig.cluster_mode)
     for name in ("n_min", "n_max"):
         if name in settings and mode != "auto-indices":
             raise ValueError(f"{name}={settings[name]} is for cluster_mode 'auto-indices', not {mode!r}")
-    for name in ("repeats", "noise_mode"):
-        if name in settings and not settings.get("noise"):
-            raise ValueError(f"{name}={settings[name]!r} is for noise curves: give --noise with it")
+    if "repeats" in settings and not settings.get("noise"):
+        raise ValueError(f"repeats={settings['repeats']!r} is for noise curves: give --noise with it")
 
 
 def _cmd_pipeline(args) -> int:
@@ -604,7 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("perturb", help="add seeded noise to an interaction matrix")
     pe.add_argument("--matrix", required=True)
     pe.add_argument("--noise", type=_parse_noise_entry, required=True, metavar="KIND:LEVEL")
-    _add_flags(pe, _fields(PipelineConfig, ("noise_mode",)))
     pe.add_argument("--seed", type=int, default=0)
     pe.add_argument("--out", required=True)
     pe.set_defaults(func=_cmd_perturb)

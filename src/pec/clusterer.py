@@ -312,11 +312,12 @@ def _louvain_once(adj: list[dict[int, float]], self_loops: list[float],
                 comm_total[ci] -= strength[i]
                 base = link.get(ci, 0.0) - comm_total[ci] * strength[i] / (2.0 * m)
                 best_c, best_gain = ci, min_gain
-                for c, w_ic in sorted(link.items()):
+                # the largest gain above min_gain, and of equal gains the smallest community id
+                for c, w_ic in link.items():
                     if c == ci:
                         continue
                     gain = w_ic - comm_total[c] * strength[i] / (2.0 * m) - base
-                    if gain > best_gain:
+                    if gain > best_gain or (gain == best_gain and c < best_c and best_c != ci):
                         best_gain = gain
                         best_c = c
                 comm_total[best_c] += strength[i]

@@ -52,8 +52,9 @@ changes.  At odd d a pair would straddle two rows, so the scatter stays
 float32.
 
 Memory: the only arrays that grow with the corpus are each run's epoch of
-pair codes ``center * N + context``, int32 while N * N < 2**31, so 4 bytes
-per pair; they are built a chunk of walks at a time and shuffled in place.
+pair codes ``center * N + context``, in the smallest unsigned type that
+holds N * N - 1: 1 byte per pair up to 16 nodes, 2 up to 256, 4 up to 65,536;
+they are built a chunk of walks at a time and shuffled in place.
 The traced peak of ``train`` is that plus ~0.4-0.8 MB of chunk and batch
 buffers.  Each run keeps its own generator, and its outputs are those of
 drawing ``rng.permutation(pairs)``, then every negative's alias cell, then
@@ -94,7 +95,7 @@ LR_FLOOR_FACTOR = 1e-4  # lr never decays below initial_lr * this
 NEGATIVE_EXPONENT = 0.75  # unigram smoothing for the negative distribution
 LOSS_BLOCK_PAIRS = 1024  # pairs whose scores turn into loss terms at once
 PAIR_CHUNK_STEPS = 1 << 12  # walk steps whose pairs are built at a time
-LOCKSTEP_PAIRS = 1 << 18  # pairs of one lockstep group (1 MB of int32 codes), unless one run has more
+LOCKSTEP_PAIRS = 1 << 18  # pairs of one lockstep group (at most 1 MB of codes), unless one run has more
 
 
 class TrainingDiverged(RuntimeError):
@@ -173,14 +174,16 @@ def pair_count(corpus: WalkCorpus, window: int) -> int:
 
 def _pair_codes(mat: np.ndarray, window: int, n_pairs: int, n: int) -> np.ndarray:
     """The ``_pair_indices`` pairs as one code ``center * n + context`` each,
-    built a chunk of walks at a time: int32 when n * n < 2**31, else int64."""
-    codes = np.empty(n_pairs, dtype=np.int32 if n * n < 2**31 else np.int64)
+    built a chunk of walks at a time, in the smallest unsigned type that holds
+    n * n - 1: uint8 up to 16 nodes, uint16 up to 256, uint32 up to 65,536."""
+    codes = np.empty(n_pairs, dtype=np.min_scalar_type(n * n - 1))
     walks, at = max(1, PAIR_CHUNK_STEPS // mat.shape[1]), 0
     for start in range(0, len(mat), walks):
         cen, ctx = _pair_indices(mat[start:start + walks], window)
         chunk = codes[at:at + cen.size]
-        np.multiply(cen, n, out=chunk, dtype=codes.dtype)
-        chunk += ctx
+        # every value lies in [0, n * n), so the casts to the code type are exact
+        np.multiply(cen, n, out=chunk, dtype=codes.dtype, casting="unsafe")
+        np.add(chunk, ctx, out=chunk, dtype=codes.dtype, casting="unsafe")
         at += cen.size
         del cen, ctx  # not held while the next chunk is built
     return codes

@@ -519,20 +519,9 @@ def check_noise(noise) -> list[str]:
     return list(first)
 
 
-def _check_noise_mode(mode: str) -> None:
-    if mode not in ("scale-noise", "clip-result"):
-        raise ValueError("mode must be 'scale-noise' or 'clip-result'")
-
-
-def perturb(matrix, spec: NoiseSpec, mode: str = "scale-noise") -> np.ndarray:
-    """Add a seeded noise matrix, processed into [0, 1].
-
-    mode "scale-noise" (default): the noise matrix itself is min-max
-    scaled into [0, 1] before addition.  mode "clip-result": raw noise is
-    added and the *result* is clipped into [0, 1].  Entries that end up
-    at or below zero drop the corresponding edge when a graph is rebuilt.
-    """
-    _check_noise_mode(mode)
+def perturb(matrix, spec: NoiseSpec) -> np.ndarray:
+    """Add a seeded noise matrix, min-max scaled into [0, 1], to ``matrix``;
+    entries that end up at or below zero drop their edge when a graph is rebuilt."""
     mat = np.asarray(matrix, dtype=float)
     if not np.all(np.isfinite(mat)):
         raise ValueError("input matrix must be finite")
@@ -541,11 +530,9 @@ def perturb(matrix, spec: NoiseSpec, mode: str = "scale-noise") -> np.ndarray:
         noise = rng.normal(0.0, spec.level, size=mat.shape) if spec.level > 0 else np.zeros(mat.shape)
     else:
         noise = rng.poisson(spec.level, size=mat.shape).astype(float)
-    if mode == "scale-noise":
-        lo, hi = noise.min(), noise.max()
-        scaled = (noise - lo) / (hi - lo) if hi > lo else np.zeros(mat.shape)
-        return mat + scaled
-    return np.clip(mat + noise, 0.0, 1.0)
+    lo, hi = noise.min(), noise.max()
+    scaled = (noise - lo) / (hi - lo) if hi > lo else np.zeros(mat.shape)
+    return mat + scaled
 
 
 @dataclass(frozen=True)
@@ -554,13 +541,11 @@ class NoiseReport:
     baseline_mean: float
     curves: dict  # noise label -> {"mean": float, "std": float, "level": float, "kind": str}
     repeats: int
-    mode: str
 
     def to_json(self) -> dict:
         return {
             "truth": self.truth_name,
             "repeats": self.repeats,
-            "mode": self.mode,
             "unperturbed_macro_f1": self.baseline_mean,
             "curves": self.curves,
         }
@@ -579,7 +564,6 @@ def noise_robustness(
     params: dict | None = None,
     repeats: int = 20,
     seed: int = 0,
-    mode: str = "scale-noise",
 ) -> NoiseReport | tuple[NoiseReport, ...]:
     """Macro-F1 of the full pipeline on noise-perturbed weight matrices.
 
@@ -588,7 +572,7 @@ def noise_robustness(
     rebuilds the graph from the noisy volumes and runs the embedding
     pipeline.  The unperturbed pipeline is run with the same repeat seeds
     as the reference.  ``params`` is as for :func:`run_embedding_clustering`.
-    ``mode``, ``params``, every (kind, level) (as in :func:`check_noise`)
+    ``params``, every (kind, level) (as in :func:`check_noise`)
     and every truth (as in :func:`check_truths`) are checked before the
     first run.  Each noisy graph is built when its run starts, and only its
     walks are kept until it trains (:func:`_score_runs`).  The first failed
@@ -602,7 +586,6 @@ def noise_robustness(
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    _check_noise_mode(mode)
     curve_names = check_noise(noise)
     stages = _resolve_params(params)
     truths = check_truths(g, [truth] if isinstance(truth, GroundTruth) else truth)
@@ -614,7 +597,7 @@ def noise_robustness(
                 graph, run_seed = g, derive_seed(seed, "clean", rep)
             else:
                 spec = NoiseSpec(*noise[si], seed=derive_seed(seed, "noise", si, rep))
-                graph = build_srg_from_interactions(InteractionMatrix(g.node_ids, perturb(weight, spec, mode)))
+                graph = build_srg_from_interactions(InteractionMatrix(g.node_ids, perturb(weight, spec)))
                 run_seed = derive_seed(seed, "run", si, rep)
             yield graph, stages, run_seed, [derive_seed(run_seed, "kmeans")] * len(truths)
 
@@ -633,7 +616,6 @@ def noise_robustness(
                 for (kind, level), label, row in zip(noise, curve_names, rows[1:])
             },
             repeats=repeats,
-            mode=mode,
         )
         for t, rows in zip(truths, scores.reshape(len(truths), 1 + len(noise), repeats))
     )

@@ -210,14 +210,22 @@ class SpaceRelationGraph:
 
     def fingerprint(self) -> str:
         """Content hash over nodes and the canonical edge list."""
-        h = hashlib.sha256()
-        for nid in self.node_ids:
-            h.update(nid.encode("utf-8"))
-            h.update(b"\x00")
-        h.update(b"\x01")
-        for line in self.edge_lines():
-            h.update(f"{line}\n".encode("utf-8"))
+        h, lines = self._hashed_edge_lines()
+        for _ in lines:
+            pass
         return h.hexdigest()
+
+    def _hashed_edge_lines(self):
+        """A sha256 of the node ids, and the edge lines, each added to it as
+        it is read; once every line is read, the hash is the fingerprint."""
+        h = hashlib.sha256(b"".join(f"{nid}\x00".encode("utf-8") for nid in self.node_ids) + b"\x01")
+
+        def lines():
+            for line in self.edge_lines():
+                h.update(f"{line}\n".encode("utf-8"))
+                yield line
+
+        return h, lines()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpaceRelationGraph):
@@ -349,11 +357,14 @@ def build_srg_from_adjacency(
 # -- file formats -------------------------------------------------------------
 
 
-def save_graph(g: SpaceRelationGraph, path) -> None:
+def save_graph(g: SpaceRelationGraph, path) -> str:
     """Write the TSV edge list: ``u<TAB>v<TAB>weight``, one undirected edge
     per line.  ``#node`` directives preserve node order and isolated nodes.
+    Returns ``g.fingerprint()``, hashed from the lines as they are written.
     """
-    write_lines(path, itertools.chain((f"#node\t{nid}" for nid in g.node_ids), g.edge_lines()))
+    h, lines = g._hashed_edge_lines()
+    write_lines(path, itertools.chain((f"#node\t{nid}" for nid in g.node_ids), lines))
+    return h.hexdigest()
 
 
 def load_graph(path) -> SpaceRelationGraph:

@@ -9,9 +9,10 @@ import itertools
 
 import numpy as np
 
-from pec.clusterer import IndexScores
+from pec.clusterer import IndexScores, modularity
 from pec.embedder import sgns_loss_and_grad
 from pec.srg import SpaceRelationGraph
+from pec.util import derive_seed
 from pec.embedder import AliasTable
 
 
@@ -490,3 +491,81 @@ def reference_validity_indices(x, labels) -> IndexScores:
         top = max(a, b)
         sil[pos] = 0.0 if top == 0.0 else (b - a) / top
     return IndexScores(davies_bouldin, dunn, float(sil.mean()))
+
+
+def _reference_louvain_once(adj, self_loops, m, rng):
+    """One Louvain run as pec.clusterer._louvain_once, scanning each node's
+    neighbour communities in ascending id order and moving on a strictly
+    larger gain only."""
+    n = len(adj)
+    groups = [[i] for i in range(n)]
+    min_gain = 1e-9 * m
+    while True:
+        size = len(adj)
+        community = list(range(size))
+        strength = [sum(adj[i].values()) + 2.0 * self_loops[i] for i in range(size)]
+        comm_total = strength[:]
+        improved_any = False
+        improved = True
+        while improved:
+            improved = False
+            for i in rng.permutation(size):
+                i = int(i)
+                ci = community[i]
+                link = {}
+                for j, w in adj[i].items():
+                    link[community[j]] = link.get(community[j], 0.0) + w
+                comm_total[ci] -= strength[i]
+                base = link.get(ci, 0.0) - comm_total[ci] * strength[i] / (2.0 * m)
+                best_c, best_gain = ci, min_gain
+                for c, w_ic in sorted(link.items()):
+                    if c == ci:
+                        continue
+                    gain = w_ic - comm_total[c] * strength[i] / (2.0 * m) - base
+                    if gain > best_gain:
+                        best_gain = gain
+                        best_c = c
+                comm_total[best_c] += strength[i]
+                community[i] = best_c
+                if best_c != ci:
+                    improved = improved_any = True
+        if not improved_any:
+            return groups
+        remap = {c: i for i, c in enumerate(dict.fromkeys(community))}
+        new_groups = [[] for _ in remap]
+        for i, c in enumerate(community):
+            new_groups[remap[c]].extend(groups[i])
+        new_adj = [dict() for _ in remap]
+        new_loops = [0.0] * len(remap)
+        for i in range(len(adj)):
+            ci = remap[community[i]]
+            new_loops[ci] += self_loops[i]
+            for j, w in adj[i].items():
+                if j < i:
+                    continue
+                cj = remap[community[j]]
+                if ci == cj:
+                    new_loops[ci] += w
+                else:
+                    new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + w
+                    new_adj[cj][ci] = new_adj[cj].get(ci, 0.0) + w
+        adj, self_loops, groups = new_adj, new_loops, new_groups
+
+
+def reference_louvain(g, seed=0, runs=5):
+    """(labels, count, Q) of pec.clusterer.louvain, with every run through
+    :func:`_reference_louvain_once`."""
+    n = g.num_nodes
+    m = float(np.cumsum(g.weights[g.entry_rows() < g.indices])[-1])
+    adj = [dict(zip(g.neighbor_indices(i).tolist(), g.neighbor_weights(i).tolist())) for i in range(n)]
+    best_labels, best_q = None, -np.inf
+    for r in range(runs):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(derive_seed(seed, "louvain", r))))
+        groups = _reference_louvain_once(adj, [0.0] * n, m, rng)
+        labels = np.empty(n, dtype=np.int64)
+        for c, members in enumerate(sorted(groups, key=min)):
+            labels[members] = c
+        q = modularity(g, labels)
+        if q > best_q:
+            best_q, best_labels = q, labels
+    return best_labels, int(best_labels.max()) + 1, float(best_q)

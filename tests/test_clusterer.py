@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_kmeans, reference_validity_indices, silhouette_oracle
+from oracles import brute_force_kmeans, reference_louvain, reference_validity_indices, silhouette_oracle
 
 from pec.clusterer import (
     kmeans,
@@ -273,6 +273,25 @@ def test_louvain_reported_q_matches_recomputation():
         g = SpaceRelationGraph(ids, edges)
         labels, _, q = louvain(g, seed=trial)
         assert q == pytest.approx(modularity(g, labels), abs=1e-9)
+
+
+@st.composite
+def tied_weight_graphs(draw):
+    """Graphs of 2-14 nodes with weights in {1, 2, 3}, so that many moves tie."""
+    n = draw(st.integers(2, 14))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs), unique=True))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(chosen), max_size=len(chosen)))
+    return SpaceRelationGraph([f"n{i}" for i in range(n)],
+                              [(f"n{i}", f"n{j}", float(w)) for (i, j), w in zip(chosen, weights)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=tied_weight_graphs(), seed=st.integers(0, 3))
+def test_louvain_equals_reference_on_tied_weights(g, seed):
+    labels, count, q = louvain(g, seed=seed, runs=3)
+    ref_labels, ref_count, ref_q = reference_louvain(g, seed=seed, runs=3)
+    assert np.array_equal(labels, ref_labels) and count == ref_count and q == ref_q
 
 
 def test_louvain_edgeless_rejected():

@@ -244,10 +244,8 @@ def test_input_path_that_is_a_directory_or_empty_fails_before_out_dir(od_dir, tm
         (["--n-clusters", 2, "--n-min", 5, "--n-max", 7], "n_min=5 is for cluster_mode 'auto-indices', not 'fixed'"),
         (["--cluster-mode", "auto-louvain", "--n-max", 7],
          "n_max=7 is for cluster_mode 'auto-indices', not 'auto-louvain'"),
-        (["--n-clusters", 2, "--truth", "TRUTH", "--repeats", 5, "--noise-mode", "clip-result"],
+        (["--n-clusters", 2, "--truth", "TRUTH", "--repeats", 5],
          "repeats=5 is for noise curves: give --noise with it"),
-        (["--n-clusters", 2, "--noise-mode", "clip-result"],
-         "noise_mode='clip-result' is for noise curves: give --noise with it"),
     ],
 )
 def test_pipeline_rejects_bad_settings_before_any_stage(od_dir, tmp_path, capsys, flags, match):
@@ -271,6 +269,21 @@ def test_pipeline_refuses_config_keys_it_would_not_read(od_dir, tmp_path, capsys
     assert run_cli("pipeline", "--config", cfg, "--out-dir", out) == 1
     assert error_of(capsys) == {"error": "ValueError", "message": match}
     assert not out.exists()
+
+
+def test_noise_mode_is_neither_a_flag_nor_a_config_key(od_dir, tmp_path, capsys):
+    noisy = tmp_path / "noisy.csv"
+    for argv in (["pipeline", "--od", od_dir / "od.csv", "--out-dir", tmp_path / "run"],
+                 ["perturb", "--matrix", od_dir / "od.csv", "--noise", "gaussian:1", "--out", noisy]):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(*argv, "--noise-mode", "scale-noise")
+        assert exit_.value.code == 2, argv[0]
+        assert "unrecognized arguments: --noise-mode" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"od_path = {od_dir / 'od.csv'}\nnoise_mode = scale-noise\n", encoding="utf-8")
+    assert run_cli("pipeline", "--config", cfg, "--n-clusters", 2, "--out-dir", tmp_path / "run") == 1
+    assert error_of(capsys)["message"] == f"{cfg}: line 2: unknown config key 'noise_mode'"
+    assert not (tmp_path / "run").exists() and not noisy.exists()
 
 
 def test_config_classes_validate():
@@ -306,7 +319,7 @@ def test_sweep_propagates_programming_errors(tiny_metro, monkeypatch):
 
 def test_config_file_value_outside_choices_fails_before_any_stage(od_dir, tmp_path, capsys):
     out = tmp_path / "never"
-    for key, value in (("noise_mode", "foo"), ("noise", "gaussian:inf")):
+    for key, value in (("cluster_mode", "foo"), ("noise", "gaussian:inf")):
         cfg = tmp_path / f"{key}.cfg"
         cfg.write_text(f"od_path = {od_dir / 'od.csv'}\n{key} = {value}\n", encoding="utf-8")
         assert run_cli("pipeline", "--config", cfg, "--n-clusters", 2, "--out-dir", out) == 1

@@ -388,10 +388,11 @@ def traced_train_peak(corpus, cfg) -> int:
         tracemalloc.stop()
 
 
-# Held per pair while an epoch trains: the shuffled int32 codes
-# center * N + context (4 bytes).  Negatives are drawn one loss block at a
-# time, and the walk matrix (~0.4 bytes per pair at window 5) exists before
-# training starts.  Measured: 3.7-4.0 bytes per added pair.  The allowance
+# Held per pair while an epoch trains: the shuffled codes center * N + context
+# (uint16 on the 100-node metro fixture, 2 bytes; uint32 up to 65,536 nodes,
+# 4 bytes).  Negatives are drawn one loss block at a time, and the walk matrix
+# (~0.4 bytes per pair at window 5) exists before training starts.  Measured:
+# 2.0-2.1 bytes per added pair.  The allowance
 # covers what does not grow with the corpus: one chunk of walks' pairs
 # (~0.3 MB), the skipped negative cells (0.25 MB) and the per-batch blocks
 # (~0.4 MB at dim 64).
@@ -444,29 +445,36 @@ def test_int64_view_shuffle_moves_rows_in_permutation_order():
 
 
 def test_int32_code_shuffle_is_the_permutation():
-    # train_many shuffles each run's 1-D int32 pair codes in place: the draws,
-    # the order and the generator state after are those of rng.permutation(n)
-    n = 100_003
-    rng, ref_rng = np.random.default_rng(22), np.random.default_rng(22)
-    for r in (rng, ref_rng):
-        r.integers(0, 7, size=3, dtype=np.int32)  # half a 64-bit word left in the bit generator
-    codes = 5 * np.arange(n, dtype=np.int32)
-    rng.shuffle(codes)
-    assert np.array_equal(codes, 5 * ref_rng.permutation(n))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # train_many shuffles each run's 1-D pair codes in place: for every code
+    # type, the draws, the order and the generator state after are those of
+    # rng.permutation(n)
+    for dtype, n in ((np.int32, 100_003), (np.uint8, 256), (np.uint16, 65_536), (np.uint32, 100_003)):
+        rng, ref_rng = np.random.default_rng(22), np.random.default_rng(22)
+        for r in (rng, ref_rng):
+            r.integers(0, 7, size=3, dtype=np.int32)  # half a 64-bit word left in the bit generator
+        codes = np.arange(n, dtype=dtype)
+        rng.shuffle(codes)
+        assert np.array_equal(codes, ref_rng.permutation(n)), dtype
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, dtype
 
 
-def test_pair_codes_are_int64_past_int32_and_decode_to_the_pairs():
-    # at N = 50,000, N * N > 2**31: codes center * N + context need 64 bits
-    n = 50_000
-    mat = np.array([[49_999, 3, 49_998, 7], [12_345, 49_999, -1, -1], [0, -1, -1, -1]], dtype=np.int32)
+def test_pair_codes_take_the_smallest_unsigned_type_and_decode_to_the_pairs():
+    # codes center * N + context lie in [0, N * N): uint64 at N = 70,000, past uint32
+    n = 70_000
+    mat = np.array([[69_999, 3, 69_998, 7], [12_345, 69_999, -1, -1], [0, -1, -1, -1]], dtype=np.int32)
     n_pairs = pair_count(WalkCorpus(mat, tuple(f"n{i}" for i in range(n)), WalkConfig(), ""), 2)
     codes = _pair_codes(mat, 2, n_pairs, n)
-    assert codes.dtype == np.int64 and codes.size == n_pairs == 12
+    assert codes.dtype == np.uint64 and codes.size == n_pairs == 12
     centers, contexts = _pair_indices(mat, 2)
     assert np.array_equal(codes // n, centers) and np.array_equal(codes % n, contexts)
-    walk = np.array([[1, 2, 3]], dtype=np.int32)  # 6 pairs; 46,340**2 < 2**31 < 46,341**2
-    assert [_pair_codes(walk, 2, 6, n).dtype for n in (46_340, 46_341)] == [np.int32, np.int64]
+    # at each type's boundary, walks over the last three nodes reach the largest code N * N - 1
+    for n, dtype in ((16, np.uint8), (17, np.uint16), (256, np.uint16), (257, np.uint32), (65_536, np.uint32),
+                     (65_537, np.uint64)):
+        walks = np.array([[1, 2, 0], [2, 0, 2]], dtype=np.int32) + (n - 3)
+        codes = _pair_codes(walks, 2, 12, n)
+        centers, contexts = _pair_indices(walks, 2)
+        assert codes.dtype == dtype and codes.max() == n * n - 1, n
+        assert np.array_equal(codes // n, centers) and np.array_equal(codes % n, contexts), n
 
 
 def metro_corpora(runs, **kwargs):

@@ -240,18 +240,6 @@ def test_perturb_scale_noise_is_sigma_invariant():
     assert np.allclose(a, b, atol=1e-12)
 
 
-def test_perturb_clip_result_mode():
-    mat = np.full((8, 8), 0.9)
-    out = perturb(mat, NoiseSpec("gaussian", 3.0, seed=7), mode="clip-result")
-    assert out.min() >= 0.0 and out.max() <= 1.0
-    assert not np.array_equal(out, mat)
-
-
-def test_perturb_bad_mode():
-    with pytest.raises(ValueError, match="mode"):
-        perturb(np.zeros((2, 2)), NoiseSpec("gaussian", 1.0), mode="normalize")
-
-
 def test_noise_spec_validation(tiny_metro, monkeypatch):
     with pytest.raises(ValueError, match="kind"):
         NoiseSpec("uniform", 1.0)
@@ -266,8 +254,6 @@ def test_noise_spec_validation(tiny_metro, monkeypatch):
     monkeypatch.setattr(pec.embedder, "_train_group", no_run)
     with pytest.raises(ValueError, match="finite and nonnegative"):
         noise_robustness(g, transfer_t, [("gaussian", 1.0), ("gaussian", float("inf"))], repeats=1)
-    with pytest.raises(ValueError, match="mode"):
-        noise_robustness(g, transfer_t, [("gaussian", 1.0)], repeats=3, mode="bad")
     # two settings of one curve label would merge into one curve
     for noise, both in (
         ([("gaussian", 1.0), ("gaussian", 1.0000001)], "entry 1 (gaussian:1.0) and entry 2 (gaussian:1.0000001)"),

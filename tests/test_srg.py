@@ -1,9 +1,12 @@
+import hashlib
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import reference_srg_from_features, reference_srg_from_interactions
 
@@ -351,6 +354,21 @@ def test_from_weight_matrix_rejects_bad_matrices():
         SpaceRelationGraph.from_weight_matrix(["a", "b"], [[0.0, -1.0], [-1.0, 0.0]])
     with pytest.raises(ValueError, match="nonfinite weight nan"):
         SpaceRelationGraph.from_weight_matrix(["a", "b", "c"], [[0, 1, 0], [1, 0, np.nan], [0, np.nan, 0]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=sparse_graphs())
+@example(g=SpaceRelationGraph(["a", "b", "c"], [("a", "b", 0.1 + 0.2)]))  # 17 digits; "c" is isolated
+def test_save_graph_returns_the_fingerprint_of_the_lines_it_writes(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.tsv"
+        fingerprint = save_graph(g, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+    assert fingerprint == g.fingerprint()
+    # node ids, each ended by a zero byte, then a one byte and the written edge lines
+    h = hashlib.sha256(b"".join(nid.encode() + b"\x00" for nid in g.node_ids) + b"\x01")
+    h.update("".join(f"{line}\n" for line in lines if line and not line.startswith("#")).encode())
+    assert fingerprint == h.hexdigest()
 
 
 def test_fingerprint_sensitive_to_structure():
