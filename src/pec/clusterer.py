@@ -283,31 +283,29 @@ def modularity(g, labels) -> float:
     return float(np.sum(intra / m - (degree / (2.0 * m)) ** 2))
 
 
-def _louvain_once(adj: list[dict[int, float]], self_loops: list[float],
+def _louvain_once(ptr, idx, wts, self_loops: list[float],
                   m: float, rng: np.random.Generator) -> list[list[int]]:
     """One full Louvain run; returns communities as lists of original nodes.
-    ``adj`` and ``self_loops`` are only read, so runs can share them."""
-    n = len(adj)
-    groups: list[list[int]] = [[i] for i in range(n)]  # original nodes per super-node
+    At every level node i's links are ``idx[ptr[i]:ptr[i + 1]]`` with ``wts`` at the same positions."""
+    groups: list[list[int]] = [[i] for i in range(len(ptr) - 1)]  # original nodes per super-node
     min_gain = 1e-9 * m  # gains below are scaled by m relative to Q
 
     while True:
-        size = len(adj)
+        size = len(ptr) - 1
         community = list(range(size))
         # strength = weighted degree incl. both self-loop endpoints
-        strength = [sum(adj[i].values()) + 2.0 * self_loops[i] for i in range(size)]
+        strength = [sum(wts[ptr[i]:ptr[i + 1]]) + 2.0 * self_loops[i] for i in range(size)]
         comm_total = strength[:]
         improved_any = False
         improved = True
         while improved:
             improved = False
             order = rng.permutation(size)
-            for i in order:
-                i = int(i)
+            for i in order.tolist():
                 ci = community[i]
                 # weight from i to each neighboring community
                 link: dict[int, float] = {}
-                for j, w in adj[i].items():
+                for j, w in zip(idx[ptr[i]:ptr[i + 1]], wts[ptr[i]:ptr[i + 1]]):
                     link[community[j]] = link.get(community[j], 0.0) + w
                 comm_total[ci] -= strength[i]
                 base = link.get(ci, 0.0) - comm_total[ci] * strength[i] / (2.0 * m)
@@ -327,7 +325,7 @@ def _louvain_once(adj: list[dict[int, float]], self_loops: list[float],
                     improved_any = True
         if not improved_any:
             return groups
-        # aggregate: communities become super-nodes
+        # aggregate: communities become super-nodes, their links flattened in insertion order
         remap = {c: i for i, c in enumerate(dict.fromkeys(community))}  # by first appearance
         new_size = len(remap)
         new_groups: list[list[int]] = [[] for _ in range(new_size)]
@@ -335,10 +333,10 @@ def _louvain_once(adj: list[dict[int, float]], self_loops: list[float],
             new_groups[remap[c]].extend(groups[i])
         new_adj: list[dict[int, float]] = [dict() for _ in range(new_size)]
         new_loops = [0.0] * new_size
-        for i in range(len(adj)):
+        for i in range(size):
             ci = remap[community[i]]
             new_loops[ci] += self_loops[i]
-            for j, w in adj[i].items():
+            for j, w in zip(idx[ptr[i]:ptr[i + 1]], wts[ptr[i]:ptr[i + 1]]):
                 if j < i:
                     continue
                 cj = remap[community[j]]
@@ -347,9 +345,10 @@ def _louvain_once(adj: list[dict[int, float]], self_loops: list[float],
                 else:
                     new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + w
                     new_adj[cj][ci] = new_adj[cj].get(ci, 0.0) + w
-        adj = new_adj
-        self_loops = new_loops
-        groups = new_groups
+        ptr = np.cumsum([0, *map(len, new_adj)]).tolist()
+        idx = [j for links in new_adj for j in links]
+        wts = [w for links in new_adj for w in links.values()]
+        self_loops, groups = new_loops, new_groups
 
 
 def louvain(g, seed: int = 0, runs: int = 5) -> tuple[np.ndarray, int, float]:
@@ -366,12 +365,13 @@ def louvain(g, seed: int = 0, runs: int = 5) -> tuple[np.ndarray, int, float]:
     n = g.num_nodes
     # total edge weight, added left to right over the canonical edge order
     m = float(np.cumsum(g.weights[g.entry_rows() < g.indices])[-1])
-    adj = [dict(zip(g.neighbor_indices(i).tolist(), g.neighbor_weights(i).tolist())) for i in range(n)]
+    # level 1 reads the CSR arrays in place: memoryview items are the same Python ints and floats as .tolist()'s
+    ptr, idx, wts = g.indptr.tolist(), memoryview(g.indices), memoryview(g.weights)
     best_labels: np.ndarray | None = None
     best_q = -np.inf
     for r in range(runs):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(derive_seed(seed, "louvain", r))))
-        groups = _louvain_once(adj, [0.0] * n, m, rng)
+        groups = _louvain_once(ptr, idx, wts, [0.0] * n, m, rng)
         labels = np.empty(n, dtype=np.int64)
         # canonical labels: communities numbered by their smallest node index
         for c, members in enumerate(sorted(groups, key=min)):

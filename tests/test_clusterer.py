@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,8 +13,8 @@ from pec.clusterer import (
     select_n,
     validity_indices,
 )
-from pec.srg import SpaceRelationGraph, build_srg_from_adjacency
-from pec.synth import blobs
+from pec.srg import SpaceRelationGraph, build_srg_from_adjacency, build_srg_from_interactions
+from pec.synth import blobs, default_metro_spec, metro_network, planted_od
 
 FIXTURE_1D = np.array([[0.0], [0.1], [10.0], [10.1]])
 
@@ -288,10 +290,26 @@ def tied_weight_graphs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(g=tied_weight_graphs(), seed=st.integers(0, 3))
+@example(g=metro_network(default_metro_spec())[0], seed=0)  # fixture size: several aggregation levels
+@example(g=build_srg_from_interactions(planted_od(4, 15, 9, 1, seed=1)[0]), seed=1)
 def test_louvain_equals_reference_on_tied_weights(g, seed):
     labels, count, q = louvain(g, seed=seed, runs=3)
     ref_labels, ref_count, ref_q = reference_louvain(g, seed=seed, runs=3)
     assert np.array_equal(labels, ref_labels) and count == ref_count and q == ref_q
+
+
+@pytest.mark.parametrize("blocks", [4, 8])
+def test_louvain_memory_is_linear_in_stored_entries(blocks):
+    """Louvain reads the CSR arrays in place, so its traced peak stays a small
+    constant per stored entry (one dict per node took ~100 bytes an entry)."""
+    g = build_srg_from_interactions(planted_od(blocks, 25, 9, 1, seed=1)[0])
+    tracemalloc.start()
+    try:
+        louvain(g, runs=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / g.indices.size < 50
 
 
 def test_louvain_edgeless_rejected():
